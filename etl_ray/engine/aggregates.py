@@ -166,11 +166,17 @@ def _write_day_partitions(
 ) -> None:
     """Atomically (tmp + rename) overwrite one day's two partition files —
     called INSIDE the per-day task, so partition bytes never transit the
-    driver (VERDICT r3: the funnel scaled with repo count, not day count)."""
+    driver (VERDICT r3: the funnel scaled with repo count, not day count).
+    The schema is fixed (string keys, ``_day_tables`` dtypes elsewhere), so
+    a day with no rows still concatenates with the others."""
     for name, df in (("lang_daily_agg", lang_daily), ("repo_daily_agg", repo_daily)):
+        schema = pa.schema(
+            (c, pa.string() if c in ("day", "lang", "repo") else pa.from_numpy_dtype(t))
+            for c, t in df.dtypes.items()
+        )
         path = lineage.agg_day_path(name, day)
         tmp = path + f".{os.getpid()}.tmp"
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp)
+        pq.write_table(pa.Table.from_pandas(df, schema=schema, preserve_index=False), tmp)
         os.replace(tmp, path)
 
 
@@ -184,9 +190,10 @@ def recompute_days(
     tz_offset_minutes: int = 0,
 ) -> dict:
     """Re-aggregate the given day partitions exactly from the WAL segments
-    overlapping them; overwrite their files. (Fallback path — the spill
-    shuffle maintains a narrow per-day agg log instead, see
-    :func:`recompute_days_from_agglog`.)"""
+    overlapping them; overwrite their files. (Fallback path for ticks the
+    agg log does not cover — aggregate-off ticks, a tz-offset change, an
+    on-demand repair; the spill stage maintains a narrow per-day agg log
+    otherwise, see :func:`recompute_days_from_agglog`.)"""
     if not days:
         return {"days": 0}
     metrics = DEFAULT_METRICS if metrics is None else metrics

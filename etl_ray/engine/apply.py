@@ -3,13 +3,16 @@
 This is the engine's heart — the analog of the reference's daily state fold
 (yesterday's ``user_history`` LEFT JOIN today's deltas, then delete+insert of
 the partition, ``insert_user_history.sql:227-311``) and the keyed MERGE
-upsert (``update_user_map.sql:208-269``) — re-expressed as a callable class
-run by ``groupby(bucket).map_groups(MergeApplier, concurrency=N)``:
+upsert (``update_user_map.sql:208-269``) — re-expressed as one per-bucket
+function, :func:`apply_bucket`, run by the warm applier actors over the
+spill shuffle's per-bucket row groups (and, in process, by ``MergeApplier``
+for bootstrap and erasure):
 
-- one *group* = all (already batch-pre-reduced) delta rows of one hash
+- one *bucket* = all (already batch-pre-reduced) delta rows of one hash
   bucket; state for the bucket is hydrated from the lake partition named by
-  the bucket's lineage manifest (never shuffled — state stays partitioned on
-  the same key across ticks, SURVEY.md §4);
+  the bucket's lineage manifest, or served from the owning warm actor's
+  cache (never shuffled — state stays partitioned on the same key across
+  ticks, SURVEY.md §4);
 - merge = Arrow concat(state, deltas) → ``last_writer`` per (repo, path) by
   LSN — replay duplicates and already-applied events are no-ops by
   monotonicity (``mod_data_insert.sql:5-6`` semantics);
@@ -21,7 +24,7 @@ run by ``groupby(bucket).map_groups(MergeApplier, concurrency=N)``:
   unified schema with null backfill before the merge
   (``insert_user_history.sql:15-42`` semantics);
 - output: the new full bucket state written via tmp + atomic rename
-  (two-phase commit step 1), and a 1-row manifest table returned to the
+  (two-phase commit step 1), and the bucket manifest returned to the
   driver for the commit step.
 """
 
@@ -370,7 +373,124 @@ def deltas_to_state_shape(deltas: pa.Table) -> pa.Table:
     return out.append_column(DELETED_COL, deleted)
 
 
+def read_row_groups(
+    pf_cache: dict[str, pq.ParquetFile], files: list[str], rgs: list[int]
+) -> pa.Table | None:
+    """Concat the given (file, row group) pairs of the spill-shuffle files;
+    ``pf_cache`` keeps the open file handles across calls."""
+    parts = []
+    for f, rg in zip(files, rgs):
+        pf = pf_cache.get(f)
+        if pf is None:
+            pf = pf_cache[f] = pq.ParquetFile(f)
+        parts.append(pf.read_row_group(rg))
+    return pa.concat_tables(parts) if parts else None
+
+
+def apply_bucket(
+    lineage: LakeLineage,
+    bucket: int,
+    tick: int,
+    deltas: pa.Table,
+    state: pa.Table | None,
+    man: dict | None,
+    fold_rows: pa.Table | None,
+    *,
+    folds: list,
+    fold_lateness: int,
+    changelog: bool,
+    state_mode: str,
+    delta_threshold: int,
+) -> tuple[pa.Table, dict]:
+    """Merge one bucket's deltas into its state and write the result.
+
+    ``deltas`` are the bucket's (pre-reduced, target-aligned) delta rows,
+    ``state`` its committed state (None for a new bucket) and ``man`` its
+    committed manifest. Writes the changelog part, the fold tail and the
+    new state file (tmp + rename — two-phase commit step 1); returns the
+    merged full state and the bucket manifest for the driver to publish."""
+    if state is not None:
+        merged_schema = unify_schemas([state.schema, deltas.schema])
+        # state first, deltas after → exact-LSN replay ties resolve to the
+        # (identical) delta row; deterministic either way.
+        merged = pa.concat_tables(
+            [align_to(state, merged_schema), align_to(deltas, merged_schema)]
+        )
+    else:
+        merged = deltas
+    merged = last_writer(merged, keys=KEYS)
+    merged = merged.sort_by([(k, "ascending") for k in KEYS])
+
+    if changelog:
+        # CDC-out: the rows whose winning LSN changed this tick, vs the
+        # previous COMMITTED state (deterministic on crash redo)
+        from .changelog import changelog_delta, write_changelog_part
+
+        write_changelog_part(
+            lineage.lake_dir, tick, bucket, changelog_delta(state, merged)
+        )
+
+    # base+delta (S3 semantics kept, write amplification dropped): an
+    # existing bucket appends ONE file of this tick's touched-key winner
+    # rows; readers fold base+deltas with the same LWW kernel. Past the
+    # threshold (or in rewrite mode / first write) the fold lands as a
+    # fresh base and the delta chain resets.
+    write_delta, out_path, data_file, delta_files = plan_state_write(
+        lineage, bucket, tick, man, state_mode, delta_threshold
+    )
+
+    fold_file = None
+    fold_hi = (man or {}).get("fold_through_lsn") or 0
+    if folds and fold_rows is not None:
+        prev_tail = None
+        if man is not None and man.get("fold_file"):
+            prev_tail = pq.read_table(man["fold_file"])
+        # the prune horizon is the FOLD stream's own committed watermark
+        # (max WAL lsn folded) — NOT applied_lsn, which an erasure tick
+        # inflates far past the WAL and would over-prune the tail
+        merged, tail = apply_folds(
+            folds, state, merged, fold_rows, prev_tail, fold_hi, fold_lateness
+        )
+        if fold_rows.num_rows:
+            fold_hi = max(fold_hi, pc.max(fold_rows["lsn"]).as_py())
+        fold_file = fold_tail_path(out_path)
+        ftmp = fold_file + f".{os.getpid()}.tmp"
+        pq.write_table(tail, ftmp, compression="snappy")
+        os.replace(ftmp, fold_file)
+
+    out_tab = touched_key_rows(merged, deltas) if write_delta else merged
+
+    tmp = out_path + f".{os.getpid()}.tmp"
+    pq.write_table(out_tab, tmp, compression="zstd")
+    os.replace(tmp, out_path)
+    bytes_written = os.path.getsize(out_path)
+    if fold_file:
+        bytes_written += os.path.getsize(fold_file)
+
+    live = merged.num_rows - pc.sum(merged[DELETED_COL]).as_py()
+    return merged, {
+        "bucket": int(bucket),
+        "tick": int(tick),
+        "applied_lsn": int(pc.max(merged["lsn"]).as_py()),
+        "rows": int(merged.num_rows),
+        "live_rows": int(live),
+        "delta_rows": int(deltas.num_rows),
+        "data_file": data_file,
+        "delta_files": delta_files,
+        "bytes_written": int(bytes_written),
+        "fold_file": fold_file,
+        "fold_through_lsn": int(fold_hi),
+        "schema_b64": schema_b64(merged.schema),
+    }
+
+
 class MergeApplier:
+    """In-process :func:`apply_bucket` shell that reads each bucket's state
+    from its committed manifest (no cross-call cache): the ``map_batches``
+    callable of the bootstrap's hash repartition, the per-bucket applier of
+    ``erase_keys``, and (``apply_spilled``) a one-process applier over
+    spill-shuffle descriptors."""
+
     def __init__(
         self,
         lake_dir: str,
@@ -391,48 +511,35 @@ class MergeApplier:
         self.changelog = changelog
         self.state_mode = state_mode
         self.delta_threshold = delta_threshold
-
-    def _read_rgs(self, files, rgs) -> pa.Table | None:
-        if not hasattr(self, "_pf_cache"):
-            self._pf_cache: dict[str, pq.ParquetFile] = {}
-        parts = []
-        for f, rg in zip(files, rgs):
-            pf = self._pf_cache.get(f)
-            if pf is None:
-                pf = self._pf_cache[f] = pq.ParquetFile(f)
-            parts.append(pf.read_row_group(rg))
-        return pa.concat_tables(parts) if parts else None
+        self._pf_cache: dict[str, pq.ParquetFile] = {}
 
     def apply_spilled(self, batch: pa.Table) -> pa.Table:
-        """Spill-shuffle mode: input rows are (bucket, files, rgs[, ffiles,
-        frgs]) descriptors; each bucket's pre-reduced deltas (and, when
-        folds are active, its unreduced narrow fold rows) are read as
-        parquet ROW GROUPS out of the shared shuffle files (content bytes
-        never enter the object store). File handles are cached on the
-        actor."""
+        """Input rows are spill-shuffle (bucket, files, rgs[, ffiles, frgs])
+        descriptors; each bucket's deltas (and fold rows) are read as
+        parquet row groups out of the shuffle files."""
         outs = [MANIFEST_SCHEMA.empty_table()]
         has_folds = "ffiles" in batch.schema.names and self.folds
         for i, bucket in enumerate(batch["bucket"].to_pylist()):
-            files = batch["files"][i].as_py()
-            rgs = batch["rgs"][i].as_py()
-            deltas = self._read_rgs(files, rgs)
-            deltas = align_to(deltas, self.target)
+            deltas = read_row_groups(
+                self._pf_cache, batch["files"][i].as_py(), batch["rgs"][i].as_py()
+            )
             fold_rows = None
             if has_folds:
-                fold_rows = self._read_rgs(
-                    batch["ffiles"][i].as_py(), batch["frgs"][i].as_py()
+                fold_rows = read_row_groups(
+                    self._pf_cache, batch["ffiles"][i].as_py(), batch["frgs"][i].as_py()
                 )
             outs.append(
                 self._apply_one(
-                    int(bucket), deltas, pre_aligned=True, fold_rows=fold_rows
+                    int(bucket), align_to(deltas, self.target),
+                    pre_aligned=True, fold_rows=fold_rows,
                 )
             )
         return pa.concat_tables(outs)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Accepts a batch holding one or more COMPLETE buckets (a sort-based
-        groupby group, or a hash-shuffle partition block): splits by bucket
-        and merges each independently."""
+        """Accepts a batch holding one or more COMPLETE buckets (a
+        hash-shuffle partition block): splits by bucket and merges each
+        independently."""
         if batch.num_rows == 0:
             return MANIFEST_SCHEMA.empty_table()
         buckets = pc.unique(batch[BUCKET_COL])
@@ -455,97 +562,15 @@ class MergeApplier:
             deltas = group
         else:
             deltas = align_to(group.drop_columns([BUCKET_COL]), self.target)
-
         man = self.lineage.bucket_manifest(bucket)
-        state = None
-        if man is not None:
-            state = read_bucket_state(man)  # merge-on-read in delta mode
-            merged_schema = unify_schemas([state.schema, deltas.schema])
-            state_al = align_to(state, merged_schema)
-            deltas = align_to(deltas, merged_schema)
-            # state first, deltas after → exact-LSN replay ties resolve to the
-            # (identical) delta row; deterministic either way.
-            merged = pa.concat_tables([state_al, deltas])
-        else:
-            merged = deltas
-        merged = last_writer(merged, keys=KEYS)
-        merged = merged.sort_by([(k, "ascending") for k in KEYS])
-
-        if self.changelog:
-            # CDC-out: the rows whose winning LSN changed this tick, vs the
-            # previous COMMITTED state (deterministic on crash redo)
-            from .changelog import changelog_delta, write_changelog_part
-
-            write_changelog_part(
-                self.lineage.lake_dir,
-                self.tick,
-                bucket,
-                changelog_delta(state, merged),
-            )
-
-        # base+delta (S3 semantics kept, write amplification dropped): an
-        # existing bucket appends ONE file of this tick's touched-key winner
-        # rows; readers fold base+deltas with the same LWW kernel. Past the
-        # threshold (or in rewrite mode / first write) the fold lands as a
-        # fresh base and the delta chain resets.
-        write_delta, out_path, data_file, delta_files = plan_state_write(
-            self.lineage, bucket, self.tick, man,
-            self.state_mode, self.delta_threshold,
+        state = read_bucket_state(man) if man is not None else None
+        _, manifest = apply_bucket(
+            self.lineage, bucket, self.tick, deltas, state, man, fold_rows,
+            folds=self.folds, fold_lateness=self.fold_lateness,
+            changelog=self.changelog, state_mode=self.state_mode,
+            delta_threshold=self.delta_threshold,
         )
-
-        fold_file = None
-        fold_hi = (man or {}).get("fold_through_lsn") or 0
-        if self.folds and fold_rows is not None:
-            prev_tail = None
-            if man is not None and man.get("fold_file"):
-                prev_tail = pq.read_table(man["fold_file"])
-            # the prune horizon is the FOLD stream's own committed watermark
-            # (max WAL lsn folded) — NOT applied_lsn, which an erasure tick
-            # inflates far past the WAL and would over-prune the tail
-            merged, tail = apply_folds(
-                self.folds, state, merged, fold_rows, prev_tail,
-                fold_hi, self.fold_lateness,
-            )
-            if fold_rows.num_rows:
-                fold_hi = max(fold_hi, pc.max(fold_rows["lsn"]).as_py())
-            fold_file = fold_tail_path(out_path)
-            ftmp = fold_file + f".{os.getpid()}.tmp"
-            pq.write_table(tail, ftmp, compression="snappy")
-            os.replace(ftmp, fold_file)
-
-        out_tab = touched_key_rows(merged, deltas) if write_delta else merged
-
-        tmp = out_path + f".{os.getpid()}.tmp"
-        pq.write_table(out_tab, tmp, compression="zstd")
-        os.replace(tmp, out_path)
-        bytes_written = os.path.getsize(out_path)
-        if fold_file:
-            bytes_written += os.path.getsize(fold_file)
-
-        live = merged.num_rows - pc.sum(merged[DELETED_COL]).as_py()
-        return pa.table(
-            {
-                "bucket": pa.array([bucket], pa.int32()),
-                "tick": pa.array([self.tick], pa.int32()),
-                "applied_lsn": pa.array([pc.max(merged["lsn"]).as_py()], pa.int64()),
-                "rows": pa.array([merged.num_rows], pa.int64()),
-                "live_rows": pa.array([live], pa.int64()),
-                "delta_rows": pa.array([group.num_rows], pa.int64()),
-                "data_file": pa.array([data_file], pa.string()),
-                "delta_files": pa.array([delta_files], pa.list_(pa.string())),
-                "bytes_written": pa.array([bytes_written], pa.int64()),
-                "fold_file": pa.array([fold_file], pa.string()),
-                "fold_through_lsn": pa.array([fold_hi], pa.int64()),
-                "schema_b64": pa.array([schema_b64(merged.schema)], pa.string()),
-            }
-        )
-
-class SpilledMergeApplier(MergeApplier):
-    """map_batches entry point for the spill-shuffle path: input rows are
-    (bucket, files) descriptors, not data rows."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
-        return self.apply_spilled(batch)
+        return pa.Table.from_pylist([manifest], schema=MANIFEST_SCHEMA)
 
 
 import ray as _ray
@@ -591,15 +616,6 @@ class WarmApplierActor:
         self.state_mode = state_mode
         self.delta_threshold = delta_threshold
 
-    def _read_rgs(self, files, rgs) -> pa.Table | None:
-        parts = []
-        for f, rg in zip(files, rgs):
-            pf = self._pf_cache.get(f)
-            if pf is None:
-                pf = self._pf_cache[f] = pq.ParquetFile(f)
-            parts.append(pf.read_row_group(rg))
-        return pa.concat_tables(parts) if parts else None
-
     def apply(self, bucket: int, files: list[str], rgs: list[int], tick: int,
               schema_ser: bytes, ffiles: list[str] | None = None,
               frgs: list[int] | None = None) -> dict:
@@ -607,10 +623,10 @@ class WarmApplierActor:
         if tick != self._pf_tick:  # shuffle files are per tick
             self._pf_cache = {}
             self._pf_tick = tick
-        deltas = align_to(self._read_rgs(files, rgs), target)
+        deltas = align_to(read_row_groups(self._pf_cache, files, rgs), target)
         fold_rows = None
         if self.folds and ffiles:
-            fold_rows = self._read_rgs(ffiles, frgs)
+            fold_rows = read_row_groups(self._pf_cache, ffiles, frgs)
 
         # validate the cache against the COMMITTED manifest: out-of-band
         # maintenance (erase_keys, compact_tombstones) or another writer
@@ -623,71 +639,14 @@ class WarmApplierActor:
                 state = cached[1]
             else:
                 state = read_bucket_state(man)
-        if state is not None:
-            merged_schema = unify_schemas([state.schema, deltas.schema])
-            merged = pa.concat_tables(
-                [align_to(state, merged_schema), align_to(deltas, merged_schema)]
-            )
-        else:
-            merged = deltas
-        merged = last_writer(merged, keys=KEYS)
-        merged = merged.sort_by([(k, "ascending") for k in KEYS])
-
-        if self.changelog:
-            from .changelog import changelog_delta, write_changelog_part
-
-            write_changelog_part(
-                self.lineage.lake_dir, tick, bucket, changelog_delta(state, merged)
-            )
-
-        write_delta, out_path, data_file, delta_files = plan_state_write(
-            self.lineage, bucket, tick, man,
-            self.state_mode, self.delta_threshold,
+        merged, manifest = apply_bucket(
+            self.lineage, bucket, tick, deltas, state, man, fold_rows,
+            folds=self.folds, fold_lateness=self.fold_lateness,
+            changelog=self.changelog, state_mode=self.state_mode,
+            delta_threshold=self.delta_threshold,
         )
-
-        fold_file = None
-        fold_hi = (man or {}).get("fold_through_lsn") or 0
-        if self.folds and fold_rows is not None:
-            prev_tail = None
-            if man is not None and man.get("fold_file"):
-                prev_tail = pq.read_table(man["fold_file"])
-            # fold-stream watermark, not applied_lsn (see MergeApplier)
-            merged, tail = apply_folds(
-                self.folds, state, merged, fold_rows, prev_tail,
-                fold_hi, self.fold_lateness,
-            )
-            if fold_rows.num_rows:
-                fold_hi = max(fold_hi, pc.max(fold_rows["lsn"]).as_py())
-            fold_file = fold_tail_path(out_path)
-            ftmp = fold_file + f".{os.getpid()}.tmp"
-            pq.write_table(tail, ftmp, compression="snappy")
-            os.replace(ftmp, fold_file)
-
-        out_tab = touched_key_rows(merged, deltas) if write_delta else merged
-
-        tmp = out_path + f".{os.getpid()}.tmp"
-        pq.write_table(out_tab, tmp, compression="zstd")
-        os.replace(tmp, out_path)
-        bytes_written = os.path.getsize(out_path)
-        if fold_file:
-            bytes_written += os.path.getsize(fold_file)
 
         if len(self.cache) >= self.max_cached and bucket not in self.cache:
             self.cache.pop(next(iter(self.cache)))  # FIFO evict
-        self.cache[bucket] = (tuple([data_file, *delta_files]), merged)
-
-        live = merged.num_rows - pc.sum(merged[DELETED_COL]).as_py()
-        return {
-            "bucket": int(bucket),
-            "tick": int(tick),
-            "applied_lsn": int(pc.max(merged["lsn"]).as_py()),
-            "rows": int(merged.num_rows),
-            "live_rows": int(live),
-            "delta_rows": int(deltas.num_rows),
-            "data_file": data_file,
-            "delta_files": delta_files,
-            "bytes_written": int(bytes_written),
-            "fold_file": fold_file,
-            "fold_through_lsn": int(fold_hi),
-            "schema_b64": schema_b64(merged.schema),
-        }
+        self.cache[bucket] = (tuple(bucket_files(manifest)), merged)
+        return manifest

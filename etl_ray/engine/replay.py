@@ -10,8 +10,9 @@ pipeline with exactly ONE shuffle:
       pre-reduction (the combiner: a hot key sends ≤1 row per       skew/salt]
       batch to the shuffle) → op→tombstone shaping → bucket id
   → the ONE shuffle: shared-FS spill (indexed shuffle files, one
-      parquet row group per bucket) | hash repartition | sort       [S2 shape]
-  → MergeApplier actor pool: stateful LWW upsert/delete/evolve      [A5/J4/J5]
+      parquet row group per bucket)                                 [S2 shape]
+  → warm applier actors (bucket % pool, state cached across ticks):
+      stateful LWW upsert/delete/evolve, ``apply.apply_bucket``     [A5/J4/J5]
   → driver: publish bucket manifests, re-aggregate touched days,
     publish tick manifest (the commit point), GC                   [S2/S3/ST4]
 
@@ -32,7 +33,7 @@ import pyarrow.parquet as pq
 
 from ..wal import WalInfo
 from . import aggregates
-from .apply import MergeApplier, SpilledMergeApplier, deltas_to_state_shape
+from .apply import deltas_to_state_shape
 from .dedup import last_writer
 from .enrich import LangEnricher
 from .lineage import LakeLineage
@@ -63,8 +64,8 @@ class ReplayEngine:
     """Drives serial ticks over a WAL directory into a lake directory.
 
     ``num_buckets`` is the fixed partition count of the lake (choose ≈ 2–4×
-    total cluster CPUs at scale); ``concurrency`` sizes the applier actor
-    pool for one tick.
+    total cluster CPUs at scale); ``concurrency`` caps the warm applier
+    actor pool.
     """
 
     def __init__(
@@ -75,8 +76,6 @@ class ReplayEngine:
         num_buckets: int = 32,
         concurrency: int | tuple[int, int] | None = None,
         aggregate: bool = True,
-        shuffle: str = "spill",  # "spill" (shared-FS) | "hash" | "sort"
-        warm_state: bool = True,  # persistent applier actors across ticks
         fail_after_buckets: int | None = None,  # crash injection for tests
         checks: list | None = None,  # quality.CheckSpec list; None = defaults
         folds: list | None = None,  # folds.FoldSpec list; default: none
@@ -142,19 +141,12 @@ class ReplayEngine:
 
         self.checks = DEFAULT_CHECKS if checks is None else checks
         self.folds = folds or []
-        if self.folds and shuffle != "spill":
-            raise ValueError(
-                "state-fold metrics need the unreduced fold-row stream of "
-                "the spill shuffle (sort/hash paths pre-reduce in place)"
-            )
-        self.shuffle = shuffle
         self.wal = WalInfo.load(wal_dir)
         self.lake_dir = lake_dir
         self.lineage = LakeLineage(lake_dir)
         self.num_buckets = num_buckets
         self.concurrency = concurrency
         self.aggregate = aggregate
-        self.warm_state = warm_state and shuffle == "spill"
         self._warm_actors: list | None = None
         self.fail_after_buckets = fail_after_buckets
         # exact-once fold dedup window: the log's declared out-of-order
@@ -226,8 +218,7 @@ class ReplayEngine:
         if self._warm_actors is None:
             from .apply import WarmApplierActor
 
-            _, hi = self._applier_pool_size()
-            k = max(1, min(hi, self.num_buckets))
+            k = max(1, min(self._applier_pool_size(), self.num_buckets))
             self._warm_actors = [
                 WarmApplierActor.options(num_cpus=0).remote(
                     self.lake_dir, 256, self.folds, self.fold_lateness,
@@ -242,13 +233,12 @@ class ReplayEngine:
         as ``maintenance.erase_keys`` — cached state would be stale)."""
         self._warm_actors = None
 
-    def _applier_pool_size(self) -> tuple[int, int]:
-        """Autoscaling applier pool capped BELOW the CPU count: a fixed pool
-        that reserves every core starves the read/reduce stages and the
-        pipeline deadlocks (guide §actor pools). Leave ≥2 cores for the
-        upstream tasks."""
+    def _applier_pool_size(self) -> int:
+        """Warm applier pool size, capped BELOW the CPU count: leave ≥2
+        cores for the stage-1 tasks. A ``(lo, hi)`` concurrency caps it at
+        ``hi``."""
         if isinstance(self.concurrency, tuple):
-            return self.concurrency
+            return self.concurrency[1]
         import ray
 
         if ray.is_initialized():
@@ -261,25 +251,26 @@ class ReplayEngine:
         hi = max(2, cpus - 2)
         if isinstance(self.concurrency, int):
             hi = min(self.concurrency, hi)
-        return (1, max(1, hi))
+        return max(1, hi)
 
     # ------------------------------------------------------------------
 
     def _spill_apply(self, ds, tick_id: int, schema_ser: bytes):
-        """Shared-FS shuffle (the default, and the shape a multi-node lake
-        engine actually wants): stage 1 tasks append each pre-reduced batch's
-        rows to per-bucket delta files under ``lake/_shuffle/tick-N/`` (the
-        lake directory IS the shared storage on a real cluster — this is an
-        external shuffle, like Spark's, with parquet+zstd as the wire
-        format); stage 2 is an applier actor pool over (bucket, files)
+        """The tick's one shuffle, over shared FS (the shape a multi-node
+        lake engine actually wants): stage 1 tasks append each pre-reduced
+        batch's rows to per-bucket delta files under
+        ``lake/_shuffle/tick-N/`` (the lake directory IS the shared storage
+        on a real cluster — this is an external shuffle, like Spark's, with
+        parquet+zstd as the wire format); stage 2 is the warm applier pool over (bucket, files)
         descriptors — content bytes never transit the object store, and
         stage-2 parallelism is min(buckets, pool) regardless of input block
         sizing. Crash-safe: the spill dir is wiped and rebuilt on tick redo.
+        Returns the bucket manifest dicts.
         """
         import shutil
         import uuid
 
-        import ray.data
+        import ray
 
         spill_dir = os.path.join(self.lake_dir, "_shuffle", f"tick-{tick_id:06d}")
         shutil.rmtree(spill_dir, ignore_errors=True)
@@ -412,7 +403,6 @@ class ReplayEngine:
         )
         t_sp = time.perf_counter()
         shards = spill_ds.take_all()
-        self.spill_stats = spill_ds.stats()
         if os.environ.get("ETL_RAY_DEBUG"):
             print(f"[etl-ray] stage1 spill: {time.perf_counter() - t_sp:.2f}s", flush=True)
 
@@ -437,73 +427,24 @@ class ReplayEngine:
         ]
         self.last_stage2_items = len(items)
         if not items:
-            return None
-        if self.warm_state:
-            import ray as _r
-
-            t_wa = time.perf_counter()
-            pool = self._warm_pool()
-            futures = [
-                pool[it["bucket"] % len(pool)].apply.remote(
-                    it["bucket"], it["files"], it["rgs"], tick_id, schema_ser,
-                    it["ffiles"], it["frgs"],
-                )
-                for it in items
-            ]
-            out = _r.get(futures)  # list of manifest dicts
-            if os.environ.get("ETL_RAY_DEBUG"):
-                print(
-                    f"[etl-ray] warm apply ({len(items)} buckets): "
-                    f"{time.perf_counter() - t_wa:.2f}s",
-                    flush=True,
-                )
-            return out
-        lo, hi = self._applier_pool_size()
-        apply_ds = ray.data.from_items(items, override_num_blocks=len(items))
-        return apply_ds.map_batches(
-            SpilledMergeApplier,
-            fn_constructor_args=(
-                self.lake_dir, tick_id, schema_ser, self.folds,
-                self.fold_lateness, self.emit_changelog,
-                self.state_mode, self.delta_threshold,
-            ),
-            batch_format="pyarrow",
-            batch_size=None,
-            concurrency=(lo, min(hi, max(1, len(items)))),
-            num_cpus=1,
-        )
-
-    def _shuffle_apply(self, ds, tick_id: int, schema_ser: bytes):
-        """The one all-to-all: co-locate rows by bucket, then the stateful
-        applier pool. ``shuffle='spill'`` (default) is the shared-FS
-        external shuffle (see ``_spill_apply``); ``'hash'`` is Ray's
-        HASH_SHUFFLE repartition by key; ``'sort'`` the sort-based
-        ``groupby().map_groups`` path."""
-        if self.shuffle == "spill":
-            return self._spill_apply(ds, tick_id, schema_ser)
-        if self.shuffle == "sort":
-            return ds.groupby("__bucket").map_groups(
-                MergeApplier,
-                fn_constructor_args=(
-                    self.lake_dir, tick_id, schema_ser, None, 0,
-                    self.emit_changelog, self.state_mode, self.delta_threshold,
-                ),
-                batch_format="pyarrow",
-                concurrency=self._applier_pool_size(),
-                num_cpus=1,
+            return []
+        t_wa = time.perf_counter()
+        pool = self._warm_pool()
+        futures = [
+            pool[it["bucket"] % len(pool)].apply.remote(
+                it["bucket"], it["files"], it["rgs"], tick_id, schema_ser,
+                it["ffiles"], it["frgs"],
             )
-        parts = ds.repartition(self.num_buckets, keys=["__bucket"])
-        return parts.map_batches(
-            MergeApplier,
-            fn_constructor_args=(
-                self.lake_dir, tick_id, schema_ser, None, 0,
-                self.emit_changelog, self.state_mode, self.delta_threshold,
-            ),
-            batch_format="pyarrow",
-            batch_size=None,  # one batch per hash partition (whole buckets)
-            concurrency=self._applier_pool_size(),
-            num_cpus=1,
-        )
+            for it in items
+        ]
+        out = ray.get(futures)  # list of manifest dicts
+        if os.environ.get("ETL_RAY_DEBUG"):
+            print(
+                f"[etl-ray] warm apply ({len(items)} buckets): "
+                f"{time.perf_counter() - t_wa:.2f}s",
+                flush=True,
+            )
+        return out
 
     def tick(self, max_segments: int | None = None) -> TickResult | None:
         # single-writer guard: held per tick (re-acquired each tick, which
@@ -578,19 +519,9 @@ class ReplayEngine:
         self.lineage.recover()  # roll back any crashed rebucket attempt
         self.lineage.gc(self.retain_ticks)  # drop uncommitted staging from any crashed run
 
-        if self.warm_state:
-            # kick actor CREATION now (async, num_cpus=0): startup overlaps
-            # the stage-1 dataset instead of serializing after it
-            self._warm_pool()
-
-        # Ray Data snapshots DataContext at dataset CREATION: the hash
-        # strategy must be active while the apply pipeline is being built.
-        from ray.data.context import DataContext, ShuffleStrategy
-
-        dctx = DataContext.get_current()
-        prev_strategy = dctx.shuffle_strategy
-        if self.shuffle == "hash":
-            dctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+        # kick actor CREATION now (async, num_cpus=0): startup overlaps
+        # the stage-1 dataset instead of serializing after it
+        self._warm_pool()
 
         self.lineage.gc_agglog_tick(tick_id)  # crashed-attempt agg-log files
         import shutil as _shutil
@@ -633,53 +564,11 @@ class ReplayEngine:
             cand = ((nb + cpus - 1) // cpus) * cpus
             if total_rows // cand >= 200_000:
                 nb = cand
-        if os.environ.get("ETL_RAY_STAGE1_BLOCKS"):
-            nb = int(os.environ["ETL_RAY_STAGE1_BLOCKS"])  # ops/tuning override
         ds = read_segments_indexed(segs, target, num_blocks=nb)
-
-        if self.shuffle != "spill":
-            # spill fuses enrich/reduce/bucket into its stage-1 task
-            nb = self.num_buckets
-            enrich = self._make_enricher()  # task pool, no actor spin-up
-            qdir = os.path.join(self.lake_dir, "_quarantine", f"tick-{tick_id:06d}")
-
-            def enrich_reduce_bucket(batch: pa.Table) -> pa.Table:
-                import uuid as _uuid
-
-                from .quality import split_valid
-
-                batch, bad = split_valid(batch)
-                if bad.num_rows:
-                    os.makedirs(qdir, exist_ok=True)
-                    qf = os.path.join(qdir, f"part-{_uuid.uuid4().hex}.parquet")
-                    pq.write_table(bad, qf + ".tmp", compression="zstd")
-                    os.replace(qf + ".tmp", qf)
-                batch = enrich(batch)
-                batch = last_writer(batch)  # per-batch combiner (salt cell)
-                batch = deltas_to_state_shape(batch)
-                return with_bucket(batch, nb)
-
-            ds = ds.map_batches(
-                enrich_reduce_bucket, batch_format="pyarrow", zero_copy_batch=True
-            )
-
         schema_ser = target_schema_ser(deltas_schema(target))
         if os.environ.get("ETL_RAY_DEBUG"):
             print(f"[etl-ray] tick setup: {time.perf_counter() - t0:.2f}s", flush=True)
-        try:
-            applied = self._shuffle_apply(ds, tick_id, schema_ser)
-            t_ap = time.perf_counter()
-            if applied is None:
-                manifests = []
-            elif isinstance(applied, list):  # warm-state path: manifest dicts
-                manifests = applied
-            else:
-                manifests = applied.take_all()
-                self.last_stats = applied.stats()  # per-stage breakdown
-            if os.environ.get("ETL_RAY_DEBUG"):
-                print(f"[etl-ray] stage2 apply: {time.perf_counter() - t_ap:.2f}s", flush=True)
-        finally:
-            dctx.shuffle_strategy = prev_strategy
+        manifests = self._spill_apply(ds, tick_id, schema_ser)
 
         # quarantined-row count for the tick manifest (footer metadata only)
         import glob as _glob
@@ -740,15 +629,14 @@ class ReplayEngine:
             state_rows += m["rows"]
             live_rows += m["live_rows"]
 
-        agglog_this_tick = self.aggregate and self.shuffle == "spill"
         if self.aggregate:
             t_ag = time.perf_counter()
             days = aggregates.days_of_segments(segs, self.tz_offset_minutes)
             # the agg log is only complete if EVERY segment-processing tick
             # so far maintained it AND under the same local-day boundary;
-            # after a mode switch (sort/hash shuffle, aggregate=False ticks,
-            # or a tz-offset change) fall back to the WAL rescan
-            log_complete = agglog_this_tick and all(
+            # after aggregate=False ticks or a tz-offset change fall back to
+            # the WAL rescan
+            log_complete = all(
                 t.get("agglog", False)
                 and t.get("tz_offset_minutes", 0) == self.tz_offset_minutes
                 for t in self.lineage.all_ticks()
@@ -796,7 +684,7 @@ class ReplayEngine:
                 "state_rows": state_rows,
                 "live_rows": live_rows,
                 "num_buckets": self.num_buckets,
-                "agglog": agglog_this_tick,
+                "agglog": self.aggregate,
                 "quarantined_rows": quarantined,
                 "tz_offset_minutes": self.tz_offset_minutes,
                 # earliest tick an as-of read can still serve exactly: gc

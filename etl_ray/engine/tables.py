@@ -86,7 +86,6 @@ class TableSpec:
     pseudonym_fields: list[str] = field(default_factory=list)
     emit_changelog: bool = False
     retain_ticks: int = 0
-    shuffle: str = "spill"
     view: str | None = None  # derived-view kind, see VIEW_KINDS
     source: str | None = None  # upstream table name (views only)
     state_mode: str = "rewrite"  # per-table bucket layout ("rewrite"|"delta")
@@ -254,7 +253,7 @@ _CONFIG_KEYS = frozenset(
     {
         "name", "wal", "buckets", "concurrency", "tz_offset_minutes",
         "aggregate", "folds", "pseudonym_fields", "changelog", "retain_ticks",
-        "shuffle", "view", "source", "state_mode", "delta_threshold",
+        "view", "source", "state_mode", "delta_threshold",
         "group_by", "aggs", "dims", "key", "ts", "gap_minutes",
     }
 )
@@ -290,7 +289,6 @@ def spec_from_config(entry: dict) -> TableSpec:
         pseudonym_fields=list(entry.get("pseudonym_fields", [])),
         emit_changelog=bool(entry.get("changelog", False)),
         retain_ticks=int(entry.get("retain_ticks", 0)),
-        shuffle=entry.get("shuffle", "spill"),
         view=entry.get("view"),
         source=entry.get("source"),
         state_mode=entry.get("state_mode", "rewrite"),
@@ -386,7 +384,6 @@ class MultiTableLake:
                 num_buckets=s.num_buckets,
                 concurrency=s.concurrency,
                 aggregate=s.aggregate,
-                shuffle=s.shuffle,
                 checks=s.checks,
                 folds=s.folds,
                 pseudonym_fields=s.pseudonym_fields,
@@ -1302,6 +1299,7 @@ def read_session_view(sess_spec: dict, view_dir: str):
                 agg_kwargs[f"__s_{out_name}"] = (f"__s_{out_name}", "sum")
                 agg_kwargs[f"__c_{out_name}"] = (f"__c_{out_name}", "sum")
             elif fn in ("count", "sum"):
+                # sum: values replaced by the min_count=1 sum below
                 agg_kwargs[out_name] = (out_name, "sum")
             elif fn in ("first", "last"):
                 # winner-of-winners: lexicographic min/max of the packed
@@ -1313,6 +1311,12 @@ def read_session_view(sess_spec: dict, view_dir: str):
                 agg_kwargs[out_name] = (out_name, fn)
         out = df.groupby("__sid", as_index=False, sort=True).agg(**agg_kwargs)
         out = out.drop(columns="__sid")
+        sum_cols = [a["out"] for a in riders if a["fn"] == "sum"]
+        if sum_cols:
+            # a session whose fragments are all NULL sums to NULL, not 0
+            sums = df.groupby("__sid", sort=True)[sum_cols].sum(min_count=1)
+            for c in sum_cols:
+                out[c] = sums[c].to_numpy()
         for a in riders:
             fn, out_name = a["fn"], a["out"]
             if fn == "mean":
@@ -1491,6 +1495,10 @@ def read_agg_view(agg_spec: dict, view_dir: str):
                 v = t[a["out"]]
                 if isinstance(v, pa.ChunkedArray):
                     v = v.combine_chunks()
+                if pa.types.is_null(v.type):
+                    # an optional rider's column has not arrived upstream
+                    # yet: surface the declared int64 metric type
+                    v = v.cast(pa.int64())
             if a.get("default") is not None:
                 v = pc.coalesce(v, pa.scalar(a["default"], v.type))
             cols[a["out"]] = v

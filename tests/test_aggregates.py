@@ -57,13 +57,26 @@ def test_aggregates_incremental_multi_tick(ray_session, small_wal, tmp_path):
     _check_aggs(lake, small_wal)
 
 
+def _rescan_all_days(lake: str, wal, tz_offset_minutes: int = 0) -> None:
+    """Aggregate every day of the log with the WAL-rescan recompute path
+    (the fallback for ticks the agg log does not cover)."""
+    from etl_ray.engine.aggregates import days_of_segments, recompute_days
+
+    recompute_days(
+        wal, LakeLineage(lake), days_of_segments(wal.segments, tz_offset_minutes),
+        wal.segments[-1]["seqno"], tz_offset_minutes=tz_offset_minutes,
+    )
+
+
 def test_aggregates_wal_fallback_path(ray_session, small_wal, tmp_path):
-    """Non-spill shuffles have no agg log; the WAL-rescan recompute path
-    must produce the same aggregates."""
+    """The WAL-rescan recompute path, run over the days of a lake replayed
+    with aggregates off, produces the same aggregates as the agg log."""
     lake = str(tmp_path / "lake")
     ReplayEngine(
-        small_wal.wal_dir, lake, num_buckets=8, concurrency=2, shuffle="sort"
+        small_wal.wal_dir, lake, num_buckets=8, concurrency=2, aggregate=False
     ).replay_all()
+    assert not LakeLineage(lake).agg_day_files("lang_daily_agg")
+    _rescan_all_days(lake, small_wal)
     _check_aggs(lake, small_wal)
 
 
@@ -79,17 +92,15 @@ def test_aggregates_local_day_boundary(ray_session, small_wal, tmp_path):
         expected_lang_daily(small_wal).to_pandas()["day"]
     ) or len(exp) != len(expected_lang_daily(small_wal).to_pandas())
 
-    for tag, kw in (
-        ("agglog", dict(segments_per_tick=2)),  # spill shuffle, agg-log path
-        ("rescan", dict()),
-    ):
+    for tag in ("agglog", "rescan"):
         lake = str(tmp_path / f"lake-{tag}")
         eng = ReplayEngine(
             small_wal.wal_dir, lake, num_buckets=8, concurrency=2,
-            tz_offset_minutes=off,
-            shuffle="spill" if tag == "agglog" else "sort",
+            tz_offset_minutes=off, aggregate=(tag == "agglog"),
         )
-        eng.replay_all(**kw)
+        eng.replay_all(segments_per_tick=2)
+        if tag == "rescan":
+            _rescan_all_days(lake, small_wal, off)
         got = (
             read_agg(LakeLineage(lake), "lang_daily_agg")
             .to_pandas()
@@ -198,3 +209,44 @@ def test_high_repo_cardinality_no_driver_funnel(ray_session, tmp_path, monkeypat
         exp.sort_values(key).reset_index(drop=True),
         check_dtype=False,
     )
+
+
+def test_read_agg_with_empty_day(tmp_path):
+    """A day whose events are all deletes writes an empty lang_daily
+    partition; read_agg and counts_by_day must read it next to the other
+    days (empty partitions keep the fixed partition schema)."""
+    from etl_ray.engine.aggregates import (
+        _day_intermediate,
+        _day_tables,
+        _write_day_partitions,
+        counts_by_day,
+    )
+    from etl_ray.engine.metrics import DEFAULT_METRICS
+
+    lin = LakeLineage(str(tmp_path / "lake"))
+    days = {
+        "2024-01-01": ["upsert", "upsert", "delete"],
+        "2024-01-02": ["delete", "delete"],  # no live row: empty lang_daily
+    }
+    lsn = 0
+    for day, ops in days.items():
+        g = pd.DataFrame(
+            {
+                "day": day,
+                "lang": "python",
+                "repo": ["r1", "r2", "r1"][: len(ops)],
+                "path": [f"p{i}.py" for i in range(len(ops))],
+                "op": ops,
+                "lsn": range(lsn, lsn + len(ops)),
+                "nbytes": 10,
+            }
+        )
+        lsn += len(ops)
+        inter = _day_intermediate(g, DEFAULT_METRICS)
+        _write_day_partitions(lin, day, *_day_tables(inter, DEFAULT_METRICS))
+
+    lang = read_agg(lin, "lang_daily_agg")
+    assert lang["day"].to_pylist() == ["2024-01-01"]
+    assert lang.schema.field("lang").type == "string"
+    assert counts_by_day(lin, "lang_daily_agg") == {"2024-01-01": 1}
+    assert counts_by_day(lin, "repo_daily_agg") == {"2024-01-01": 2, "2024-01-02": 2}

@@ -114,22 +114,6 @@ def test_tombstones_block_late_updates(ray_session, small_wal, tmp_path):
     assert dead["content"].isna().all()
 
 
-import pytest as _pytest
-
-
-@_pytest.mark.parametrize("shuffle", ["sort", "hash"])
-def test_alternative_shuffles_match_oracle(ray_session, small_wal, tmp_path, shuffle):
-    """The sort-groupby and hash-repartition shuffle paths stay correct
-    (the spill path is the default; these are the fallbacks)."""
-    lake = str(tmp_path / f"lake-{shuffle}")
-    eng = ReplayEngine(
-        small_wal.wal_dir, lake, num_buckets=8, concurrency=2,
-        shuffle=shuffle, aggregate=False,
-    )
-    eng.replay_all()
-    _assert_matches_oracle(lake, small_wal)
-
-
 def test_repo_live_files_snapshot(ray_session, small_wal, tmp_path):
     """A9-style re-aggregation from state matches the oracle's log fold."""
     from etl_ray.oracle import expected_repo_live_files
@@ -267,38 +251,3 @@ def test_volume_stress_replay(ray_session, tmp_path):
     res = eng.replay_all(segments_per_tick=2)
     assert sum(r.events for r in res) == wal.n_events
     _assert_matches_oracle(lake, wal)
-
-
-@pytest.mark.parametrize("mode", ["hash", "sort"])
-def test_alternate_shuffle_modes_with_feed(ray_session, small_wal, tmp_path, mode):
-    """The hash-repartition and sort-groupby shuffle paths produce the same
-    oracle-matching state AND the same change data feed as the default
-    spill shuffle (constructor wiring for the feed flag included)."""
-    import pyarrow.parquet as pq
-
-    from etl_ray.engine.changelog import committed_changelog_files
-
-    lake = str(tmp_path / "lake")
-    eng = ReplayEngine(
-        small_wal.wal_dir, lake, num_buckets=8, concurrency=2,
-        shuffle=mode, warm_state=False, aggregate=False, emit_changelog=True,
-    )
-    eng.replay_all(segments_per_tick=2)
-    _assert_matches_oracle(lake, small_wal)
-
-    files = committed_changelog_files(lake)
-    assert files, "feed must be emitted through the alternate path"
-    feed = pd.concat([pq.read_table(f).to_pandas() for f in files])
-    # spill-path reference feed
-    ref_lake = str(tmp_path / "ref")
-    ReplayEngine(
-        small_wal.wal_dir, ref_lake, num_buckets=8, concurrency=2,
-        aggregate=False, emit_changelog=True,
-    ).replay_all(segments_per_tick=2)
-    ref = pd.concat(
-        [pq.read_table(f).to_pandas() for f in committed_changelog_files(ref_lake)]
-    )
-    key = ["tick", "lsn", "repo", "path", "change_op"]
-    a = feed[key].sort_values(key).reset_index(drop=True)
-    b = ref[key].sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)

@@ -65,12 +65,10 @@ def _quarantine_rows(lake: str):
     return pa.concat_tables(parts, promote_options="default") if parts else None
 
 
-@pytest.mark.parametrize("shuffle", ["spill", "sort"])
-def test_malformed_rows_quarantined(ray_session, malformed_wal, tmp_path, shuffle):
-    lake = str(tmp_path / f"lake-{shuffle}")
+def test_malformed_rows_quarantined(ray_session, malformed_wal, tmp_path):
+    lake = str(tmp_path / "lake")
     eng = ReplayEngine(
         malformed_wal.wal_dir, lake, num_buckets=8, concurrency=2,
-        shuffle=shuffle, aggregate=(shuffle == "spill"),
     )
     eng.replay_all(segments_per_tick=2)
 
@@ -99,23 +97,22 @@ def test_malformed_rows_quarantined(ray_session, malformed_wal, tmp_path, shuffl
     )
     assert manifest_total == expected_bad
 
-    if shuffle == "spill":
-        # aggregates exclude quarantined rows (match the valid-only oracle)
-        from etl_ray.engine.aggregates import read_agg
-        from etl_ray.engine.lineage import LakeLineage
+    # aggregates exclude quarantined rows (match the valid-only oracle)
+    from etl_ray.engine.aggregates import read_agg
+    from etl_ray.engine.lineage import LakeLineage
 
-        got_l = (
-            read_agg(LakeLineage(lake), "lang_daily_agg")
-            .to_pandas()
-            .sort_values(["day", "lang"])
-            .reset_index(drop=True)
-        )
-        exp_l = expected_lang_daily(malformed_wal).to_pandas()
-        pd.testing.assert_frame_equal(
-            got_l[["day", "lang", "files_changed", "bytes", "distinct_repos"]],
-            exp_l,
-            check_dtype=False,
-        )
+    got_l = (
+        read_agg(LakeLineage(lake), "lang_daily_agg")
+        .to_pandas()
+        .sort_values(["day", "lang"])
+        .reset_index(drop=True)
+    )
+    exp_l = expected_lang_daily(malformed_wal).to_pandas()
+    pd.testing.assert_frame_equal(
+        got_l[["day", "lang", "files_changed", "bytes", "distinct_repos"]],
+        exp_l,
+        check_dtype=False,
+    )
 
 
 def test_quarantine_idempotent_on_redo(ray_session, malformed_wal, tmp_path):

@@ -47,9 +47,11 @@ def wal_b(tmp_path_factory):
     return _second_wal(tmp_path_factory)
 
 
-def _oracle_repo_stats(wal) -> pd.DataFrame:
-    files = ", ".join(f"'{f}'" for f in wal.segment_files)
-    has_size = any(s.get("has_size_bytes") for s in wal.segments)
+def _oracle_repo_stats(wal, n_segments: int | None = None) -> pd.DataFrame:
+    """DuckDB truth over the first ``n_segments`` segments (default: all)."""
+    segs = wal.segments[:n_segments]
+    files = ", ".join(f"'{s['file']}'" for s in segs)
+    has_size = any(s.get("has_size_bytes") for s in segs)
     size_expr = "CAST(size_bytes AS BIGINT)" if has_size else "CAST(NULL AS BIGINT)"
     sql = f"""
         SELECT repo,
@@ -150,6 +152,27 @@ def test_view_matches_oracle_and_is_incremental(ray_session, small_wal, tmp_path
     # incremental: another refresh with no upstream progress is a no-op
     r2 = lake.tick()
     assert r2["repo_files"] is None and r2["repo_stats"] is None
+
+
+def test_repo_stats_before_size_bytes_arrives(ray_session, small_wal, tmp_path):
+    """repo_stats reads (total_bytes = its default 0) while the upstream has
+    only ticked segments from before the size_bytes schema evolution."""
+    pre = 0
+    while not small_wal.segments[pre].get("has_size_bytes"):
+        pre += 1
+    assert pre > 0, "fixture must have pre-evolution segments"
+    lake = MultiTableLake(
+        str(tmp_path / "ml"),
+        [
+            TableSpec(name="repo_files", wal_dir=small_wal.wal_dir, num_buckets=8),
+            TableSpec(name="repo_stats", view="repo_stats", source="repo_files"),
+        ],
+    )
+    lake.tick(pre)
+    got = _view_df(lake, "repo_stats")
+    assert len(got) and (got["total_bytes"] == 0).all()
+    exp = _oracle_repo_stats(small_wal, pre)
+    pd.testing.assert_frame_equal(got, exp.reset_index(drop=True), check_dtype=False)
 
 
 def test_view_refresh_touches_only_advanced_buckets(ray_session, small_wal, tmp_path):
@@ -960,6 +983,68 @@ def test_session_view_riders_match_oracle(ray_session, small_wal, tmp_path):
                    AS session_seq
         FROM c GROUP BY repo, g ORDER BY repo, session_start
     """).df()
+    got = got[exp.columns.tolist()]
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+
+
+def test_session_sum_rider_all_null_is_null(ray_session, small_wal, tmp_path):
+    """A session whose sum-rider values are all NULL sums to NULL (SQL SUM),
+    not 0, while a count rider over the same column stays 0. Ticking
+    through the first post-evolution segment leaves early sessions whose
+    live rows all predate the size_bytes column."""
+    gap = 45
+    n = 1
+    while not small_wal.segments[n - 1].get("has_size_bytes"):
+        n += 1
+    lake = MultiTableLake(
+        str(tmp_path / "ml"),
+        [
+            TableSpec(name="repo_files", wal_dir=small_wal.wal_dir, num_buckets=8),
+            TableSpec(
+                name="sessions", view="session", source="repo_files",
+                view_key=["repo"], view_ts="commit_ts", gap_minutes=gap,
+                view_aggs=[
+                    {"out": "total_bytes", "col": "size_bytes", "fn": "sum"},
+                    {"out": "sized", "col": "size_bytes", "fn": "count"},
+                ],
+            ),
+        ],
+    )
+    lake.tick(n)
+    got = (
+        lake.read_view("sessions")
+        .to_pandas()
+        .sort_values(["repo", "session_start"])
+        .reset_index(drop=True)
+    )
+    files = ", ".join(f"'{s['file']}'" for s in small_wal.segments[:n])
+    exp = duckdb.sql(f"""
+        WITH live AS (
+            SELECT repo, size_bytes, commit_ts FROM (
+                SELECT repo, path, CAST(size_bytes AS BIGINT) AS size_bytes,
+                       commit_ts, op,
+                       row_number() OVER (PARTITION BY repo, path
+                                          ORDER BY lsn DESC) AS rn
+                FROM read_parquet([{files}], union_by_name=true))
+            WHERE rn = 1 AND op <> 'delete' AND commit_ts IS NOT NULL
+        ), b AS (
+            SELECT *, CASE WHEN commit_ts - LAG(commit_ts) OVER (
+                          PARTITION BY repo ORDER BY commit_ts)
+                      > INTERVAL {gap} MINUTE THEN 1 ELSE 0 END AS brk
+            FROM live
+        ), c AS (
+            SELECT *, SUM(brk) OVER (PARTITION BY repo ORDER BY commit_ts
+                                     ROWS UNBOUNDED PRECEDING) AS g
+            FROM b
+        )
+        SELECT repo, MIN(commit_ts) AS session_start,
+               SUM(size_bytes) AS total_bytes,
+               CAST(COUNT(size_bytes) AS BIGINT) AS sized
+        FROM c GROUP BY repo, g ORDER BY repo, session_start
+    """).df()
+    all_null = exp["sized"] == 0
+    assert all_null.any() and not all_null.all(), "fixture must mix both kinds"
+    assert exp.loc[all_null, "total_bytes"].isna().all()
     got = got[exp.columns.tolist()]
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
