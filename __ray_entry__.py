@@ -607,8 +607,8 @@ def _cdc_oracle_sql() -> dict[str, str]:
                    CAST(epoch_us(MIN(commit_ts)) AS BIGINT) AS session_start_us,
                    CAST(epoch_us(MAX(commit_ts)) AS BIGINT) AS session_end_us,
                    CAST(COUNT(*) AS BIGINT) AS n_events,
-                   arg_min(path, commit_ts) AS first_path,
-                   arg_max(path, commit_ts) AS last_path,
+                   first(path ORDER BY commit_ts, path) AS first_path,
+                   first(path ORDER BY commit_ts DESC, path DESC) AS last_path,
                    CAST(MAX(lsn) AS BIGINT) AS max_lsn
             FROM c GROUP BY repo, g ORDER BY repo, session_start_us
         """,

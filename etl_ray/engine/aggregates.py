@@ -12,13 +12,19 @@ exact because commit_ts is monotone with LSN). Re-aggregation is
 overwrite-idempotent per day partition, so a crash between state commit and
 aggregate write heals on the next tick.
 
-Pipeline per recompute (all Ray Data, one shuffle):
+One kernel reduces any number of days in one vectorized pass:
 
-  read segments (pruned columns) → project (day, lang, repo, path, op, lsn,
-  nbytes) → groupby(day, lang, repo).map_groups(dedup-by-LSN + count) →
-  per-day intermediate at (day, lang, repo) grain → final grains:
+  projected rows (day, lang, repo, path, op, lsn, nbytes) → dedup-by-LSN →
+  groupby(day, lang, repo) intermediate (:func:`_day_intermediate`) → final
+  grains (:func:`_day_tables`):
     lang_daily_agg  (day, lang): files_changed, bytes, distinct_repos [+metrics]
     repo_daily_agg  (day, repo): events, upserts, deletes, distinct_paths
+  → split by day, one pair of partition files per day (:func:`_write_days`).
+
+The agg-log path (:func:`recompute_days_from_agglog`) runs the kernel once
+per contiguous chunk of days — ``min(days, cluster CPUs)`` chunks, so a
+31-day backfill is one task per core, not 31 tiny tasks. The WAL-rescan
+fallback (:func:`recompute_days`) runs it once per day group of its shuffle.
 
 The (day, lang, repo) intermediate is valid because path↔lang is functional
 (lang is derived from the path extension by the enricher), so distinct path
@@ -94,17 +100,17 @@ def _project(batch: pa.Table, tz_offset_minutes: int = 0) -> pa.Table:
 
 
 def _day_intermediate(g: pd.DataFrame, metrics: list[MetricSpec]) -> pd.DataFrame:
-    """One day's projected log rows → (day, lang, repo)-grain intermediate.
+    """Projected log rows of any number of days → (day, lang, repo)-grain
+    intermediate, in one vectorized pandas groupby (no per-day loop).
 
     Replayed duplicate LSNs are dropped here (a duplicate carries the same
-    day, so the dedup is complete within the day); the per-(lang, repo)
-    aggregation is a single vectorized pandas groupby, not a Python loop.
+    commit_ts, hence the same day, so one dedup over all days is exact).
     """
     g = g.drop_duplicates("lsn")
     live = g["op"] != "delete"
     out = (
         g.assign(_live=live, _lbytes=g["nbytes"].where(live, 0))
-        .groupby(["lang", "repo"], as_index=False)
+        .groupby(["day", "lang", "repo"], as_index=False)
         .agg(
             events=("lsn", "size"),
             upserts=("_live", "sum"),
@@ -113,19 +119,20 @@ def _day_intermediate(g: pd.DataFrame, metrics: list[MetricSpec]) -> pd.DataFram
         )
     )
     out["deletes"] = out["events"] - out["upserts"]
-    out.insert(0, "day", g["day"].iloc[0])
+    keys = pd.MultiIndex.from_frame(out[["day", "lang", "repo"]])
     for m in metrics:
-        vals = m.batch_expr(g)  # vectorized: Series indexed by (lang, repo)
-        out[f"__m_{m.name}"] = pd.MultiIndex.from_frame(out[["lang", "repo"]]).map(vals)
+        vals = m.batch_expr(g)  # vectorized: Series indexed by (day, lang, repo)
+        out[f"__m_{m.name}"] = vals.reindex(keys).to_numpy()
     return out
 
 
 def _day_tables(
     inter: pd.DataFrame, metrics: list[MetricSpec]
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """One day's intermediate → (lang_daily, repo_daily) final frames with
-    the stable cross-partition dtypes (counters int64, metrics float64 — a
-    day whose metric is all-NaN must not flip the parquet column type)."""
+    """Intermediate of any number of days → (lang_daily, repo_daily) final
+    frames, sorted by (day, key), with the stable cross-partition dtypes
+    (counters int64, metrics float64 — a day whose metric is all-NaN must
+    not flip the parquet column type)."""
     lang_metrics = [m for m in metrics if m.grain == "lang_daily"]
     repo_metrics = [m for m in metrics if m.grain == "repo_daily"]
 
@@ -165,7 +172,7 @@ def _write_day_partitions(
     lineage: LakeLineage, day: str, lang_daily: pd.DataFrame, repo_daily: pd.DataFrame
 ) -> None:
     """Atomically (tmp + rename) overwrite one day's two partition files —
-    called INSIDE the per-day task, so partition bytes never transit the
+    called INSIDE the recompute task, so partition bytes never transit the
     driver (VERDICT r3: the funnel scaled with repo count, not day count).
     The schema is fixed (string keys, ``_day_tables`` dtypes elsewhere), so
     a day with no rows still concatenates with the others."""
@@ -178,6 +185,42 @@ def _write_day_partitions(
         tmp = path + f".{os.getpid()}.tmp"
         pq.write_table(pa.Table.from_pandas(df, schema=schema, preserve_index=False), tmp)
         os.replace(tmp, path)
+
+
+def _write_days(
+    lineage: LakeLineage,
+    days: list[str],
+    inter: pd.DataFrame,
+    lang_daily: pd.DataFrame,
+    repo_daily: pd.DataFrame,
+) -> list[dict]:
+    """Split the kernel's multi-day frames by day and write the partition
+    pair of EVERY day in ``days`` — a day with no live row still gets both
+    files, from a zero-row slice that keeps the fixed dtypes. Returns one
+    ``{day, inter_rows}`` counter row per day (its intermediate rows)."""
+    lang_at = lang_daily.groupby("day").indices
+    repo_at = repo_daily.groupby("day").indices
+    inter_n = inter["day"].value_counts()
+    none: list[int] = []
+    rows = []
+    for d in days:
+        _write_day_partitions(
+            lineage,
+            d,
+            lang_daily.iloc[lang_at.get(d, none)],
+            repo_daily.iloc[repo_at.get(d, none)],
+        )
+        rows.append({"day": d, "inter_rows": int(inter_n.get(d, 0))})
+    return rows
+
+
+def _reduce_days(
+    lineage: LakeLineage, days: list[str], g: pd.DataFrame, metrics: list[MetricSpec]
+) -> list[dict]:
+    """The recompute kernel: projected rows of ``days`` → both partition
+    files of every day, in one vectorized pass → per-day counter rows."""
+    inter = _day_intermediate(g, metrics)
+    return _write_days(lineage, days, inter, *_day_tables(inter, metrics))
 
 
 def recompute_days(
@@ -237,10 +280,13 @@ def recompute_days_from_agglog(
     spill stage maintains (day, lang, repo, path, op, lsn, nbytes).
 
     No shuffle AT ALL: the log is day-indexed (one row group per day per
-    spill file), so the unit of work is one task per day — read that day's
-    row groups, drop replayed duplicate LSNs, one vectorized pandas
-    groupby over (lang, repo) (crash-attempt double-writes are GC'd by
-    ``gc_agglog_tick``; identical LSNs collapse here anyway)."""
+    spill file), so the days are cut into ``min(days, cluster CPUs)``
+    contiguous chunks, one task each. A task reads all of its days' row
+    groups in one concat and runs the multi-day kernel once
+    (:func:`_reduce_days`: drop replayed duplicate LSNs, one vectorized
+    groupby over (day, lang, repo), write each day's partition files).
+    Crash-attempt double-writes are GC'd by ``gc_agglog_tick``; identical
+    LSNs collapse in the kernel anyway."""
     if not days:
         return {"days": 0}
     metrics = DEFAULT_METRICS if metrics is None else metrics
@@ -255,25 +301,21 @@ def recompute_days_from_agglog(
     if not items:
         return {"days": 0}
 
-    def day_reduce(batch: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, row in batch.iterrows():
-            g = pa.concat_tables(
-                # rg == -1: legacy per-day layout, whole-file read
-                pq.read_table(f) if rg < 0 else pq.ParquetFile(f).read_row_group(rg)
-                for f, rg in zip(row["files"], row["rgs"])
-            ).to_pandas()
-            inter = _day_intermediate(g, metrics)
-            lang_daily, repo_daily = _day_tables(inter, metrics)
-            _write_day_partitions(lineage, row["day"], lang_daily, repo_daily)
-            outs.append({"day": row["day"], "inter_rows": len(inter)})
-        return pd.DataFrame(outs)
+    def chunk_reduce(batch: pd.DataFrame) -> pd.DataFrame:
+        g = pa.concat_tables(
+            # rg == -1: legacy per-day layout, whole-file read
+            pq.read_table(f) if rg < 0 else pq.ParquetFile(f).read_row_group(rg)
+            for files, rgs in zip(batch["files"], batch["rgs"])
+            for f, rg in zip(files, rgs)
+        ).to_pandas()
+        return pd.DataFrame(_reduce_days(lineage, list(batch["day"]), g, metrics))
 
-    # the per-day task writes its own partition files; the driver sees ONE
+    # each task writes its own days' partition files; the driver sees ONE
     # counter row per day, never (day × lang × repo)-grain data
+    chunks = min(len(items), int(ray.cluster_resources().get("CPU", 1)))
     res = (
-        ray.data.from_items(items, override_num_blocks=len(items))
-        .map_batches(day_reduce, batch_format="pandas", batch_size=None)
+        ray.data.from_items(items, override_num_blocks=chunks)
+        .map_batches(chunk_reduce, batch_format="pandas", batch_size=None)
         .to_pandas()
     )
     return {"days": len(res), "inter_rows": int(res["inter_rows"].sum())}
@@ -281,18 +323,15 @@ def recompute_days_from_agglog(
 
 def _finish_recompute(ds, lineage: LakeLineage, days: set[str], metrics) -> dict:
     """Shared tail of the WAL-rescan path: group the projected rows by day
-    and finalize each day INSIDE its group task (write both partition
-    files, return a counter row). The day-range filter upstream may admit
-    in-between days not in ``days`` — those groups are skipped."""
+    and run the recompute kernel INSIDE each group task (write both
+    partition files, return a counter row). The day-range filter upstream
+    may admit in-between days not in ``days`` — those groups are skipped."""
 
     def day_group(g: pd.DataFrame) -> pd.DataFrame:
         day = g["day"].iloc[0]
         if day not in days:
             return pd.DataFrame({"day": [], "inter_rows": []})
-        inter = _day_intermediate(g, metrics)
-        lang_daily, repo_daily = _day_tables(inter, metrics)
-        _write_day_partitions(lineage, day, lang_daily, repo_daily)
-        return pd.DataFrame({"day": [day], "inter_rows": [len(inter)]})
+        return pd.DataFrame(_reduce_days(lineage, [day], g, metrics))
 
     res = ds.groupby("day").map_groups(day_group, batch_format="pandas").to_pandas()
     if len(res) == 0:

@@ -488,8 +488,8 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
     one file per day — O(days) metadata, one footer per day read — through
     the SAME ``t*.json`` index layout the readers already use, and migrates
     legacy ``day=*/`` directories (pre-round-2 lakes) into it. Replayed
-    duplicate LSNs are dropped while rewriting (safe: the per-day recompute
-    dedups by LSN anyway — ``aggregates.day_reduce``).
+    duplicate LSNs are dropped while rewriting (safe: the recompute kernel
+    dedups by LSN anyway — ``aggregates._day_intermediate``).
 
     Crash-safe by construction, no marker needed: new files publish
     parquet-first-index-last, old files are removed only afterwards

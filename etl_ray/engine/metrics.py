@@ -7,10 +7,13 @@ column to the aggregate tables and folds it incrementally. Here a metric is:
 
 - ``name``       output column,
 - ``grain``      which aggregate table it lands on ("lang_daily" | "repo_daily"),
-- ``batch_expr`` VECTORIZED pandas expression over one deduped group of
-                 event rows (columns: day, lang, repo, path, op, lsn,
-                 nbytes; one day or one (day, lang) slice) → a Series
-                 indexed by ``(lang, repo)`` — no per-repo Python loop,
+- ``batch_expr`` VECTORIZED pandas expression over deduped event rows
+                 (columns: day, lang, repo, path, op, lsn, nbytes) of ANY
+                 number of days — the recompute kernel reduces a whole
+                 chunk of days in one call → a Series indexed by
+                 ``(day, lang, repo)`` (group by all three; a key with no
+                 qualifying rows may be absent and reads as NaN) — no
+                 per-day or per-repo Python loop,
 - ``agg``        how per-(day,lang,repo) intermediate values combine to the
                  final grain: "sum" | "max" | "min".
 
@@ -30,7 +33,7 @@ import pandas as pd
 class MetricSpec:
     name: str
     grain: str  # "lang_daily" | "repo_daily"
-    batch_expr: Callable[[pd.DataFrame], pd.Series]  # group rows -> per-repo Series
+    batch_expr: Callable[[pd.DataFrame], pd.Series]  # rows -> (day, lang, repo) Series
     agg: str = "sum"  # sum | max | min
     # metric columns are materialized as float64 (NaN where a partition has
     # no qualifying rows) — see aggregates._day_tables
@@ -47,7 +50,7 @@ DEFAULT_METRICS: list[MetricSpec] = [
         name="max_file_bytes",
         grain="lang_daily",
         batch_expr=lambda g: g.loc[g["op"] != "delete"]
-        .groupby(["lang", "repo"])["nbytes"]
+        .groupby(["day", "lang", "repo"])["nbytes"]
         .max(),
         agg="max",
     ),

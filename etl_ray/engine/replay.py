@@ -335,20 +335,18 @@ class ReplayEngine:
                 order = pc.sort_indices(proj, sort_keys=[("day", "ascending")])
                 proj = proj.take(order)
                 fp = lineage.agglog_part_path(tick_id, uuid.uuid4().hex)
-                days_np = proj["day"].to_pylist()
-                import numpy as _np
-
-                arr = _np.array(days_np, dtype=object)
-                bounds = _np.flatnonzero(arr[1:] != arr[:-1]) + 1
-                starts = _np.concatenate([[0], bounds])
-                ends = _np.concatenate([bounds, [len(arr)]])
+                runs = pc.run_end_encode(proj["day"].combine_chunks())
+                ends = runs.run_ends.to_numpy().tolist()
+                starts = [0, *ends[:-1]]
                 index = {}
                 writer = pq.ParquetWriter(fp + ".tmp", proj.schema, compression="snappy")
                 try:
-                    for rg, (s, e) in enumerate(zip(starts, ends)):
+                    for rg, (day, s, e) in enumerate(
+                        zip(runs.values.to_pylist(), starts, ends)
+                    ):
                         # one row group per day run — see _write_bucket_rgs
                         writer.write_table(proj.slice(s, e - s), row_group_size=e - s)
-                        index[arr[s]] = rg
+                        index[day] = rg
                 finally:
                     writer.close()
                 os.replace(fp + ".tmp", fp)

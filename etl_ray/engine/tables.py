@@ -143,6 +143,11 @@ class TableSpec:
                         raise ValueError(
                             f"aggregate view {self.name!r}: bad output name {out!r}"
                         )
+                    if out.startswith("__"):
+                        raise ValueError(
+                            f"aggregate view {self.name!r}: output name {out!r} "
+                            "uses the reserved '__' partial-column prefix"
+                        )
                     if fn not in AGG_FNS:
                         raise ValueError(
                             f"aggregate view {self.name!r}: fn must be one of "
@@ -200,6 +205,11 @@ class TableSpec:
                     if not out or not str(out).isidentifier():
                         raise ValueError(
                             f"session view {self.name!r}: bad rider name {out!r}"
+                        )
+                    if out.startswith("__"):
+                        raise ValueError(
+                            f"session view {self.name!r}: rider name {out!r} "
+                            "uses the reserved '__' partial-column prefix"
                         )
                     if fn not in AGG_FNS:
                         raise ValueError(

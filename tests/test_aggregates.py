@@ -250,3 +250,95 @@ def test_read_agg_with_empty_day(tmp_path):
     assert lang.schema.field("lang").type == "string"
     assert counts_by_day(lin, "lang_daily_agg") == {"2024-01-01": 1}
     assert counts_by_day(lin, "repo_daily_agg") == {"2024-01-01": 2, "2024-01-02": 2}
+
+
+def test_agglog_recompute_multi_chunk(ray_session, tmp_path, monkeypatch):
+    """More days than cluster CPUs: the agg-log recompute cuts the days into
+    one contiguous chunk per CPU, each reduced in one multi-day pass. The
+    result matches the DuckDB oracle, reports one counter per day, and an
+    all-delete day inside a multi-day chunk still gets both partition files
+    (lang_daily empty, string key columns)."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from etl_ray.engine.aggregates import days_of_segments, recompute_days_from_agglog
+    from etl_ray.wal import WalInfo, generate_wal
+
+    wal = generate_wal(
+        str(tmp_path / "wal"), seed=5, n_events=3_000, n_repos=12,
+        paths_per_repo=40, dup_rate=0.03, delete_rate=0.05, ooo_window=50,
+        evolve_at_frac=0.5, segment_rows=1_500, content_min=16,
+        content_max=64, days_span=9,
+    )
+    # one more segment: five deletes of existing keys, all on the day after
+    # the log's last day — a day with events but no live row
+    last = wal.segments[-1]
+    day_us = 86_400_000_000
+    del_day_us = (last["max_ts_us"] // day_us + 1) * day_us
+    t = pq.read_table(last["file"]).slice(0, 5)
+    lsn0 = max(s["max_lsn"] for s in wal.segments) + 1
+    t = t.set_column(t.schema.get_field_index("op"), "op", pa.array(["delete"] * 5))
+    t = t.set_column(
+        t.schema.get_field_index("lsn"), "lsn",
+        pa.array(range(lsn0, lsn0 + 5), pa.int64()),
+    )
+    t = t.set_column(
+        t.schema.get_field_index("commit_ts"), "commit_ts",
+        pa.array([del_day_us + 3_600_000_000 + i for i in range(5)], pa.timestamp("us")),
+    )
+    for c in ("commit", "lang", "content"):
+        t = t.set_column(t.schema.get_field_index(c), c, pa.nulls(5, t.schema.field(c).type))
+    seq = last["seqno"] + 1
+    f = os.path.join(wal.wal_dir, f"seg-{seq:08d}.parquet")
+    pq.write_table(t, f)
+    wal.segments.append({
+        **last, "file": f, "seqno": seq, "min_lsn": lsn0, "max_lsn": lsn0 + 4,
+        "rows": 5, "min_ts_us": del_day_us + 3_600_000_000,
+        "max_ts_us": del_day_us + 3_600_000_004,
+    })
+    wal.save()
+    wal = WalInfo.load(wal.wal_dir)
+    del_day = pd.Timestamp(del_day_us, unit="us").strftime("%Y-%m-%d")
+
+    lake = str(tmp_path / "lake")
+    ReplayEngine(wal.wal_dir, lake, num_buckets=4, concurrency=2).replay_all()
+    lin = LakeLineage(lake)
+    days = days_of_segments(wal.segments)
+    cpus = int(ray.cluster_resources()["CPU"])
+    # ≥ 2 days per chunk: the all-delete (last) day shares its chunk
+    assert del_day in days and len(days) >= 2 * cpus
+
+    # recompute every day from the agg log alone, recording the block count
+    for name in ("lang_daily_agg", "repo_daily_agg"):
+        for p in lin.agg_day_files(name):
+            os.remove(p)
+    blocks: list[int] = []
+    orig = rd.from_items
+
+    def spy(items, *a, **k):
+        blocks.append(k.get("override_num_blocks"))
+        return orig(items, *a, **k)
+
+    monkeypatch.setattr(rd, "from_items", spy)
+    res = recompute_days_from_agglog(lin, days)
+    assert blocks == [cpus]
+    assert res["days"] == len(days)
+    _check_aggs(lake, wal)
+
+    paths = {
+        name: lin.agg_day_path(name, del_day)
+        for name in ("lang_daily_agg", "repo_daily_agg")
+    }
+    lang = pq.read_table(paths["lang_daily_agg"])
+    assert lang.num_rows == 0
+    assert lang.schema.field("day").type == pa.string()
+    assert lang.schema.field("lang").type == pa.string()
+    repo = pq.read_table(paths["repo_daily_agg"])
+    assert repo.schema.field("repo").type == pa.string()
+    assert pc.sum(repo["deletes"]).as_py() == 5
+    assert pc.sum(repo["upserts"]).as_py() == 0

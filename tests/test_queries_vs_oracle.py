@@ -110,3 +110,39 @@ def test_entry_smoke(ray_session):
         df = df.to_pandas()
     assert len(df) > 0
     assert "content_sha256" in df.columns
+
+
+def test_session_oracle_ties_deterministic(tmp_path, monkeypatch):
+    """cdc_session_view's oracle breaks commit_ts ties the way the engine's
+    packed (ts, value) cells do: first_path is the smallest path at the
+    session's first ts, last_path the largest at its last ts — not whichever
+    tied row DuckDB's arg_min/arg_max happens to meet first."""
+    from types import SimpleNamespace
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    ts = pd.Timestamp("2024-01-01 10:00")
+    rows = [  # (path, minutes after ts): ties at both session ends
+        ("b.py", 0), ("a.py", 0), ("c.py", 0), ("m.py", 30),
+        ("z.py", 60), ("y.py", 60), ("x.py", 60),
+    ]
+    seg = str(tmp_path / "seg.parquet")
+    pq.write_table(
+        pa.table({
+            "repo": ["r"] * len(rows),
+            "path": [p for p, _ in rows],
+            "lsn": pa.array(range(len(rows)), pa.int64()),
+            "op": ["upsert"] * len(rows),
+            "commit_ts": pa.array(
+                [ts + pd.Timedelta(minutes=m) for _, m in rows], pa.timestamp("us")
+            ),
+        }),
+        seg,
+    )
+    fake = SimpleNamespace(segment_files=[seg], segments=[{}])
+    monkeypatch.setattr(entrymod, "_ensure_wal", lambda sf_dir: fake)
+    monkeypatch.setattr(entrymod, "_ensure_wal_b", lambda sf_dir: fake)
+    sql = entrymod._cdc_oracle_sql()["cdc_session_view"]
+    got = duckdb.connect().execute(sql).df()
+    assert got[["first_path", "last_path"]].values.tolist() == [["a.py", "z.py"]]

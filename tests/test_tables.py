@@ -923,8 +923,9 @@ def test_session_gap_is_exact_not_unit_rounded():
 
 def test_session_view_riders_match_oracle(ray_session, small_wal, tmp_path):
     """Rider aggregates inside each session row (sum/mean/min/max +
-    first/last by the session ts) equal DuckDB's per-session-group
-    arg_min/arg_max/AVG over the same windowed sessionization."""
+    first/last by the session ts, ties broken by value like the packed
+    cells) equal DuckDB's per-session-group ordered first()/AVG over the
+    same windowed sessionization."""
     gap = 45
     lake = MultiTableLake(
         str(tmp_path / "ml"),
@@ -973,8 +974,8 @@ def test_session_view_riders_match_oracle(ray_session, small_wal, tmp_path):
                MIN(commit_ts) AS session_start,
                MAX(commit_ts) AS session_end,
                CAST(COUNT(*) AS BIGINT) AS n_events,
-               arg_min(path, commit_ts) AS first_path,
-               arg_max(path, commit_ts) AS last_path,
+               first(path ORDER BY commit_ts, path) AS first_path,
+               first(path ORDER BY commit_ts DESC, path DESC) AS last_path,
                AVG(lsn) AS mean_lsn,
                CAST(MAX(lsn) AS BIGINT) AS max_lsn,
                CAST(COUNT(*) AS BIGINT) AS changes,
@@ -1063,6 +1064,24 @@ def test_session_rider_validation():
     with pytest.raises(ValueError, match="duplicate/reserved"):
         TableSpec(
             **base, view_aggs=[{"out": "n_events", "col": "a", "fn": "sum"}]
+        ).validate()
+
+
+@pytest.mark.parametrize("view", ["aggregate", "session"])
+def test_view_reserved_partial_prefix_rejected(view):
+    """Rider/output names starting with '__' would collide with the partial
+    columns (__s_/__c_/__e_): a mean rider 'x' and a sum rider '__s_x'
+    write the same partial column. Both view kinds reject the prefix."""
+    base = dict(name="v", view=view, source="t")
+    if view == "aggregate":
+        base["view_group_by"] = ["repo"]
+    else:
+        base.update(view_key=["repo"], view_ts="commit_ts")
+    ok = [{"out": "x", "col": "lsn", "fn": "mean"}]
+    TableSpec(**base, view_aggs=ok).validate()
+    with pytest.raises(ValueError, match="reserved '__'"):
+        TableSpec(
+            **base, view_aggs=[*ok, {"out": "__s_x", "col": "lsn", "fn": "sum"}]
         ).validate()
 
 
