@@ -21,10 +21,12 @@ One kernel reduces any number of days in one vectorized pass:
     repo_daily_agg  (day, repo): events, upserts, deletes, distinct_paths
   → split by day, one pair of partition files per day (:func:`_write_days`).
 
-The agg-log path (:func:`recompute_days_from_agglog`) runs the kernel once
-per contiguous chunk of days — ``min(days, cluster CPUs)`` chunks, so a
-31-day backfill is one task per core, not 31 tiny tasks. The WAL-rescan
-fallback (:func:`recompute_days`) runs it once per day group of its shuffle.
+Both paths run the kernel once per contiguous chunk of days —
+``min(days, cluster CPUs)`` chunks, so a 31-day backfill is one task per
+core, not 31 tiny tasks, and neither shuffles. The agg-log path
+(:func:`recompute_days_from_agglog`) reads its days' row groups of the log;
+the WAL-rescan fallback (:func:`recompute_days`) reads the segments that
+overlap its days, projecting each one as it is read.
 
 The (day, lang, repo) intermediate is valid because path↔lang is functional
 (lang is derived from the path extension by the enricher), so distinct path
@@ -46,8 +48,14 @@ from ..wal import WalInfo
 from .enrich import LangEnricher
 from .lineage import LakeLineage
 from .metrics import DEFAULT_METRICS, MetricSpec
-from .source import read_segments, target_schema_for
+from .partitioning import cluster_cpus
+from .schema_evo import align_to
+from .source import target_schema_for
 
+
+
+# the per-day counter row a recompute task returns to the driver
+_COUNTERS = pa.schema([("day", pa.string()), ("inter_rows", pa.int64())])
 
 
 def days_of_segments(segments: list[dict], tz_offset_minutes: int = 0) -> set[str]:
@@ -236,38 +244,45 @@ def recompute_days(
     overlapping them; overwrite their files. (Fallback path for ticks the
     agg log does not cover — aggregate-off ticks, a tz-offset change, an
     on-demand repair; the spill stage maintains a narrow per-day agg log
-    otherwise, see :func:`recompute_days_from_agglog`.)"""
+    otherwise, see :func:`recompute_days_from_agglog`.)
+
+    The days are cut into ``min(days, cluster CPUs)`` contiguous chunks, one
+    task each: a task reads only the segments overlapping its own days,
+    projects each segment to the narrow agg shape as it reads it (content
+    never accumulates), keeps its days' rows and runs the multi-day kernel.
+    A day with no projected row is skipped (no partition files written)."""
     if not days:
         return {"days": 0}
     metrics = DEFAULT_METRICS if metrics is None else metrics
     segs = segments_overlapping_days(wal, days, through_seqno, tz_offset_minutes)
     if not segs:
         return {"days": 0}
-    target = target_schema_for(segs)
     cols = ["lsn", "op", "repo", "path", "lang", "content", "commit_ts"]
-    ds = read_segments(segs, target, columns=cols)
+    target = pa.schema([f for f in target_schema_for(segs) if f.name in cols])
     # stateless task pool here (dim is tiny) — no actor-pool spin-up cost
     enrich = LangEnricher()
 
-    def project_valid(t: pa.Table) -> pa.Table:
+    def chunk_reduce(batch: pa.Table) -> pa.Table:
         from .quality import split_valid
 
-        t, _ = split_valid(t)  # stage-1 already quarantined these rows
-        return _project(enrich(t), tz_offset_minutes)
+        mine = batch["day"].to_pylist()
+        parts = []
+        for s in segments_overlapping_days(
+            wal, set(mine), through_seqno, tz_offset_minutes
+        ):
+            pf = pq.ParquetFile(s["file"])
+            t = pf.read(columns=[c for c in cols if c in pf.schema_arrow.names])
+            t, _ = split_valid(align_to(t, target))  # stage 1 quarantined these
+            p = _project(enrich(t), tz_offset_minutes)
+            parts.append(p.filter(pc.is_in(p["day"], value_set=pa.array(mine))))
+        g = pa.concat_tables(parts).to_pandas() if parts else pd.DataFrame({"day": []})
+        present = [d for d in mine if d in set(g["day"])]
+        return pa.Table.from_pylist(
+            _reduce_days(lineage, present, g, metrics) if present else [],
+            schema=_COUNTERS,
+        )
 
-    ds = ds.map_batches(project_valid, batch_format="pyarrow", zero_copy_batch=True)
-
-    day_list = sorted(days)
-    ds = ds.map_batches(
-        lambda t, lo=day_list[0], hi=day_list[-1]: t.filter(
-            pc.and_(
-                pc.greater_equal(t["day"], pa.scalar(lo)),
-                pc.less_equal(t["day"], pa.scalar(hi)),
-            )
-        ),
-        batch_format="pyarrow",
-    )
-    return _finish_recompute(ds, lineage, days, metrics)
+    return _run_day_chunks([{"day": d} for d in sorted(days)], chunk_reduce)
 
 
 def recompute_days_from_agglog(
@@ -301,39 +316,30 @@ def recompute_days_from_agglog(
     if not items:
         return {"days": 0}
 
-    def chunk_reduce(batch: pd.DataFrame) -> pd.DataFrame:
+    def chunk_reduce(batch: pa.Table) -> pa.Table:
         g = pa.concat_tables(
             # rg == -1: legacy per-day layout, whole-file read
             pq.read_table(f) if rg < 0 else pq.ParquetFile(f).read_row_group(rg)
-            for files, rgs in zip(batch["files"], batch["rgs"])
+            for files, rgs in zip(batch["files"].to_pylist(), batch["rgs"].to_pylist())
             for f, rg in zip(files, rgs)
         ).to_pandas()
-        return pd.DataFrame(_reduce_days(lineage, list(batch["day"]), g, metrics))
+        counters = _reduce_days(lineage, batch["day"].to_pylist(), g, metrics)
+        return pa.Table.from_pylist(counters, schema=_COUNTERS)
 
-    # each task writes its own days' partition files; the driver sees ONE
-    # counter row per day, never (day × lang × repo)-grain data
-    chunks = min(len(items), int(ray.cluster_resources().get("CPU", 1)))
+    return _run_day_chunks(items, chunk_reduce)
+
+
+def _run_day_chunks(items: list[dict], chunk_reduce) -> dict:
+    """Run ``chunk_reduce`` over ``min(days, cluster CPUs)`` contiguous
+    chunks of the per-day ``items``, one task each. Each task writes its
+    own days' partition files; the driver sees ONE counter row per day,
+    never (day × lang × repo)-grain data."""
+    chunks = min(len(items), cluster_cpus())
     res = (
         ray.data.from_items(items, override_num_blocks=chunks)
-        .map_batches(chunk_reduce, batch_format="pandas", batch_size=None)
+        .map_batches(chunk_reduce, batch_format="pyarrow", batch_size=None)
         .to_pandas()
     )
-    return {"days": len(res), "inter_rows": int(res["inter_rows"].sum())}
-
-
-def _finish_recompute(ds, lineage: LakeLineage, days: set[str], metrics) -> dict:
-    """Shared tail of the WAL-rescan path: group the projected rows by day
-    and run the recompute kernel INSIDE each group task (write both
-    partition files, return a counter row). The day-range filter upstream
-    may admit in-between days not in ``days`` — those groups are skipped."""
-
-    def day_group(g: pd.DataFrame) -> pd.DataFrame:
-        day = g["day"].iloc[0]
-        if day not in days:
-            return pd.DataFrame({"day": [], "inter_rows": []})
-        return pd.DataFrame(_reduce_days(lineage, [day], g, metrics))
-
-    res = ds.groupby("day").map_groups(day_group, batch_format="pandas").to_pandas()
     if len(res) == 0:
         return {"days": 0}
     return {"days": len(res), "inter_rows": int(res["inter_rows"].sum())}

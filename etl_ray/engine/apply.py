@@ -39,7 +39,7 @@ import pyarrow.parquet as pq
 
 from .dedup import KEYS, last_writer
 from .lineage import LakeLineage
-from .partitioning import BUCKET_COL
+from .partitioning import read_row_groups
 from .schema_evo import align_to, unify_schemas
 
 DELETED_COL = "deleted"
@@ -373,20 +373,6 @@ def deltas_to_state_shape(deltas: pa.Table) -> pa.Table:
     return out.append_column(DELETED_COL, deleted)
 
 
-def read_row_groups(
-    pf_cache: dict[str, pq.ParquetFile], files: list[str], rgs: list[int]
-) -> pa.Table | None:
-    """Concat the given (file, row group) pairs of the spill-shuffle files;
-    ``pf_cache`` keeps the open file handles across calls."""
-    parts = []
-    for f, rg in zip(files, rgs):
-        pf = pf_cache.get(f)
-        if pf is None:
-            pf = pf_cache[f] = pq.ParquetFile(f)
-        parts.append(pf.read_row_group(rg))
-    return pa.concat_tables(parts) if parts else None
-
-
 def apply_bucket(
     lineage: LakeLineage,
     bucket: int,
@@ -486,10 +472,9 @@ def apply_bucket(
 
 class MergeApplier:
     """In-process :func:`apply_bucket` shell that reads each bucket's state
-    from its committed manifest (no cross-call cache): the ``map_batches``
-    callable of the bootstrap's hash repartition, the per-bucket applier of
-    ``erase_keys``, and (``apply_spilled``) a one-process applier over
-    spill-shuffle descriptors."""
+    from its committed manifest (no cross-call cache): the per-bucket
+    applier of ``erase_keys`` and (``apply_spilled``) the bootstrap's
+    consumer over spill-shuffle descriptors."""
 
     def __init__(
         self,
@@ -530,38 +515,15 @@ class MergeApplier:
                 )
             outs.append(
                 self._apply_one(
-                    int(bucket), align_to(deltas, self.target),
-                    pre_aligned=True, fold_rows=fold_rows,
+                    int(bucket), align_to(deltas, self.target), fold_rows
                 )
             )
         return pa.concat_tables(outs)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        """Accepts a batch holding one or more COMPLETE buckets (a
-        hash-shuffle partition block): splits by bucket and merges each
-        independently."""
-        if batch.num_rows == 0:
-            return MANIFEST_SCHEMA.empty_table()
-        buckets = pc.unique(batch[BUCKET_COL])
-        if len(buckets) == 1:
-            return self._apply_one(buckets[0].as_py(), batch)
-        outs = []
-        for b in sorted(buckets.to_pylist()):
-            part = batch.filter(pc.equal(batch[BUCKET_COL], b))
-            outs.append(self._apply_one(b, part))
-        return pa.concat_tables(outs)
-
     def _apply_one(
-        self,
-        bucket: int,
-        group: pa.Table,
-        pre_aligned: bool = False,
-        fold_rows: pa.Table | None = None,
+        self, bucket: int, deltas: pa.Table, fold_rows: pa.Table | None = None
     ) -> pa.Table:
-        if pre_aligned:
-            deltas = group
-        else:
-            deltas = align_to(group.drop_columns([BUCKET_COL]), self.target)
+        """Merge one bucket's target-aligned ``deltas``."""
         man = self.lineage.bucket_manifest(bucket)
         state = read_bucket_state(man) if man is not None else None
         _, manifest = apply_bucket(

@@ -21,20 +21,24 @@ lake — consumers seed from the snapshot (or an ``export``) and apply the
 feed from there; the ``feed_consistency`` audit check skips bootstrap
 lakes for exactly this reason.
 
-Pipeline: ``read_parquet(snapshot) → prep (lsn/deleted/bucket) → hash
-repartition on the bucket → MergeApplier pool (no prior state) → publish
+Pipeline: ``read_parquet(snapshot) → prep (lsn/deleted) → spill on the
+bucket (the engine's one shuffle, ``partitioning.spill``) →
+MergeApplier.apply_spilled in consumer tasks (no prior state) → publish
 manifests + tick 0`` — the engine's own apply/commit path, so two-phase
 crash safety and exactly-once re-run semantics hold unchanged.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import pyarrow as pa
 
 from .apply import DELETED_COL, MergeApplier
 from .lineage import LakeLineage
 from .lock import writer_lock
-from .partitioning import BUCKET_COL, with_bucket
+from .partitioning import BUCKET_COL, run_spilled, spill_buckets, spilled_items
 
 
 def bootstrap_lake(
@@ -56,9 +60,7 @@ def bootstrap_lake(
     components as real columns — for snapshots whose partition columns live
     only in the directory names (Spark/Hive exports). Default False: a
     copied lake layout (``buckets/b=*/``) must not gain a phantom column."""
-    import ray
     import ray.data
-    from ray.data.context import DataContext, ShuffleStrategy
 
     from .replay import target_schema_ser
 
@@ -70,7 +72,11 @@ def bootstrap_lake(
                 "use replay to continue an existing lake"
             )
 
-        def prep(t: pa.Table) -> pa.Table:
+        spill_dir = os.path.join(lake_dir, "_shuffle", "bootstrap")
+        shutil.rmtree(spill_dir, ignore_errors=True)  # crashed-run leftovers
+        os.makedirs(spill_dir)
+
+        def prep_spill(t: pa.Table) -> pa.Table:
             if BUCKET_COL in t.schema.names:
                 t = t.drop_columns([BUCKET_COL])
             if "lsn" in t.schema.names:
@@ -87,60 +93,44 @@ def bootstrap_lake(
                 t = t.append_column(
                     DELETED_COL, pa.array([False] * t.num_rows, pa.bool_())
                 )
-            return with_bucket(t, num_buckets)
+            return spill_buckets(t, num_buckets, spill_dir)
 
-        dctx = DataContext.get_current()
-        prev = dctx.shuffle_strategy
-        dctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            hi = max(1, min(cpus - 2, num_buckets))
-            if isinstance(concurrency, int):
-                hi = min(hi, concurrency)
-            elif isinstance(concurrency, tuple):
-                hi = min(hi, concurrency[1])
-            if hive_partitioning:
-                src = ray.data.read_parquet(table_path)
-            else:
-                src = ray.data.read_parquet(table_path, partitioning=None)
-            # default partitioning=None: a snapshot under key=value directories
-            # (date=…, or a copy of a lake's own buckets/b=*/ layout) must
-            # not hive-infer phantom columns into the tick-0 state;
-            # hive_partitioning=True opts in for genuinely partitioned exports
-            ds = src.map_batches(
-                prep, batch_format="pyarrow", zero_copy_batch=True
-            ).repartition(num_buckets, keys=[BUCKET_COL])
-            # state schema = source schema with lsn forced int64 and the
-            # tombstone flag appended (what prep emits, minus the bucket key)
-            base = src.schema().base_schema
-            fields = []
-            for f in base:
-                if f.name == BUCKET_COL:
-                    continue
-                fields.append(
-                    pa.field("lsn", pa.int64()) if f.name == "lsn" else f
-                )
-            names = {f.name for f in fields}
-            if "lsn" not in names:
-                fields.append(pa.field("lsn", pa.int64()))
-            if DELETED_COL not in names:
-                fields.append(pa.field(DELETED_COL, pa.bool_()))
-            sample_schema = pa.schema(fields)
-            manifests_tbl = ds.map_batches(
-                MergeApplier,
-                fn_constructor_args=(
-                    lake_dir,
-                    0,
-                    target_schema_ser(sample_schema),
-                ),
-                batch_format="pyarrow",
-                batch_size=None,
-                concurrency=(1, hi),
-                num_cpus=1,
+        if hive_partitioning:
+            src = ray.data.read_parquet(table_path)
+        else:
+            src = ray.data.read_parquet(table_path, partitioning=None)
+        # default partitioning=None: a snapshot under key=value directories
+        # (date=…, or a copy of a lake's own buckets/b=*/ layout) must
+        # not hive-infer phantom columns into the tick-0 state;
+        # hive_partitioning=True opts in for genuinely partitioned exports
+        items = spilled_items(
+            src.map_batches(prep_spill, batch_format="pyarrow").take_all()
+        )
+        # state schema = source schema with lsn forced int64 and the
+        # tombstone flag appended (what prep emits, minus the bucket key)
+        base = src.schema().base_schema
+        fields = []
+        for f in base:
+            if f.name == BUCKET_COL:
+                continue
+            fields.append(
+                pa.field("lsn", pa.int64()) if f.name == "lsn" else f
             )
-            manifests = manifests_tbl.take_all()
-        finally:
-            dctx.shuffle_strategy = prev
+        names = {f.name for f in fields}
+        if "lsn" not in names:
+            fields.append(pa.field("lsn", pa.int64()))
+        if DELETED_COL not in names:
+            fields.append(pa.field(DELETED_COL, pa.bool_()))
+        schema_ser = target_schema_ser(pa.schema(fields))
+
+        def apply(batch: pa.Table) -> pa.Table:
+            return MergeApplier(lake_dir, 0, schema_ser).apply_spilled(batch)
+
+        cap = concurrency[1] if isinstance(concurrency, tuple) else concurrency
+        manifests = (
+            run_spilled(items, apply, max_tasks=cap).take_all() if items else []
+        )
+        shutil.rmtree(spill_dir, ignore_errors=True)
 
         rows = 0
         max_lsn = int(default_lsn)

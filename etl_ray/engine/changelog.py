@@ -593,8 +593,9 @@ def fold_feed(
     advances), so last-writer-wins on ``lsn`` alone reproduces the state the
     feed describes; keys whose winning record is a delete/erase drop out.
     Shape: per-batch LWW combiner (a hot key sends ≤1 row per input batch)
-    → one hash shuffle on the key → per-partition LWW + filter. Same
-    single-shuffle skeleton as the engine itself.
+    → spill on ``hash(key) % num_partitions`` (the engine's one shuffle)
+    → per-consumer LWW + filter. The result comes back materialized, and
+    the spill directory is removed before return.
 
     ``keep_deletes``: dropping tombstones is only sound when the fold sees
     the COMPLETE history — otherwise a consumer merging the result onto an
@@ -603,10 +604,16 @@ def fold_feed(
     lake's beginning (``from_tick`` unset or ≤ the earliest committed tick)
     AND no feed directory was dropped by retention GC
     (:func:`feed_covers_from_start`)."""
+    import shutil
+    import uuid
+
     import pyarrow.compute as pc
     import ray.data
 
     from .dedup import last_writer
+    from .partitioning import (
+        hash_groups, read_spilled, run_spilled, spill, spilled_items,
+    )
 
     parts = committed_changelog_parts(lake_dir, from_tick, to_tick)
     if not parts:
@@ -619,9 +626,6 @@ def fold_feed(
         earliest = min((t["tick"] for t in ticks), default=0)
         effective_full = from_tick is None or from_tick <= earliest
         keep_deletes = not (effective_full and feed_covers_from_start(lake_dir))
-
-    def combine(t):
-        return last_writer(t, keys=KEYS)
 
     def finish(t):
         t = last_writer(t, keys=KEYS)
@@ -636,20 +640,21 @@ def fold_feed(
         # matching the shape of the engine's own final_state export
         return t.filter(keep).drop_columns([CHANGE_OP_COL, TICK_COL, "deleted"])
 
-    # key-based repartition needs the hash strategy active at dataset
-    # CREATION (Ray snapshots DataContext then) — same dance as replay's
-    # hash mode
-    from ray.data.context import DataContext, ShuffleStrategy
+    # own top-level dir, not _shuffle/: a fold reads without the writer
+    # lock, and a concurrent replay tick wipes _shuffle/ when it ends
+    spill_dir = os.path.join(lake_dir, f"_fold_shuffle-{uuid.uuid4().hex}")
+    os.makedirs(spill_dir)
 
-    dctx = DataContext.get_current()
-    prev = dctx.shuffle_strategy
-    dctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+    def combine_spill(t):
+        t = last_writer(t, keys=KEYS)
+        return spill(t, hash_groups(t, KEYS, num_partitions), spill_dir)
+
     try:
-        return (
+        items = spilled_items(
             parts_dataset(parts)
-            .map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(num_partitions, keys=KEYS)
-            .map_batches(finish, batch_format="pyarrow", batch_size=None)
+            .map_batches(combine_spill, batch_format="pyarrow", zero_copy_batch=True)
+            .take_all()
         )
+        return run_spilled(items, lambda b: finish(read_spilled(b)))
     finally:
-        dctx.shuffle_strategy = prev
+        shutil.rmtree(spill_dir, ignore_errors=True)

@@ -121,7 +121,7 @@ def _erase_keys_locked(
     for b in pc.unique(buckets).to_pylist():
         prev_man = lineage.bucket_manifest(int(b))
         part = deltas.filter(pc.equal(buckets, b))
-        man = applier._apply_one(int(b), part, pre_aligned=True)
+        man = applier._apply_one(int(b), part)
         d = {k: man[k][0].as_py() for k in man.schema.names}
         if not d.get("fold_file") and prev_man is not None:
             # the erase mini-tick runs without folds configured; carry the
@@ -296,8 +296,6 @@ def _rebucket_locked(
     at every tick start and rebucket start) rolls a half-published attempt
     back to the old layout. The tick manifest is the commit point, as
     everywhere else."""
-    import uuid
-
     import numpy as np
     import ray
 
@@ -336,31 +334,16 @@ def _rebucket_locked(
 
     drop_set = set(drop_columns or [])
 
-    def spill(batch: pa.Table) -> pa.Table:
-        from .partitioning import BUCKET_COL, with_bucket
+    from .partitioning import read_row_groups, spill_buckets, spilled_items
 
+    def rebucket_spill(batch: pa.Table) -> pa.Table:
         if drop_set:
             present = [c for c in batch.schema.names if c in drop_set]
             if present:
                 batch = batch.drop_columns(present)
         # align_to keeps extra columns by design, so the repair drop above
         # must happen BEFORE it
-        batch = with_bucket(align_to(batch, target), nb)
-        order = pc.sort_indices(batch, sort_keys=[(BUCKET_COL, "ascending")])
-        batch = batch.take(order)
-        codes = batch[BUCKET_COL].to_numpy()
-        data = batch.drop_columns([BUCKET_COL])
-        from .partitioning import write_bucket_rgs
-
-        f = os.path.join(spill_dir, f"part-{uuid.uuid4().hex}.parquet")
-        out_b, out_rg, _ = write_bucket_rgs(data, codes, f)
-        return pa.table(
-            {
-                "bucket": pa.array(out_b, pa.int32()),
-                "file": pa.array([f] * len(out_b), pa.string()),
-                "rg": pa.array(out_rg, pa.int32()),
-            }
-        )
+        return spill_buckets(align_to(batch, target), nb, spill_dir)
 
     import ray.data
 
@@ -370,14 +353,11 @@ def _rebucket_locked(
     ds = ray.data.read_parquet(
         files, override_num_blocks=max(len(files), 1), partitioning=None
     )
-    shards = ds.map_batches(
-        spill, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    ).take_all()
-    by_bucket: dict[int, tuple[list[str], list[int]]] = {}
-    for r in shards:
-        fs, rgs = by_bucket.setdefault(int(r["bucket"]), ([], []))
-        fs.append(r["file"])
-        rgs.append(int(r["rg"]))
+    items = spilled_items(
+        ds.map_batches(
+            rebucket_spill, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+        ).take_all()
+    )
 
     # fold-tail union (exact: LSNs are globally unique per event); the new
     # fold watermark is the MIN over old buckets — a lower horizon only
@@ -399,10 +379,9 @@ def _rebucket_locked(
     def write_bucket(bucket: int, fs: list[str], rgs: list[int]) -> dict:
         from .dedup import last_writer
 
-        parts = [pq.ParquetFile(f).read_row_group(rg) for f, rg in zip(fs, rgs)]
         # fold before writing: a delta-mode source repeats touched keys
         # across base+delta files (no-op on an already-folded rewrite lake)
-        t = last_writer(pa.concat_tables(parts)).sort_by(
+        t = last_writer(read_row_groups({}, fs, rgs)).sort_by(
             [("repo", "ascending"), ("path", "ascending")]
         )
         out_path = LakeLineage(lake_dir).bucket_state_path(bucket, tick_id)
@@ -428,7 +407,7 @@ def _rebucket_locked(
         }
 
     new_manifests = ray.get(
-        [write_bucket.remote(b, fr[0], fr[1]) for b, fr in sorted(by_bucket.items())]
+        [write_bucket.remote(it["bucket"], it["files"], it["rgs"]) for it in items]
     )
 
     # rollback marker BEFORE any manifest mutation (the recovery anchor)

@@ -197,13 +197,10 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
         return []  # retention dropped part of the feed: cannot audit
 
     import shutil
-    import uuid
 
     import pyarrow as pa
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
     import ray
-    import ray.data
 
     feed_parts = committed_changelog_parts(lake)
     if not feed_parts:
@@ -217,52 +214,25 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
     os.makedirs(spill_dir, exist_ok=True)
     try:
         from .dedup import last_writer
-        from .partitioning import BUCKET_COL, bucket_of, write_bucket_rgs
+        from .partitioning import read_row_groups, spill_buckets, spilled_items
 
-        def spill(t: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {
-                    "bucket": pa.array([], pa.int32()),
-                    "file": pa.array([], pa.string()),
-                    "rg": pa.array([], pa.int32()),
-                }
-            )
-            if t.num_rows == 0:
-                return empty
+        def feed_spill(t: pa.Table) -> pa.Table:
             t = last_writer(t.select(["repo", "path", "lsn", "change_op"]))
-            t = t.append_column(BUCKET_COL, bucket_of(t["repo"], t["path"], nb))
-            t = t.take(pc.sort_indices(t, sort_keys=[(BUCKET_COL, "ascending")]))
-            codes = t[BUCKET_COL].to_numpy()
-            f = os.path.join(spill_dir, f"part-{uuid.uuid4().hex}.parquet")
-            bs, rgs, _ = write_bucket_rgs(t.drop_columns([BUCKET_COL]), codes, f)
-            return pa.table(
-                {
-                    "bucket": pa.array(bs, pa.int32()),
-                    "file": pa.array([f] * len(bs), pa.string()),
-                    "rg": pa.array(rgs, pa.int32()),
-                }
-            )
+            return spill_buckets(t, nb, spill_dir)
 
-        shards = (
+        items = spilled_items(
             parts_dataset(feed_parts, columns=["repo", "path", "lsn", "change_op"])
-            .map_batches(spill, batch_format="pyarrow", zero_copy_batch=True)
+            .map_batches(feed_spill, batch_format="pyarrow", zero_copy_batch=True)
             .take_all()  # descriptors only: one row per (task, bucket)
         )
-        by_bucket: dict[int, tuple[list, list]] = {}
-        for r in shards:
-            fs, rgs = by_bucket.setdefault(int(r["bucket"]), ([], []))
-            fs.append(r["file"])
-            rgs.append(int(r["rg"]))
+        by_bucket = {it["bucket"]: (it["files"], it["rgs"]) for it in items}
         state_mans = {m["bucket"]: dict(m) for m in ctx.new_manifests}
 
         def compare(bucket: int, feed_files, feed_rgs, state_man) -> dict:
             keys3 = ["repo", "path", "lsn"]
             if feed_files:
-                t = pa.concat_tables(
-                    pq.ParquetFile(f).read_row_group(rg)
-                    for f, rg in zip(feed_files, feed_rgs)
-                )
-                t = last_writer(t)  # fold across fragments (max lsn per key)
+                # fold across fragments (max lsn per key)
+                t = last_writer(read_row_groups({}, feed_files, feed_rgs))
                 folded = t.filter(
                     pc.invert(
                         pc.is_in(

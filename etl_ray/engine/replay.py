@@ -37,7 +37,7 @@ from .apply import deltas_to_state_shape
 from .dedup import last_writer
 from .enrich import LangEnricher
 from .lineage import LakeLineage
-from .partitioning import BUCKET_COL, with_bucket
+from .partitioning import cluster_cpus
 from .source import pending_segments, read_segments_indexed, target_schema_for
 
 
@@ -239,16 +239,9 @@ class ReplayEngine:
         ``hi``."""
         if isinstance(self.concurrency, tuple):
             return self.concurrency[1]
-        import ray
-
-        if ray.is_initialized():
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        else:
-            # Library callers may size the pool before (or without) a live
-            # Ray session — fail soft to the host CPU count rather than
-            # raising RaySystemError from a background warm-pool thread.
-            cpus = int(os.cpu_count() or 8)
-        hi = max(2, cpus - 2)
+        # library callers may size the pool before (or without) a live Ray
+        # session: cluster_cpus fails soft to the host CPU count
+        hi = max(2, cluster_cpus() - 2)
         if isinstance(self.concurrency, int):
             hi = min(self.concurrency, hi)
         return max(1, hi)
@@ -286,17 +279,15 @@ class ReplayEngine:
         tz_off = self.tz_offset_minutes
         qdir = os.path.join(self.lake_dir, "_quarantine", f"tick-{tick_id:06d}")
 
-        from .partitioning import write_bucket_rgs as _write_bucket_rgs
+        from .partitioning import spill_buckets
 
-        def spill(batch: pa.Table) -> pa.Table:
+        def stage1(batch: pa.Table) -> pa.Table:
             """Fused stage-1 task: enrich → (a) append the narrow per-day
             agg-log projection (pre-reduction — aggregates need every
             distinct LSN) → (b) per-batch last-writer pre-reduction →
             tombstone shape → ONE shuffle file with one parquet ROW GROUP
             per bucket (an indexed shuffle file): bucket readers fetch only
             their row group — no per-(task,bucket) tiny-file explosion."""
-            import numpy as np
-
             from .aggregates import _project
 
             empty_desc = pa.table(
@@ -304,7 +295,6 @@ class ReplayEngine:
                     "bucket": pa.array([], pa.int32()),
                     "file": pa.array([], pa.string()),
                     "rg": pa.array([], pa.int32()),
-                    "rows": pa.array([], pa.int64()),
                     "ffile": pa.array([], pa.string()),
                     "frg": pa.array([], pa.int32()),
                 }
@@ -344,7 +334,7 @@ class ReplayEngine:
                     for rg, (day, s, e) in enumerate(
                         zip(runs.values.to_pylist(), starts, ends)
                     ):
-                        # one row group per day run — see _write_bucket_rgs
+                        # one row group per day run — see write_bucket_rgs
                         writer.write_table(proj.slice(s, e - s), row_group_size=e - s)
                         index[day] = rg
                 finally:
@@ -363,41 +353,24 @@ class ReplayEngine:
                 # own file, ~2% of the content bytes
                 from .folds import fold_delta_projection
 
-                fp = with_bucket(fold_delta_projection(batch), nb)
-                forder = pc.sort_indices(fp, sort_keys=[(BUCKET_COL, "ascending")])
-                fp = fp.take(forder)
-                fcodes = fp[BUCKET_COL].to_numpy()
-                fdata = fp.drop_columns([BUCKET_COL])
-                ffile = os.path.join(spill_dir, f"fold-{uuid.uuid4().hex}.parquet")
-                fbuckets, frgs_list, _ = _write_bucket_rgs(fdata, fcodes, ffile)
-                fold_lookup = dict(zip(fbuckets, frgs_list))
+                fdesc = spill_buckets(fold_delta_projection(batch), nb, spill_dir)
+                if fdesc.num_rows:
+                    ffile = fdesc["file"][0].as_py()
+                fold_lookup = dict(
+                    zip(fdesc["bucket"].to_pylist(), fdesc["rg"].to_pylist())
+                )
 
-            batch = with_bucket(deltas_to_state_shape(last_writer(batch)), nb)
-            order = pc.sort_indices(batch, sort_keys=[(BUCKET_COL, "ascending")])
-            batch = batch.take(order)
-            codes = batch[BUCKET_COL].to_numpy()
-            data = batch.drop_columns([BUCKET_COL])
-            f = os.path.join(spill_dir, f"part-{uuid.uuid4().hex}.parquet")
             # transient shuffle data: cheap codec (snappy)
-            buckets_out, rgs_out, rows_out = _write_bucket_rgs(data, codes, f)
-            return pa.table(
-                {
-                    "bucket": pa.array(buckets_out, pa.int32()),
-                    "file": pa.array([f] * len(buckets_out), pa.string()),
-                    "rg": pa.array(rgs_out, pa.int32()),
-                    "rows": pa.array(rows_out, pa.int64()),
-                    "ffile": pa.array(
-                        [ffile if b in fold_lookup else "" for b in buckets_out],
-                        pa.string(),
-                    ),
-                    "frg": pa.array(
-                        [fold_lookup.get(b, -1) for b in buckets_out], pa.int32()
-                    ),
-                }
+            desc = spill_buckets(deltas_to_state_shape(last_writer(batch)), nb, spill_dir)
+            buckets = desc["bucket"].to_pylist()
+            ffiles = [ffile if b in fold_lookup else "" for b in buckets]
+            frgs = [fold_lookup.get(b, -1) for b in buckets]
+            return desc.append_column("ffile", pa.array(ffiles, pa.string())).append_column(
+                "frg", pa.array(frgs, pa.int32())
             )
 
         spill_ds = ds.map_batches(
-            spill, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+            stage1, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
         )
         t_sp = time.perf_counter()
         shards = spill_ds.take_all()
@@ -548,9 +521,7 @@ class ReplayEngine:
         # case — finer than ~256k-row blocks multiplies spill-file row-group
         # fragments per bucket and slows the appliers more than the extra
         # read parallelism gains
-        import ray as _ray_mod
-
-        cpus = int(_ray_mod.cluster_resources().get("CPU", 8))
+        cpus = cluster_cpus()
         total_rows = sum(s["rows"] for s in segs)
         nb = max(len(segs), min(cpus, total_rows // 262_144))
         if nb >= cpus and nb % cpus:

@@ -20,8 +20,11 @@ two-level aggregate where per-bucket partials are recomputed ONLY for
 buckets whose manifest tick advanced since the view's last refresh, and the
 final rows are a small reduce over partial rows at read time. Partial grain
 is (bucket × repo) — bounded by aggregate grain, not event count — so a
-refresh touches O(changed buckets) state files and the read shuffles only
-aggregate-grain rows.
+refresh touches O(changed buckets) state files. Each partial is already the
+engine's shuffle file (``partitioning.spill`` layout): rows sorted by
+``hash(view key) % G`` (G = the upstream bucket count), one row group per
+hash group, the ``{group: rg}`` index in the footer — so a read is one pass
+of ``min(G, CPUs)`` consumer tasks and needs no shuffle.
 """
 
 from __future__ import annotations
@@ -657,6 +660,60 @@ def _publish_view_manifest(view_dir: str, obj: dict) -> None:
     os.replace(p + ".tmp", p)
 
 
+_GROUPS_META = b"etl_ray.hash_groups"
+
+
+def _write_partial(out, keys: list[str], num_groups: int, out_path: str) -> int:
+    """Write one bucket's partial as an indexed shuffle file: rows sorted
+    (stably) by ``hash(keys) % num_groups``, one row group per group, and
+    ``{"hash_groups": G, "index": {group: rg}}`` in the footer metadata.
+    Atomic (tmp + rename). Returns the row count."""
+    import numpy as np
+
+    from .partitioning import hash_groups, write_bucket_rgs
+
+    codes = hash_groups(out, keys, num_groups)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    index = {int(g): rg for rg, g in enumerate(np.unique(codes))}
+    meta = json.dumps({"hash_groups": num_groups, "index": index})
+    out = out.take(order).replace_schema_metadata({_GROUPS_META: meta})
+    write_bucket_rgs(out, codes, out_path)
+    return out.num_rows
+
+
+def _partial_files(view_dir: str) -> list[str]:
+    return sorted(glob.glob(os.path.join(view_dir, "partials", "b=*.parquet")))
+
+
+def _partial_items(files: list[str], num_groups: int | None) -> list[dict]:
+    """The consumer items of a view read (``partitioning.spilled_items``):
+    one per hash group present, from each partial's footer index. A
+    non-empty partial written for another group count than ``_view.json``
+    records (or before the indexed layout) raises — the view needs a
+    refresh."""
+    import pyarrow.parquet as pq
+
+    from .partitioning import spilled_items
+
+    desc = []
+    for f in files:
+        md = pq.read_metadata(f)
+        if md.num_rows == 0:
+            continue  # nothing to read, whatever its layout
+        meta = json.loads((md.metadata or {}).get(_GROUPS_META, b"{}"))
+        got = meta.get("hash_groups")  # None: written before the indexed layout
+        if got is None or got != num_groups:
+            raise ValueError(
+                f"view partial {f} was written for {got} hash groups but "
+                f"_view.json records {num_groups}; refresh the view"
+            )
+        desc += [
+            {"bucket": int(g), "file": f, "rg": rg} for g, rg in meta["index"].items()
+        ]
+    return spilled_items(desc)
+
+
 # --- first/last (argmin/argmax by order key) encoding ----------------------
 # (order, value) packs into one binary cell: 8-byte order-preserving
 # big-endian order key ++ 1-byte null marker ++ value bytes. Lexicographic
@@ -848,11 +905,12 @@ def _partial_plan(agg_spec: dict) -> tuple[list, list[tuple[str, str | None, str
 
 
 def _agg_partial_of_state(
-    man: dict, agg_spec: dict, out_path: str, col_types: dict | None = None
+    man: dict, agg_spec: dict, out_path: str, col_types: dict, num_groups: int
 ) -> int:
     """Recompute one bucket's partial of a derived aggregate view from its
-    committed state (merge-on-read in delta mode). Idempotent; atomic
-    publish. ``col_types`` (column → Arrow type from the UNIFIED upstream
+    committed state (merge-on-read in delta mode), hash-grouped on the
+    view key into ``num_groups`` (:func:`_write_partial`). Idempotent;
+    atomic publish. ``col_types`` (column → Arrow type from the UNIFIED upstream
     schema) keeps partial schemas consistent across buckets: a column an
     old bucket predates (schema evolution) reads back as nulls with an
     arbitrary type, and a pre-widening bucket carries the narrow width —
@@ -860,7 +918,6 @@ def _agg_partial_of_state(
     agrees, matching SQL over the full state."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
     from .apply import read_bucket_state
 
@@ -868,7 +925,7 @@ def _agg_partial_of_state(
     need = {c for a in agg_spec["aggs"] if (c := a.get("col"))}
     need |= {b for a in agg_spec["aggs"] if (b := a.get("by"))}
     t = read_bucket_state(man, columns=[*group_by, *sorted(need), "deleted"])
-    for c, typ in (col_types or {}).items():
+    for c, typ in col_types.items():
         i = t.schema.get_field_index(c)
         if i >= 0 and t.schema.field(i).type != typ:
             t = t.set_column(i, c, pc.cast(t[c], typ))
@@ -883,10 +940,7 @@ def _agg_partial_of_state(
     for partial_col, src_col, fn in fields:
         cols[partial_col] = g["count_all" if src_col is None else f"{src_col}_{fn}"]
     out = pa.table(cols).sort_by([(k, "ascending") for k in group_by])
-    tmp = out_path + f".{os.getpid()}.tmp"
-    pq.write_table(out, tmp, compression="zstd")
-    os.replace(tmp, out_path)
-    return out.num_rows
+    return _write_partial(out, group_by, num_groups, out_path)
 
 
 # --- session views ----------------------------------------------------------
@@ -961,7 +1015,7 @@ def _adjacent_neq(col) -> "np.ndarray":
 
 
 def _session_partial_of_state(
-    man: dict, sess_spec: dict, out_path: str, col_types: dict | None = None
+    man: dict, sess_spec: dict, out_path: str, col_types: dict, num_groups: int
 ) -> int:
     """One bucket's session fragments from its committed state. Same
     idempotent/atomic/unified-types contract as ``_agg_partial_of_state``;
@@ -970,7 +1024,6 @@ def _session_partial_of_state(
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
     from .apply import read_bucket_state
 
@@ -980,7 +1033,7 @@ def _session_partial_of_state(
         dict.fromkeys(c for a in rider_spec["aggs"] if (c := a.get("col")))
     )
     t = read_bucket_state(man, columns=[*key, ts, *rider_cols, "deleted"])
-    for c, typ in (col_types or {}).items():
+    for c, typ in col_types.items():
         i = t.schema.get_field_index(c)
         if i >= 0 and t.schema.field(i).type != typ:
             t = t.set_column(i, c, pc.cast(t[c], typ))
@@ -1028,11 +1081,7 @@ def _session_partial_of_state(
         g = st.group_by("__frag").aggregate(arrow_aggs).sort_by("__frag")
         for partial_col, src_col, fn in fields:
             cols[partial_col] = g["count_all" if src_col is None else f"{src_col}_{fn}"]
-    out = pa.table(cols)
-    tmp = out_path + f".{os.getpid()}.tmp"
-    pq.write_table(out, tmp, compression="zstd")
-    os.replace(tmp, out_path)
-    return out.num_rows
+    return _write_partial(pa.table(cols), key, num_groups, out_path)
 
 
 def _refresh_partials(
@@ -1052,8 +1101,10 @@ def _refresh_partials(
     (aggregate, repo_stats preset, session). Work = one Ray task per bucket
     whose manifest tick advanced since the last refresh (manifest tick is
     the bucket's last-rewrite tick, so an untouched bucket costs nothing).
-    A changed view DEFINITION (spec hash) or upstream type drift (types
-    hash — e.g. widening landed since the last refresh) forces a full
+    A changed view DEFINITION (spec hash), upstream type drift (types
+    hash — e.g. widening landed since the last refresh) or a changed hash
+    group count G (the upstream bucket count, e.g. after a rebucket; a
+    ``_view.json`` without one predates the indexed partials) forces a full
     partial recompute. Crash-safe: partials are pure functions of committed
     upstream state and ``_view.json`` publishes LAST, so a crashed refresh
     just redoes its touched buckets.
@@ -1062,9 +1113,10 @@ def _refresh_partials(
     upstream)`` words the required-column error, ``validate_types(col_types)``
     raises on unusable types, ``manifest_extra(col_types)`` contributes
     decode metadata to ``_view.json``, and ``task_fn(man, spec, out_path,
-    col_types)`` recomputes one bucket's partial. A ``need`` column in
-    ``optional`` may be absent upstream (schema evolution) and pins to an
-    int64 placeholder — types_hash changes (full recompute) once it lands."""
+    col_types, num_groups)`` recomputes one bucket's partial. A ``need``
+    column in ``optional`` may be absent upstream (schema evolution) and
+    pins to an int64 placeholder — types_hash changes (full recompute) once
+    it lands."""
     import ray
 
     from .lineage import LakeLineage
@@ -1075,10 +1127,13 @@ def _refresh_partials(
     if last is None:
         return None
     spec_hash = _agg_spec_hash(spec)
+    num_groups = int(last.get("num_buckets") or 1)
     mf = _view_manifest(view_dir)
     applied = mf.get("upstream_tick", -1)
     if mf.get("spec_hash") not in (None, spec_hash):
         applied = -1  # definition changed: every bucket's partial is stale
+    if mf.get("hash_groups") != num_groups:
+        applied = -1  # every partial is grouped for another G (or unindexed)
     if last["tick"] <= applied:
         return None
     types_hash = mf.get("types_hash")  # re-checked once the schema is known
@@ -1125,7 +1180,7 @@ def _refresh_partials(
                 task.remote(
                     dict(m), spec,
                     os.path.join(pdir, f"b={m['bucket']:05d}.parquet"),
-                    col_types,
+                    col_types, num_groups,
                 )
                 for m in touched
             ]
@@ -1139,6 +1194,7 @@ def _refresh_partials(
                 "kind": kind,
                 "spec_hash": spec_hash,
                 "types_hash": new_types_hash,
+                "hash_groups": num_groups,
                 **manifest_extra(col_types),
             },
         )
@@ -1210,78 +1266,69 @@ def refresh_session_view(
     )
 
 
-_SESSION_MERGE_BUCKETS = 32
+def _session_schema(sess_spec: dict, mf: dict, footer) -> "pa.Schema":
+    """The session view's ONE output schema: key and session-bound types
+    from a partial footer (``footer``; None without partials falls back to
+    string keys and the manifest's ts type), riders from their partial
+    type, float64 for means and the manifest's ``enc_types`` for
+    first/last. Every read block, empty or not, is cast to it."""
+    import pyarrow as pa
+
+    def ftype(name, default):
+        if footer is not None and name in footer.names:
+            return footer.field(name).type
+        return default
+
+    ts_type = pa.timestamp(mf.get("ts_unit", "us"), tz=mf.get("ts_tz"))
+    enc_types = _enc_types_load(mf.get("enc_types"))
+    fields = [(k, ftype(k, pa.string())) for k in sess_spec["key"]]
+    fields += [
+        ("session_start", ftype("session_start", ts_type)),
+        ("session_end", ftype("session_end", ts_type)),
+        ("n_events", pa.int64()),
+    ]
+    for a in _sess_rider_spec(sess_spec)["aggs"]:
+        if a["fn"] == "mean":
+            fields.append((a["out"], pa.float64()))
+        elif a["fn"] in ("first", "last"):
+            fields.append((a["out"], enc_types.get(a["out"], pa.string())))
+        else:
+            fields.append((a["out"], ftype(a["out"], pa.int64())))
+    fields.append(("session_seq", pa.int64()))
+    return pa.schema(fields)
 
 
 def read_session_view(sess_spec: dict, view_dir: str):
     """The session view as a Ray Dataset: per-key interval merge of the
-    per-bucket fragments. Fragments shuffle once by hash(key) into
-    ``_SESSION_MERGE_BUCKETS`` groups; the merge inside each group is
-    vectorized pandas over ALL its keys (sort + per-key running cummax of
-    session_end), not a Python loop per key. Output grain: one row per
-    (key, session) with session_start/end, n_events, session_seq."""
+    per-bucket fragments, in one consumer pass over the hash-grouped
+    partials (``partitioning.run_spilled``; a key's fragments all sit in
+    one hash group). The merge inside each consumer is vectorized pandas
+    over ALL its keys (sort + per-key running cummax of session_end), not a
+    Python loop per key. Every block, empty or not, has the one schema of
+    :func:`_session_schema`. Output grain: one row per (key, session) with
+    session_start/end, n_events, riders, session_seq."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
-    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
     import ray.data
 
-    from .partitioning import stable_hash64
-
-    import pyarrow.parquet as pq
+    from .partitioning import read_spilled, run_spilled
 
     key = sess_spec["key"]
     mf = _view_manifest(view_dir)
-    ts_type = pa.timestamp(mf.get("ts_unit", "us"), tz=mf.get("ts_tz"))
-    files = sorted(glob.glob(os.path.join(view_dir, "partials", "b=*.parquet")))
-    # skip all-empty partials (fully-deleted buckets): an empty parquet in
-    # the read would be fine, but if EVERY file is empty the merge stage
-    # never runs and the dataset would come back schemaless — fall through
-    # to the typed empty table instead (real column types from the footer).
-    # NB: the Dataset's schema() is then correct, but Ray's to_pandas()
-    # still yields zero COLUMNS for any empty dataset — pandas consumers of
-    # a possibly-empty view must rebuild their frame (write_parquet is fine)
+    files = _partial_files(view_dir)
+    schema = _session_schema(
+        sess_spec, mf, pq.read_schema(files[0]) if files else None
+    )
     riders = _sess_rider_spec(sess_spec)["aggs"]
     enc_types = _enc_types_load(mf.get("enc_types"))
-    nonempty = [f for f in files if pq.read_metadata(f).num_rows > 0]
-    if not nonempty:
-        # typed empty in the FINAL (post-merge) shape; real types from the
-        # partial footer where one exists, declared-shape fallback otherwise
-        footer = pq.read_schema(files[0]) if files else None
-
-        def _ftype(name, default):
-            if footer is not None and name in footer.names:
-                return footer.field(name).type
-            return default
-
-        cols = {k: pa.array([], _ftype(k, pa.string())) for k in key}
-        cols["session_start"] = pa.array([], _ftype("session_start", ts_type))
-        cols["session_end"] = pa.array([], _ftype("session_end", ts_type))
-        cols["n_events"] = pa.array([], pa.int64())
-        for a in riders:
-            if a["fn"] == "mean":
-                cols[a["out"]] = pa.array([], pa.float64())
-            elif a["fn"] in ("first", "last"):
-                cols[a["out"]] = pa.array(
-                    [], enc_types.get(a["out"], pa.string())
-                )
-            else:
-                cols[a["out"]] = pa.array([], _ftype(a["out"], pa.int64()))
-        cols["session_seq"] = pa.array([], pa.int64())
-        return ray.data.from_arrow(pa.table(cols))
-    ds = ray.data.read_parquet(nonempty, partitioning=None)
-
-    # merge-group count scales with the upstream bucket count: fragments
-    # are tiny relative to state, but a FIXED group count would make each
-    # merge task's input grow linearly with the lake — one group per
-    # upstream bucket keeps per-task work bounded at any scale
-    n_groups = max(_SESSION_MERGE_BUCKETS, len(nonempty))
-
-    def tag(t: pa.Table) -> pa.Table:
-        h = stable_hash64(*(pc.cast(t[k], pa.string()) for k in key))
-        return t.append_column(
-            "__b", pa.array((h % np.uint64(n_groups)).astype(np.int32))
-        )
+    items = _partial_items(files, mf.get("hash_groups"))
+    if not items:
+        # NB: Ray's to_pandas() yields zero COLUMNS for any empty dataset —
+        # pandas consumers of a possibly-empty view must rebuild their frame
+        # (schema() and write_parquet are fine)
+        return ray.data.from_arrow(schema.empty_table())
 
     gap = pd.Timedelta(minutes=sess_spec["gap_minutes"])
 
@@ -1345,14 +1392,10 @@ def read_session_view(sess_spec: dict, view_dir: str):
             out.groupby(key, dropna=False).cumcount() + 1
         ).astype("int64")
         return pa.Table.from_pandas(
-            out, preserve_index=False
+            out, schema=schema, preserve_index=False
         ).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return run_spilled(items, lambda b: merge(read_spilled(b).to_pandas()))
 
 
 def refresh_view(spec: TableSpec, upstream_dir: str, view_dir: str) -> dict | None:
@@ -1440,19 +1483,23 @@ def read_repo_stats(view_dir: str):
 
 
 def read_agg_view(agg_spec: dict, view_dir: str):
-    """The view as a Ray Dataset: final reduce over the per-bucket partials
-    (aggregate-grain rows only — the combiner half was done at refresh),
+    """The view as a Ray Dataset: final reduce over the hash-grouped
+    partials (aggregate-grain rows only — the combiner half was done at
+    refresh) in one consumer pass (``partitioning.run_spilled``; a group's
+    rows all sit in one hash group): an Arrow ``group_by`` per consumer,
     then a projection finishing means and null defaults."""
     import pyarrow as pa
     import pyarrow.compute as pc
+    import pyarrow.parquet as pq
     import ray.data
 
-    from ..ops.common import partial_groupby
+    from .partitioning import read_spilled, run_spilled
 
     group_by = agg_spec["group_by"]
     aggs = agg_spec["aggs"]
-    enc_types = _enc_types_load(_view_manifest(view_dir).get("enc_types"))
-    files = sorted(glob.glob(os.path.join(view_dir, "partials", "b=*.parquet")))
+    mf = _view_manifest(view_dir)
+    enc_types = _enc_types_load(mf.get("enc_types"))
+    files = _partial_files(view_dir)
     if not files:
         # an unrefreshed view has no partials and no recorded types; surface
         # the declared shape (string keys, int64 metrics, float64 means,
@@ -1466,30 +1513,29 @@ def read_agg_view(agg_spec: dict, view_dir: str):
                     [], pa.float64() if a["fn"] == "mean" else pa.int64()
                 )
         return ray.data.from_arrow(pa.table(cols))
-    ds = ray.data.read_parquet(files, partitioning=None)
-    reduce_aggs = {}
+    reduce_aggs = []  # (partial column, arrow fn)
     for a in aggs:
         fn, out = a["fn"], a["out"]
         if fn == "mean":
-            reduce_aggs[f"__s_{out}"] = (f"__s_{out}", "sum")
-            reduce_aggs[f"__c_{out}"] = (f"__c_{out}", "sum")
+            reduce_aggs += [(f"__s_{out}", "sum"), (f"__c_{out}", "sum")]
         elif fn in ("count", "sum"):
-            reduce_aggs[out] = (out, "sum")  # counts re-sum across partials
+            reduce_aggs.append((out, "sum"))  # counts re-sum across partials
         elif fn in ("first", "last"):
             # winner-of-winners: min/max of the packed cell across buckets
-            reduce_aggs[f"__e_{out}"] = (
-                f"__e_{out}", "min" if fn == "first" else "max"
-            )
+            reduce_aggs.append((f"__e_{out}", "min" if fn == "first" else "max"))
         else:
-            reduce_aggs[out] = (out, fn)  # min/max are idempotent
-    red = partial_groupby(ds, group_by, reduce_aggs)
+            reduce_aggs.append((out, fn))  # min/max are idempotent
 
-    def finish(t: pa.Table) -> pa.Table:
-        cols = {k: t[k] for k in group_by}
+    def reduce(t: pa.Table) -> pa.Table:
+        g = t.group_by(group_by).aggregate(reduce_aggs)
+        g = g.rename_columns(
+            [n if n in group_by else n.rsplit("_", 1)[0] for n in g.schema.names]
+        )
+        cols = {k: g[k] for k in group_by}
         for a in aggs:
             if a["fn"] == "mean":
-                c = pc.cast(t[f"__c_{a['out']}"], pa.float64())
-                s = pc.cast(t[f"__s_{a['out']}"], pa.float64())
+                c = pc.cast(g[f"__c_{a['out']}"], pa.float64())
+                s = pc.cast(g[f"__s_{a['out']}"], pa.float64())
                 zero = pc.equal(c, 0.0)
                 v = pc.if_else(
                     zero,
@@ -1497,14 +1543,10 @@ def read_agg_view(agg_spec: dict, view_dir: str):
                     pc.divide(s, pc.if_else(zero, pa.scalar(1.0), c)),
                 )
             elif a["fn"] in ("first", "last"):
-                e = t[f"__e_{a['out']}"]
-                if isinstance(e, pa.ChunkedArray):
-                    e = e.combine_chunks()
+                e = g[f"__e_{a['out']}"].combine_chunks()
                 v = _dec_extreme(e, enc_types.get(a["out"], pa.string()))
             else:
-                v = t[a["out"]]
-                if isinstance(v, pa.ChunkedArray):
-                    v = v.combine_chunks()
+                v = g[a["out"]].combine_chunks()
                 if pa.types.is_null(v.type):
                     # an optional rider's column has not arrived upstream
                     # yet: surface the declared int64 metric type
@@ -1514,4 +1556,7 @@ def read_agg_view(agg_spec: dict, view_dir: str):
             cols[a["out"]] = v
         return pa.table(cols)
 
-    return red.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    items = _partial_items(files, mf.get("hash_groups"))
+    if not items:  # every partial empty: the typed empty reduce
+        return ray.data.from_arrow(reduce(pq.read_schema(files[0]).empty_table()))
+    return run_spilled(items, lambda b: reduce(read_spilled(b)))

@@ -79,20 +79,24 @@ def user_daily_activity(sf_dir: str) -> pd.DataFrame:
         count_col="events",
     )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        # one group per USER; the per-day rollup inside is one vectorized
-        # pandas groupby (not a Python call per (user, day))
-        out = g.groupby("day", as_index=False).agg(
-            events=("events", "sum"),
-            distinct_types=("event_type", "nunique"),
-            total_value=("total_value", "sum"),
-        )
-        out.insert(0, "user_id", g["user_id"].iloc[0])
-        out["events"] = out["events"].astype("int64")
-        out["distinct_types"] = out["distinct_types"].astype("int64")
-        return out
-
-    out = inter.groupby("user_id").map_groups(fold, batch_format="pandas")
+    # second level at (user, day): the (user, day, type) rows re-sum, and
+    # their non-null-type count is the exact COUNT(DISTINCT event_type)
+    inter = inter.map_batches(
+        lambda t: t.append_column(
+            "typed", pc.cast(pc.is_valid(t["event_type"]), pa.int64())
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    out = partial_groupby(
+        inter,
+        ["user_id", "day"],
+        {
+            "events": ("events", "sum"),
+            "distinct_types": ("typed", "sum"),
+            "total_value": ("total_value", "sum"),
+        },
+    )
     df = round_cols(out.to_pandas(), {"total_value": 6})
     return df.sort_values(["user_id", "day"]).reset_index(drop=True)
 

@@ -1130,3 +1130,241 @@ def test_session_view_over_delta_upstream(ray_session, small_wal, tmp_path):
     got = _sessions_df(lake, "sessions")
     exp = _oracle_sessions(small_wal, gap)
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+
+
+# --- indexed view partials: the read is one consumer pass, no shuffle -------
+
+
+def _partial_meta(path: str) -> tuple[dict, int]:
+    import pyarrow.parquet as pq
+
+    md = pq.read_metadata(path)
+    return json.loads(md.metadata[b"etl_ray.hash_groups"]), md.num_row_groups
+
+
+def test_view_read_is_one_consumer_pass(ray_session, small_wal, tmp_path, monkeypatch):
+    """Each partial is hash-grouped on the view key (one row group per group
+    present, the index in the footer), so a read is ONE pass of
+    ``min(G, CPUs)`` consumer blocks (G = the upstream bucket count) — and
+    both view kinds still match the DuckDB oracle."""
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from etl_ray.engine.partitioning import hash_groups
+
+    gap, groups = 45, 16
+    lake = MultiTableLake(
+        str(tmp_path / "ml"),
+        [
+            TableSpec(name="repo_files", wal_dir=small_wal.wal_dir, num_buckets=groups),
+            TableSpec(name="repo_stats", view="repo_stats", source="repo_files"),
+            TableSpec(
+                name="sessions", view="session", source="repo_files",
+                view_key=["repo"], view_ts="commit_ts", gap_minutes=gap,
+            ),
+        ],
+    )
+    lake.replay_all()
+    for name in ("repo_stats", "sessions"):
+        vdir = lake.table_dir(name)
+        with open(os.path.join(vdir, "_view.json")) as fh:
+            assert json.load(fh)["hash_groups"] == groups
+        files = glob.glob(os.path.join(vdir, "partials", "b=*.parquet"))
+        assert len(files) == groups
+        for f in files:
+            meta, n_rgs = _partial_meta(f)
+            assert meta["hash_groups"] == groups
+            assert n_rgs == len(meta["index"]), f
+            pf = pq.ParquetFile(f)
+            for g, rg in meta["index"].items():
+                t = pf.read_row_group(rg)
+                assert t.num_rows > 0
+                assert set(hash_groups(t, ["repo"], groups).tolist()) == {int(g)}
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    blocks: list[int] = []
+    orig = rd.from_items
+
+    def spy(items, *a, **k):
+        blocks.append(k.get("override_num_blocks"))
+        return orig(items, *a, **k)
+
+    monkeypatch.setattr(rd, "from_items", spy)
+    got = _view_df(lake, "repo_stats")
+    exp = _oracle_repo_stats(small_wal)
+    pd.testing.assert_frame_equal(got, exp.reset_index(drop=True), check_dtype=False)
+    pd.testing.assert_frame_equal(
+        _sessions_df(lake, "sessions"), _oracle_sessions(small_wal, gap),
+        check_dtype=False,
+    )
+    assert blocks == [min(groups, cpus)] * 2
+
+
+def test_view_regroups_after_upstream_rebucket(ray_session, small_wal, tmp_path):
+    """A rebucket 16 → 20 changes G: the next refresh recomputes every
+    partial for the new group count, records it in ``_view.json``, and the
+    view still matches the oracle."""
+    from etl_ray.engine.maintenance import rebucket
+
+    lake = MultiTableLake(
+        str(tmp_path / "ml"),
+        [
+            TableSpec(name="repo_files", wal_dir=small_wal.wal_dir, num_buckets=16),
+            TableSpec(name="repo_stats", view="repo_stats", source="repo_files"),
+        ],
+    )
+    lake.replay_all()
+    vdir = lake.table_dir("repo_stats")
+    rebucket(lake.table_dir("repo_files"), 20)
+    r = lake.tick()
+    assert r["repo_stats"]["buckets"] == 20
+    with open(os.path.join(vdir, "_view.json")) as fh:
+        assert json.load(fh)["hash_groups"] == 20
+    files = glob.glob(os.path.join(vdir, "partials", "b=*.parquet"))
+    assert len(files) == 20
+    assert {_partial_meta(f)[0]["hash_groups"] for f in files} == {20}
+    got = _view_df(lake, "repo_stats")
+    exp = _oracle_repo_stats(small_wal)
+    pd.testing.assert_frame_equal(got, exp.reset_index(drop=True), check_dtype=False)
+
+
+def test_view_read_rejects_foreign_hash_groups(ray_session, small_wal, tmp_path):
+    """Partials grouped for another G than ``_view.json`` records, or
+    written before the indexed layout, make the read raise (no silent
+    mis-merge); the next refresh sees the mismatch, recomputes every
+    partial and the read works again."""
+    lake = MultiTableLake(
+        str(tmp_path / "ml"),
+        [
+            TableSpec(name="repo_files", wal_dir=small_wal.wal_dir, num_buckets=8),
+            TableSpec(name="repo_stats", view="repo_stats", source="repo_files"),
+        ],
+    )
+    lake.replay_all()
+    before = _view_df(lake, "repo_stats")
+    p = os.path.join(lake.table_dir("repo_stats"), "_view.json")
+    with open(p) as fh:
+        mf = json.load(fh)
+    with open(p, "w") as fh:
+        json.dump({**mf, "hash_groups": 4}, fh)
+    with pytest.raises(ValueError, match="hash groups"):
+        lake.read_view("repo_stats")
+    from etl_ray.engine.tables import refresh_repo_stats
+
+    res = refresh_repo_stats(lake.table_dir("repo_files"), lake.table_dir("repo_stats"))
+    assert res["buckets"] == 8
+    pd.testing.assert_frame_equal(_view_df(lake, "repo_stats"), before)
+
+    # a view written before the indexed layout: partials without the footer
+    # index, a manifest without a group count — same raise, same heal
+    import pyarrow.parquet as pq
+
+    pdir = os.path.join(lake.table_dir("repo_stats"), "partials")
+    for f in glob.glob(os.path.join(pdir, "*.parquet")):
+        pq.write_table(pq.read_table(f).replace_schema_metadata(None), f)
+    with open(p) as fh:
+        mf = json.load(fh)
+    del mf["hash_groups"]
+    with open(p, "w") as fh:
+        json.dump(mf, fh)
+    with pytest.raises(ValueError, match="hash groups"):
+        lake.read_view("repo_stats")
+    res = refresh_repo_stats(lake.table_dir("repo_files"), lake.table_dir("repo_stats"))
+    assert res["buckets"] == 8
+    pd.testing.assert_frame_equal(_view_df(lake, "repo_stats"), before)
+
+
+def _bootstrapped_upstream(tmp_path, cols: dict, num_buckets: int = 8) -> str:
+    """A lake whose state is exactly ``cols`` (plus repo/path/ts/lsn)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from etl_ray.engine.bootstrap import bootstrap_lake
+
+    snap = str(tmp_path / "snap.parquet")
+    pq.write_table(pa.table(cols), snap)
+    up = str(tmp_path / "up")
+    bootstrap_lake(up, snap, num_buckets=num_buckets)
+    return up
+
+
+def test_session_sum_rider_one_schema_across_hash_groups(ray_session, tmp_path):
+    """An int64 ``sum`` rider whose fragments are all NULL in one hash group
+    and not NULL in the others: every read block has the same schema (the
+    rider stays int64, NULL where the session has no value) and
+    ``write_parquet`` succeeds."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from etl_ray.engine.partitioning import stable_hash64
+    from etl_ray.engine.tables import read_session_view, refresh_session_view
+
+    nb = 8
+    repos = [f"r{i:02d}" for i in range(40)]
+    grp = stable_hash64(pa.array(repos)) % nb  # the view's hash group
+    null_repos = {r for r, g in zip(repos, grp) if g == grp[0]}
+    assert 0 < len(null_repos) < len(repos)
+    n = 3 * len(repos)
+    repo_col = [r for r in repos for _ in range(3)]
+    up = _bootstrapped_upstream(
+        tmp_path,
+        {
+            "repo": repo_col,
+            "path": [f"p{i % 3}" for i in range(n)],
+            "commit_ts": pa.array(
+                [1_700_000_000_000_000 + i % 3 * 60_000_000 for i in range(n)],
+                pa.timestamp("us"),
+            ),
+            "lsn": pa.array(range(1, n + 1), pa.int64()),
+            "size": pa.array(
+                [None if r in null_repos else 10 for r in repo_col], pa.int64()
+            ),
+        },
+        nb,
+    )
+    spec = {
+        "key": ["repo"], "ts": "commit_ts", "gap_minutes": 30,
+        "aggs": [{"out": "total", "col": "size", "fn": "sum"}],
+    }
+    vdir = str(tmp_path / "v")
+    refresh_session_view(spec, up, vdir)
+    ds = read_session_view(spec, vdir)
+    blocks = ray.get(ds.to_arrow_refs())
+    assert len({b.schema for b in blocks}) == 1
+    assert blocks[0].schema.field("total").type == pa.int64()
+    ds.write_parquet(str(tmp_path / "out"))
+    out = pq.read_table(str(tmp_path / "out")).to_pandas().set_index("repo")
+    assert len(out) == len(repos)
+    assert out.loc[sorted(null_repos), "total"].isna().all()
+    assert (out.drop(index=sorted(null_repos))["total"] == 30).all()
+
+
+def test_session_null_key_group_keeps_string_key(ray_session, tmp_path):
+    """A merge group that holds only NULL keys still emits the key column as
+    a string (the partial's type), not a null-typed column."""
+    import pyarrow as pa
+    import ray
+
+    from etl_ray.engine.tables import read_session_view, refresh_session_view
+
+    n = 12
+    up = _bootstrapped_upstream(
+        tmp_path,
+        {
+            "repo": [f"r{i % 4}" for i in range(n)],
+            "path": [f"p{i}" for i in range(n)],
+            "team": pa.array([None] * n, pa.string()),
+            "commit_ts": pa.array([1_700_000_000_000_000 + i for i in range(n)],
+                                  pa.timestamp("us")),
+            "lsn": pa.array(range(1, n + 1), pa.int64()),
+        },
+    )
+    spec = {"key": ["team"], "ts": "commit_ts", "gap_minutes": 30}
+    vdir = str(tmp_path / "v")
+    refresh_session_view(spec, up, vdir)
+    t = pa.concat_tables(ray.get(read_session_view(spec, vdir).to_arrow_refs()))
+    assert t.schema.field("team").type == pa.string()
+    assert t.num_rows == 1
+    assert t["team"][0].as_py() is None and t["n_events"][0].as_py() == n
