@@ -6,8 +6,9 @@ schema evolution, idempotent partition commits, enrichment joins, rolling
 aggregates, data-quality invariants) as an idiomatic Ray Data engine:
 
 - ``ray.data.Dataset`` pipelines with ``map_batches`` over zero-copy Arrow,
-- actor pools for stateful stages,
-- ``groupby`` for the (single) hash shuffle,
+- plain Ray tasks over contiguous bucket chunks for the stateful merge
+  (state stays partitioned by bucket on the lake),
+- an indexed on-disk spill for the (single) hash shuffle,
 - two-phase Parquet lake commits with per-partition lineage manifests.
 
 Layout:

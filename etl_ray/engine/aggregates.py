@@ -48,7 +48,7 @@ from ..wal import WalInfo
 from .enrich import LangEnricher
 from .lineage import LakeLineage
 from .metrics import DEFAULT_METRICS, MetricSpec
-from .partitioning import cluster_cpus
+from .partitioning import fan_out
 from .schema_evo import align_to
 from .source import target_schema_for
 
@@ -334,9 +334,8 @@ def _run_day_chunks(items: list[dict], chunk_reduce) -> dict:
     chunks of the per-day ``items``, one task each. Each task writes its
     own days' partition files; the driver sees ONE counter row per day,
     never (day × lang × repo)-grain data."""
-    chunks = min(len(items), cluster_cpus())
     res = (
-        ray.data.from_items(items, override_num_blocks=chunks)
+        ray.data.from_items(items, override_num_blocks=fan_out(len(items)))
         .map_batches(chunk_reduce, batch_format="pyarrow", batch_size=None)
         .to_pandas()
     )

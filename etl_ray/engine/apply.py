@@ -4,15 +4,14 @@ This is the engine's heart — the analog of the reference's daily state fold
 (yesterday's ``user_history`` LEFT JOIN today's deltas, then delete+insert of
 the partition, ``insert_user_history.sql:227-311``) and the keyed MERGE
 upsert (``update_user_map.sql:208-269``) — re-expressed as one per-bucket
-function, :func:`apply_bucket`, run by the warm applier actors over the
-spill shuffle's per-bucket row groups (and, in process, by ``MergeApplier``
-for bootstrap and erasure):
+function, :func:`apply_bucket`, run by ``MergeApplier`` over the spill
+shuffle's per-bucket row groups (replay's stage-2 tasks, bootstrap) and
+per bucket for erasure:
 
 - one *bucket* = all (already batch-pre-reduced) delta rows of one hash
-  bucket; state for the bucket is hydrated from the lake partition named by
-  the bucket's lineage manifest, or served from the owning warm actor's
-  cache (never shuffled — state stays partitioned on the same key across
-  ticks, SURVEY.md §4);
+  bucket; state for the bucket is read from the lake partition named by
+  the bucket's lineage manifest (never shuffled — state stays partitioned
+  on the same key across ticks, SURVEY.md §4);
 - merge = Arrow concat(state, deltas) → ``last_writer`` per (repo, path) by
   LSN — replay duplicates and already-applied events are no-ops by
   monotonicity (``mod_data_insert.sql:5-6`` semantics);
@@ -387,14 +386,14 @@ def apply_bucket(
     changelog: bool,
     state_mode: str,
     delta_threshold: int,
-) -> tuple[pa.Table, dict]:
+) -> dict:
     """Merge one bucket's deltas into its state and write the result.
 
     ``deltas`` are the bucket's (pre-reduced, target-aligned) delta rows,
     ``state`` its committed state (None for a new bucket) and ``man`` its
     committed manifest. Writes the changelog part, the fold tail and the
     new state file (tmp + rename — two-phase commit step 1); returns the
-    merged full state and the bucket manifest for the driver to publish."""
+    bucket manifest for the driver to publish."""
     if state is not None:
         merged_schema = unify_schemas([state.schema, deltas.schema])
         # state first, deltas after → exact-LSN replay ties resolve to the
@@ -454,7 +453,7 @@ def apply_bucket(
         bytes_written += os.path.getsize(fold_file)
 
     live = merged.num_rows - pc.sum(merged[DELETED_COL]).as_py()
-    return merged, {
+    return {
         "bucket": int(bucket),
         "tick": int(tick),
         "applied_lsn": int(pc.max(merged["lsn"]).as_py()),
@@ -472,9 +471,9 @@ def apply_bucket(
 
 class MergeApplier:
     """In-process :func:`apply_bucket` shell that reads each bucket's state
-    from its committed manifest (no cross-call cache): the per-bucket
-    applier of ``erase_keys`` and (``apply_spilled``) the bootstrap's
-    consumer over spill-shuffle descriptors."""
+    from its committed manifest: the per-bucket applier of ``erase_keys``
+    and (``apply_spilled``) the consumer over spill-shuffle descriptors of
+    replay's stage 2 and the bootstrap."""
 
     def __init__(
         self,
@@ -487,7 +486,7 @@ class MergeApplier:
         state_mode: str = "rewrite",  # "rewrite" | "delta" (base+delta)
         delta_threshold: int = 8,  # deltas folded into a new base beyond this
     ):
-        # once per actor: lineage handles + deserialized target schema
+        # once per applier: lineage handles + deserialized target schema
         self.lineage = LakeLineage(lake_dir)
         self.tick = tick
         self.target = pa.ipc.read_schema(pa.BufferReader(schema_ser))
@@ -526,7 +525,7 @@ class MergeApplier:
         """Merge one bucket's target-aligned ``deltas``."""
         man = self.lineage.bucket_manifest(bucket)
         state = read_bucket_state(man) if man is not None else None
-        _, manifest = apply_bucket(
+        manifest = apply_bucket(
             self.lineage, bucket, self.tick, deltas, state, man, fold_rows,
             folds=self.folds, fold_lateness=self.fold_lateness,
             changelog=self.changelog, state_mode=self.state_mode,
@@ -534,81 +533,3 @@ class MergeApplier:
         )
         return pa.Table.from_pylist([manifest], schema=MANIFEST_SCHEMA)
 
-
-import ray as _ray
-
-
-@_ray.remote(num_cpus=1)
-class WarmApplierActor:
-    """Persistent merge applier holding its buckets' state ACROSS ticks.
-
-    Ray Data actor pools die with their pipeline, so cross-tick warm state —
-    the reference's "state table stays put, deltas come to it" shape
-    (``insert_user_history.sql:293-299``; SURVEY §7.4 hard part "state
-    hydration cost vs streaming") — is the one place this engine drops to a
-    raw Ray actor. Buckets are assigned statically (bucket % pool) so a
-    bucket always lands on the same actor; on a cache miss (first tick,
-    actor restart, eviction) state is lazily hydrated from the bucket's
-    committed manifest file, which also makes the actor crash-safe.
-
-    Durability is unchanged: every apply still writes the bucket state file
-    and the driver still publishes manifests — the cache only removes the
-    per-tick parquet read+decode of unchanged state.
-    """
-
-    def __init__(
-        self,
-        lake_dir: str,
-        max_cached: int = 256,
-        folds: list | None = None,
-        fold_lateness: int = 0,
-        changelog: bool = False,
-        state_mode: str = "rewrite",
-        delta_threshold: int = 8,
-    ):
-        self.changelog = changelog
-        self.lineage = LakeLineage(lake_dir)
-        # bucket → (content-file tuple the cache corresponds to, state table)
-        self.cache: dict[int, tuple[tuple, pa.Table]] = {}
-        self.max_cached = max_cached
-        self._pf_cache: dict[str, pq.ParquetFile] = {}
-        self._pf_tick = -1
-        self.folds = folds or []
-        self.fold_lateness = fold_lateness
-        self.state_mode = state_mode
-        self.delta_threshold = delta_threshold
-
-    def apply(self, bucket: int, files: list[str], rgs: list[int], tick: int,
-              schema_ser: bytes, ffiles: list[str] | None = None,
-              frgs: list[int] | None = None) -> dict:
-        target = pa.ipc.read_schema(pa.BufferReader(schema_ser))
-        if tick != self._pf_tick:  # shuffle files are per tick
-            self._pf_cache = {}
-            self._pf_tick = tick
-        deltas = align_to(read_row_groups(self._pf_cache, files, rgs), target)
-        fold_rows = None
-        if self.folds and ffiles:
-            fold_rows = read_row_groups(self._pf_cache, ffiles, frgs)
-
-        # validate the cache against the COMMITTED manifest: out-of-band
-        # maintenance (erase_keys, compact_tombstones) or another writer
-        # changes data_file, which invalidates us automatically
-        man = self.lineage.bucket_manifest(bucket)
-        state = None
-        cached = self.cache.get(bucket)
-        if man is not None:
-            if cached is not None and cached[0] == tuple(bucket_files(man)):
-                state = cached[1]
-            else:
-                state = read_bucket_state(man)
-        merged, manifest = apply_bucket(
-            self.lineage, bucket, tick, deltas, state, man, fold_rows,
-            folds=self.folds, fold_lateness=self.fold_lateness,
-            changelog=self.changelog, state_mode=self.state_mode,
-            delta_threshold=self.delta_threshold,
-        )
-
-        if len(self.cache) >= self.max_cached and bucket not in self.cache:
-            self.cache.pop(next(iter(self.cache)))  # FIFO evict
-        self.cache[bucket] = (tuple(bucket_files(manifest)), merged)
-        return manifest

@@ -21,8 +21,8 @@ lake — consumers seed from the snapshot (or an ``export``) and apply the
 feed from there; the ``feed_consistency`` audit check skips bootstrap
 lakes for exactly this reason.
 
-Pipeline: ``read_parquet(snapshot) → prep (lsn/deleted) → spill on the
-bucket (the engine's one shuffle, ``partitioning.spill``) →
+Pipeline: ``Ray Data parquet read of the snapshot → prep (lsn/deleted) →
+spill on the bucket (the engine's one shuffle, ``partitioning.spill``) →
 MergeApplier.apply_spilled in consumer tasks (no prior state) → publish
 manifests + tick 0`` — the engine's own apply/commit path, so two-phase
 crash safety and exactly-once re-run semantics hold unchanged.

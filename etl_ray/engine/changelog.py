@@ -424,24 +424,27 @@ def committed_changelog_parts(
 
 
 def parts_dataset(parts: list[dict], columns: list[str] | None = None):
-    """Ray Dataset over feed parts. Whole-file parts take the plain
-    ``read_parquet`` path; row-group parts read their indexed groups in
-    tasks, aligned to the parts' unified schema (mid-stream evolution)."""
+    """LAZY Ray Dataset over feed parts (``read_changelog`` streams it):
+    ``min(parts, cluster CPUs)`` blocks, each task reading its contiguous
+    chunk of parts — whole files, or a compacted run's indexed row
+    groups — aligned to the parts' unified schema (mid-stream
+    evolution)."""
     import ray.data
+
+    from .partitioning import fan_out
+    from .schema_evo import align_to, unify_schemas
 
     if not parts:
         return ray.data.from_items([])
-    if all(p["rgs"] is None for p in parts):
-        return ray.data.read_parquet([p["file"] for p in parts], columns=columns)
-
-    from .schema_evo import align_to, unify_schemas
 
     uni = unify_schemas([pq.read_schema(p["file"]) for p in parts])
     if columns:
         uni = pa.schema([f for f in uni if f.name in set(columns)])
 
-    def read_part(batch) -> pa.Table:
-        outs = []
+    def read_part(batch):
+        # one table per part, not one per chunk: Ray Data cuts the yields
+        # into blocks of its target size, so a chunk's task never holds its
+        # whole feed range at once
         for row in batch.to_pylist():
             pf = pq.ParquetFile(row["file"])
             cols = (
@@ -454,12 +457,11 @@ def parts_dataset(parts: list[dict], columns: list[str] | None = None):
             else:
                 t = pf.read_row_groups([int(r) for r in row["rgs"]], columns=cols)
             pf.close()
-            outs.append(align_to(t, uni).select(uni.names))
-        return pa.concat_tables(outs)
+            yield align_to(t, uni).select(uni.names)
 
-    return ray.data.from_items(
-        parts, override_num_blocks=len(parts)
-    ).map_batches(read_part, batch_format="pyarrow", batch_size=None)
+    return ray.data.from_items(parts, override_num_blocks=fan_out(len(parts))).map_batches(
+        read_part, batch_format="pyarrow", batch_size=None
+    )
 
 
 def compact_changelog(lake_dir: str) -> dict:
@@ -473,10 +475,9 @@ def compact_changelog(lake_dir: str) -> dict:
     import shutil
     import uuid
 
-    import ray.data
-
     from .lineage import LakeLineage
     from .lock import writer_lock
+    from .partitioning import run_spilled
     from .schema_evo import align_to, unify_schemas
 
     with writer_lock(lake_dir, "compact-feed"):
@@ -537,9 +538,7 @@ def compact_changelog(lake_dir: str) -> dict:
             return pa.Table.from_pandas(_pd.DataFrame(rows))
 
         if items:
-            ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
-                merge_one, batch_format="pyarrow", batch_size=None
-            ).take_all()
+            run_spilled(items, merge_one)
         with open(os.path.join(stage, "range.json"), "w") as fh:
             json.dump({"from": lo, "to": hi, "ticks": sorted(ticks)}, fh)
         final = os.path.join(root, f"c{lo:06d}-{hi:06d}")

@@ -3,7 +3,15 @@
 The per-row ``content`` sha256 is the correctness invariant (BASELINE.json);
 the hashing stage is the direct descendant of the reference's pseudonymizer
 (``mod_load_data_gdpr.sql:39,52``: ``TO_BASE64(SHA256(CAST(col AS STRING)))``
-per configured column) — a stateless ``map_batches`` over Arrow batches.
+per configured column) — a stateless pass over Arrow tables.
+
+One path for both state modes: ``min(buckets, cluster CPUs)`` tasks, each
+reading its contiguous chunk of bucket manifests with the engine's own
+merge-on-read (``apply.read_bucket_state``: a direct read of a rewrite-mode
+base, the LWW fold of a delta chain), aligning, filtering tombstones and
+hashing in the same task. The Dataset comes back materialized: a lazy plan
+runs again whenever a consumer asks for its schema (``to_arrow_refs`` does),
+so the sha pass would run twice or more.
 """
 
 from __future__ import annotations
@@ -95,57 +103,57 @@ def final_state(
     include_tombstones: bool = False,
     as_of_tick: int | None = None,
 ) -> ray.data.Dataset:
-    """Dataset over the current committed lake state (manifest-listed files
-    only — uncommitted staging files are invisible, per the 2-phase commit).
-    ``as_of_tick`` time-travels to a past commit point (requires the lake to
-    have been replayed with ``retain_ticks`` covering it)."""
+    """MATERIALIZED Dataset over the committed lake state (manifest-listed
+    files only — uncommitted staging files are invisible, per the 2-phase
+    commit). ``as_of_tick`` time-travels to a past commit point (requires
+    the lake to have been replayed with ``retain_ticks`` covering it).
+
+    ``min(buckets, cluster CPUs)`` tasks each run, per bucket of their
+    contiguous chunk: ``read_bucket_state`` (a live export publishes the
+    delta-chain fold cache; an as-of chain differs from the live manifest
+    and would self-invalidate at once, so it does not), ``align_to`` the
+    unified schema, the tombstone filter (unless ``include_tombstones``)
+    and ``add_content_sha`` (if ``with_sha``).
+
+    The result is held in Ray's object store, which spills to disk beyond
+    its memory budget. Materializing costs no extra residency for the
+    ``to_arrow_refs`` consumers, which hold every block anyway, and runs
+    the pipeline once: a lazy plan re-executes to fetch its schema (at 16
+    buckets the sha stage used to run 33 times)."""
+    from .apply import bucket_schemas, read_bucket_state
+    from .partitioning import run_spilled
+
     lineage = LakeLineage(lake_dir)
     manifests = lineage.all_bucket_manifests()
     if as_of_tick is not None:
         manifests = _as_of_manifests(lineage, as_of_tick)
-    files = [m["data_file"] for m in manifests]
-    delta_mode = any(m.get("delta_files") for m in manifests)
-    if not files:
+    if not manifests:
         raise FileNotFoundError(f"no committed bucket manifests under {lake_dir}")
 
     # schema evolution: old buckets may predate new columns — unify + align.
     # Schemas come from the bucket manifests (embedded by the appliers) when
     # available; legacy/maintenance manifests fall back to footer reads.
-    from .apply import bucket_schemas
-
     target = unify_schemas(bucket_schemas(manifests))
-    if delta_mode:
-        # base+delta lake: one task per bucket does the merge-on-read fold
-        # (same parallelism as the appliers — the engine's own shuffle grain)
-        from .apply import read_bucket_state
+    publish = as_of_tick is None
+    # only what read_bucket_state needs, one shape for every manifest kind
+    items = [
+        {
+            "bucket": int(m.get("bucket", -1)),
+            "data_file": m["data_file"],
+            "delta_files": list(m.get("delta_files") or []),
+        }
+        for m in manifests
+    ]
 
-        # live exports publish the per-chain fold cache (later readers of
-        # the same chain reuse it); as-of chains differ from the live
-        # manifest and would be self-invalidated immediately — skip
-        publish = as_of_tick is None
+    def export_chunk(batch: pa.Table):
+        # one table per bucket: Ray Data cuts the yields into blocks of its
+        # target size, so a task holds one bucket plus one block, not its
+        # whole chunk of the lake
+        for m in batch.to_pylist():
+            t = align_to(read_bucket_state(m, publish_cache=publish), target)
+            t = t.select(target.names)
+            if not include_tombstones:
+                t = t.filter(pc.equal(t[DELETED_COL], False)).drop_columns([DELETED_COL])
+            yield add_content_sha(t) if with_sha else t
 
-        def fold_bucket(batch: pa.Table) -> pa.Table:
-            outs = [
-                align_to(read_bucket_state(m, publish_cache=publish), target)
-                for m in batch.to_pylist()
-            ]
-            return pa.concat_tables(o.select(target.names) for o in outs)
-
-        ds = ray.data.from_items(
-            manifests, override_num_blocks=len(manifests)
-        ).map_batches(fold_bucket, batch_format="pyarrow", batch_size=None)
-    else:
-        # partitioning=None: the bucket layout (buckets/b=00017/...) must NOT
-        # be hive-inferred into a phantom `b` partition column on every export
-        ds = ray.data.read_parquet(files, partitioning=None)
-        ds = ds.map_batches(
-            lambda t: align_to(t, target), batch_format="pyarrow", zero_copy_batch=True
-        )
-    if not include_tombstones:
-        ds = ds.map_batches(
-            lambda t: t.filter(pc.equal(t[DELETED_COL], False)).drop_columns([DELETED_COL]),
-            batch_format="pyarrow",
-        )
-    if with_sha:
-        ds = ds.map_batches(add_content_sha, batch_format="pyarrow", zero_copy_batch=True)
-    return ds
+    return run_spilled(items, export_chunk)

@@ -132,10 +132,10 @@ def update_map_from_segments(
     (round-2 judge finding). The spill directory is wiped first (a crashed
     attempt's files) and removed at the end."""
     from .partitioning import read_row_groups, run_spilled, spill, spilled_items
-    from .source import read_segments
+    from .source import read_segments_indexed
 
     cols = ["lsn", *fields]
-    ds = read_segments(segs, target, columns=cols)
+    ds = read_segments_indexed(segs, target, num_blocks=len(segs), columns=cols)
     spill_dir = os.path.join(lake_dir, "_shuffle", "gdpr")
     shutil.rmtree(spill_dir, ignore_errors=True)
     os.makedirs(spill_dir)

@@ -66,11 +66,7 @@ def _erase_keys_locked(
     WAL events already emitted but not yet applied (bounded lateness —
     within the gap) cannot out-rank it and resurrect the erased rows;
     genuinely NEW events beyond the gap legitimately re-create the key.
-    ``num_buckets`` defaults to the lake's own committed bucket count.
-
-    NOTE: out-of-band maintenance changes each touched bucket's data_file,
-    which automatically invalidates any WarmApplierActor caches (they
-    validate against the committed manifest per apply)."""
+    ``num_buckets`` defaults to the lake's own committed bucket count."""
     lineage = LakeLineage(lake_dir)
     lineage.recover()
     last = lineage.last_tick()
@@ -285,11 +281,13 @@ def _rebucket_locked(
     100× data growth the original count under-parallelizes every stage).
 
     Distributed re-partition using the engine's own indexed-spill shape:
-    one map pass over the committed state writes per-NEW-bucket parquet row
-    groups, then one task per new bucket concatenates + key-sorts its
-    state file. Fold-tail sidecars are UNIONed into every new bucket (an
-    LSN tail hit always means 'this exact event already folded', so the
-    union stays exact while keys move buckets).
+    one map pass over the committed state files writes per-NEW-bucket
+    parquet row groups, then each of ``min(new buckets, CPUs)`` tasks
+    folds + key-sorts the state files of its contiguous chunk of new
+    buckets (both passes sized by ``partitioning.cpu_chunks``'s rule).
+    Fold-tail sidecars are UNIONed into every new bucket (an LSN tail hit
+    always means 'this exact event already folded', so the union stays
+    exact while keys move buckets).
 
     Crash-safe via a rollback marker: the old manifest snapshot is
     persisted BEFORE any manifest changes; ``LakeLineage.recover()`` (run
@@ -334,29 +332,32 @@ def _rebucket_locked(
 
     drop_set = set(drop_columns or [])
 
-    from .partitioning import read_row_groups, spill_buckets, spilled_items
+    from .partitioning import (
+        cpu_chunks,
+        read_row_groups,
+        run_spilled,
+        spill_buckets,
+        spilled_items,
+    )
 
     def rebucket_spill(batch: pa.Table) -> pa.Table:
-        if drop_set:
-            present = [c for c in batch.schema.names if c in drop_set]
+        # one spill file per old state file, read directly: a path-inferring
+        # reader would hive-parse the buckets/b=00017/ layout into a
+        # phantom string column `b` (the OLD bucket id) baked into every
+        # rewritten state file
+        outs = []
+        for f in batch["file"].to_pylist():
+            t = pq.ParquetFile(f).read()
+            present = [c for c in t.schema.names if c in drop_set]
             if present:
-                batch = batch.drop_columns(present)
-        # align_to keeps extra columns by design, so the repair drop above
-        # must happen BEFORE it
-        return spill_buckets(align_to(batch, target), nb, spill_dir)
+                t = t.drop_columns(present)
+            # align_to keeps extra columns by design, so the repair drop
+            # above must happen BEFORE it
+            outs.append(spill_buckets(align_to(t, target), nb, spill_dir))
+        return pa.concat_tables(outs)
 
-    import ray.data
-
-    # partitioning=None: without it the buckets/b=00017/ layout is
-    # hive-inferred into a phantom string column `b` (the OLD bucket id)
-    # that would be baked into every rewritten state file
-    ds = ray.data.read_parquet(
-        files, override_num_blocks=max(len(files), 1), partitioning=None
-    )
     items = spilled_items(
-        ds.map_batches(
-            rebucket_spill, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        ).take_all()
+        run_spilled([{"file": f} for f in files], rebucket_spill).take_all()
     )
 
     # fold-tail union (exact: LSNs are globally unique per event); the new
@@ -375,7 +376,6 @@ def _rebucket_locked(
 
     from .apply import DELETED_COL, fold_tail_path
 
-    @ray.remote(num_cpus=1)
     def write_bucket(bucket: int, fs: list[str], rgs: list[int]) -> dict:
         from .dedup import last_writer
 
@@ -406,9 +406,15 @@ def _rebucket_locked(
             "fold_through_lsn": fold_hi,
         }
 
-    new_manifests = ray.get(
-        [write_bucket.remote(it["bucket"], it["files"], it["rgs"]) for it in items]
-    )
+    @ray.remote(num_cpus=1)
+    def write_buckets(chunk: list[dict]) -> list[dict]:
+        return [write_bucket(it["bucket"], it["files"], it["rgs"]) for it in chunk]
+
+    new_manifests = [
+        m
+        for ms in ray.get([write_buckets.remote(c) for c in cpu_chunks(items)])
+        for m in ms
+    ]
 
     # rollback marker BEFORE any manifest mutation (the recovery anchor)
     _atomic_write_json(
@@ -479,16 +485,18 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
     ever wipes an *uncommitted* tick's files, so it can never eat them.
 
     Offline admin op (like :func:`rebucket`): run it between ticks, not
-    concurrently with a replay. Each day is an independent Ray task; at
-    cluster scale a hot day would be sharded into several row groups by key
-    hash — the index layout already supports many (file, rg) per day.
+    concurrently with a replay. Days are independent: ``min(days, CPUs)``
+    tasks each rewrite a contiguous chunk of them; at cluster scale a hot
+    day would be sharded into several row groups by key hash — the index
+    layout already supports many (file, rg) per day.
     """
     import glob
     import json
     import uuid
 
     import pandas as pd
-    import ray.data
+
+    from .partitioning import run_spilled
 
     lineage = LakeLineage(lake_dir)
     last = lineage.last_tick()
@@ -532,11 +540,11 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
         return {"days": 0, "files_removed": 0}
     keep_parquets.update(it["out"] for it in items)
 
-    def write_day(batch: pd.DataFrame) -> pd.DataFrame:
+    def write_day(batch: pa.Table) -> pd.DataFrame:
         import numpy as np
 
         outs = []
-        for _, row in batch.iterrows():
+        for row in batch.to_pylist():
             t = pa.concat_tables(
                 pq.read_table(f) if rg < 0 else pq.ParquetFile(f).read_row_group(rg)
                 for f, rg in zip(row["files"], row["rgs"])
@@ -560,11 +568,7 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
             outs.append({"day": row["day"], "rows": t.num_rows})
         return pd.DataFrame(outs)
 
-    res = (
-        ray.data.from_items(items, override_num_blocks=len(items))
-        .map_batches(write_day, batch_format="pandas", batch_size=None)
-        .to_pandas()
-    )
+    res = run_spilled(items, write_day).to_pandas()
 
     # cleanup: every day was rewritten, so every snapshot source file is now
     # redundant. Index json first (unreferences the parquet), parquet after.

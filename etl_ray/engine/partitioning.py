@@ -13,9 +13,15 @@ file with one row group per group (:func:`write_bucket_rgs`), returning
 ``(bucket, file, rg)`` descriptors; ``min(groups, cluster CPUs)`` consumer
 tasks each read only their groups' row groups (:func:`run_spilled`,
 :func:`read_spilled`). Bootstrap, the GDPR map merge, the change-feed
-fold and the view reads use both halves; replay's stage 1 (into the warm
-appliers), rebucket and the feed audit use the producer and descriptors
-with one consumer task per bucket.
+fold and the view reads use both halves; replay, rebucket and the feed
+audit use the producer and descriptors with their own consumers.
+
+Every fan-out over buckets, files or days follows one sizing rule,
+:func:`fan_out`: ``min(items, cluster CPUs)`` tasks, each over a
+contiguous chunk (:func:`cpu_chunks`) — :func:`run_spilled` for a Dataset
+result (export, rebucket's producer, feed and agg-log compaction), plain
+Ray tasks where the driver only needs counters or manifests (replay's
+appliers, view refresh, rebucket's writers, the feed audit).
 
 Skew note: hot repos (Zipf head) are handled *before* this shuffle by the
 per-batch last-writer pre-reduction in ``dedup.reduce_batch`` — a hot key
@@ -151,6 +157,21 @@ def cluster_cpus() -> int:
     return int(os.cpu_count() or 1)
 
 
+def fan_out(n: int, max_tasks: int | None = None) -> int:
+    """The engine's one fan-out rule: ``n`` items run as ``min(n, cluster
+    CPUs[, max_tasks])`` tasks. Per-item tasks cost Ray dispatch per
+    bucket; per-chunk tasks cost it per CPU."""
+    return min(n, cluster_cpus(), max_tasks or n)
+
+
+def cpu_chunks(items: list, max_tasks: int | None = None) -> list[list]:
+    """``items`` cut into :func:`fan_out` contiguous chunks of near-equal
+    size (sizes differ by at most one), one task each."""
+    n = fan_out(len(items), max_tasks)
+    bounds = [i * len(items) // n for i in range(n + 1)] if n else []
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def spilled_items(descriptors) -> list[dict]:
     """Collect producer descriptor rows into one consumer item per group:
     ``{"bucket": g, "files": [...], "rgs": [...]}``, sorted by group."""
@@ -178,18 +199,20 @@ def read_spilled(items: pa.Table) -> pa.Table:
 
 
 def run_spilled(items: list[dict], fn, *, max_tasks: int | None = None):
-    """Consumer half of the shuffle: ``fn(batch)`` over
-    ``min(groups, cluster CPUs[, max_tasks])`` tasks, each handed a
-    contiguous batch of ``items`` (read them with :func:`read_spilled`, or
-    per group); ``fn`` returns an Arrow table or a pandas frame. Returns the
-    MATERIALIZED Dataset: its schema is then known without a second
-    execution (``to_arrow_refs``/``schema()`` re-run a lazy pipeline), and
-    the spill files may go as soon as this returns."""
+    """Consumer half of the shuffle, and the engine's Dataset fan-out over
+    any item list: ``fn(batch)`` over ``min(items, cluster
+    CPUs[, max_tasks])`` tasks, each handed a contiguous batch of ``items``
+    (read spill groups with :func:`read_spilled`, or per item); ``fn``
+    returns an Arrow table or a pandas frame. Returns the MATERIALIZED
+    Dataset: its schema is then known without a second execution
+    (``to_arrow_refs``/``schema()`` re-run a lazy pipeline), and the spill
+    files may go as soon as this returns."""
     import ray.data
 
-    n = min(len(items), cluster_cpus(), max_tasks or len(items))
     return (
-        ray.data.from_items(items, override_num_blocks=max(n, 1))
+        ray.data.from_items(
+            items, override_num_blocks=max(fan_out(len(items), max_tasks), 1)
+        )
         .map_batches(fn, batch_format="pyarrow", batch_size=None)
         .materialize()
     )

@@ -173,9 +173,10 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
     projection per batch and spills bucket-indexed shuffle files (the
     engine's own shuffle shape, LWW on lsn is valid — per-key applied LSN
     is monotone across ticks and erase LSNs sit above the WAL); stage 2 is
-    one task per bucket doing the exact set compare against that bucket's
-    state file. The driver sees per-bucket mismatch COUNTERS only — no
-    whole-feed or whole-state materialization anywhere."""
+    one task per contiguous ``cpu_chunks`` chunk of buckets, each doing the
+    exact set compare of its buckets against their state. The driver sees
+    per-bucket mismatch COUNTERS only — no whole-feed or whole-state
+    materialization anywhere."""
     if ctx.segments or ctx.events:
         return []  # mid-tick: the current attempt's parts aren't committed
     ticks = ctx.lineage.all_ticks()
@@ -214,7 +215,12 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
     os.makedirs(spill_dir, exist_ok=True)
     try:
         from .dedup import last_writer
-        from .partitioning import read_row_groups, spill_buckets, spilled_items
+        from .partitioning import (
+            cpu_chunks,
+            read_row_groups,
+            spill_buckets,
+            spilled_items,
+        )
 
         def feed_spill(t: pa.Table) -> pa.Table:
             t = last_writer(t.select(["repo", "path", "lsn", "change_op"]))
@@ -270,19 +276,17 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
                 "state_only": anti(state, folded),
             }
 
-        task = ray.remote(num_cpus=1)(compare)
-        all_buckets = sorted(set(by_bucket) | set(state_mans))
-        res = ray.get(
-            [
-                task.remote(
-                    b,
-                    by_bucket.get(b, ([], []))[0],
-                    by_bucket.get(b, ([], []))[1],
-                    state_mans.get(b),
-                )
-                for b in all_buckets
-            ]
-        )
+        def compare_chunk(jobs: list[tuple]) -> list[dict]:
+            return [compare(*j) for j in jobs]
+
+        task = ray.remote(num_cpus=1)(compare_chunk)
+        jobs = [
+            (b, *by_bucket.get(b, ([], [])), state_mans.get(b))
+            for b in sorted(set(by_bucket) | set(state_mans))
+        ]
+        res = [
+            r for rs in ray.get([task.remote(c) for c in cpu_chunks(jobs)]) for r in rs
+        ]
     finally:
         shutil.rmtree(spill_dir, ignore_errors=True)
 

@@ -5,14 +5,15 @@ daily chain, SURVEY.md §3.1), compressed into a single lazy Ray Data
 pipeline with exactly ONE shuffle:
 
   discover pending segments (lineage watermark)                    [sensor/ST4]
-  → read_parquet per schema group, align (schema evolution)        [S1/§1.3]
+  → descriptor-driven segment reads, align (schema evolution)      [S1/§1.3]
   → fused task stage: lang enrich → per-batch last-writer          [M5/D1 partial,
       pre-reduction (the combiner: a hot key sends ≤1 row per       skew/salt]
       batch to the shuffle) → op→tombstone shaping → bucket id
   → the ONE shuffle: shared-FS spill (indexed shuffle files, one
       parquet row group per bucket)                                 [S2 shape]
-  → warm applier actors (bucket % pool, state cached across ticks):
-      stateful LWW upsert/delete/evolve, ``apply.apply_bucket``     [A5/J4/J5]
+  → appliers: ``cpu_chunks`` plain tasks over the touched buckets,
+      state read from the committed manifests: stateful LWW
+      upsert/delete/evolve, ``apply.apply_bucket``                  [A5/J4/J5]
   → driver: publish bucket manifests, re-aggregate touched days,
     publish tick manifest (the commit point), GC                   [S2/S3/ST4]
 
@@ -37,8 +38,16 @@ from .apply import deltas_to_state_shape
 from .dedup import last_writer
 from .enrich import LangEnricher
 from .lineage import LakeLineage
-from .partitioning import cluster_cpus
+from .partitioning import cluster_cpus, cpu_chunks
 from .source import pending_segments, read_segments_indexed, target_schema_for
+
+
+def _merge_chunk(applier_args: tuple, chunk: list[dict]) -> list[dict]:
+    """One stage-2 task: a ``MergeApplier`` over a chunk of buckets."""
+    from .apply import MergeApplier
+
+    applier = MergeApplier(*applier_args)
+    return applier.apply_spilled(pa.Table.from_pylist(chunk)).to_pylist()
 
 
 class DeadlineExceededError(RuntimeError):
@@ -64,8 +73,8 @@ class ReplayEngine:
     """Drives serial ticks over a WAL directory into a lake directory.
 
     ``num_buckets`` is the fixed partition count of the lake (choose ≈ 2–4×
-    total cluster CPUs at scale); ``concurrency`` caps the warm applier
-    actor pool.
+    total cluster CPUs at scale); ``concurrency`` (an int, or the ``hi`` of
+    a ``(lo, hi)`` pair) caps the stage-2 applier task count.
     """
 
     def __init__(
@@ -103,11 +112,11 @@ class ReplayEngine:
         # currency/GeoIP dims on side-DAGs — DAG_get_currencies_data.py:33-63,
         # DAG_update_geoip_db.py:32-51): a JSON overlay of the built-in
         # ext→lang map, re-read at every tick start. On content change the
-        # map is re-broadcast (ray.put once per VERSION, read per actor) so
+        # map is re-broadcast (ray.put once per VERSION, read per task) so
         # a long-running follow() tags subsequent ticks with the new dim.
-        # Warm appliers need no invalidation: they cache committed STATE,
-        # which a dim change never rewrites (LWW — only new events carry
-        # the new tags).
+        # Appliers need no invalidation: they read committed STATE, which
+        # a dim change never rewrites (LWW — only new events carry the new
+        # tags).
         self.ext_map_path = ext_map_path
         self._dim_version: str | None = None
         self._dim_ref = None
@@ -147,7 +156,6 @@ class ReplayEngine:
         self.num_buckets = num_buckets
         self.concurrency = concurrency
         self.aggregate = aggregate
-        self._warm_actors: list | None = None
         self.fail_after_buckets = fail_after_buckets
         # exact-once fold dedup window: the log's declared out-of-order
         # bound (duplicates re-emit within it), with margin
@@ -209,43 +217,6 @@ class ReplayEngine:
             )
         return lang
 
-    def _warm_pool(self):
-        """Lazily created persistent applier actors (see WarmApplierActor).
-        num_cpus=0: they are idle while the stage-1 Dataset runs and must
-        not reserve cores from it; stage 2 runs after a barrier, so the
-        pool effectively has the machine to itself. Handles are held on the
-        engine — dropping the engine terminates the actors."""
-        if self._warm_actors is None:
-            from .apply import WarmApplierActor
-
-            k = max(1, min(self._applier_pool_size(), self.num_buckets))
-            self._warm_actors = [
-                WarmApplierActor.options(num_cpus=0).remote(
-                    self.lake_dir, 256, self.folds, self.fold_lateness,
-                    self.emit_changelog, self.state_mode, self.delta_threshold,
-                )
-                for _ in range(k)
-            ]
-        return self._warm_actors
-
-    def invalidate_warm_state(self) -> None:
-        """Drop the warm pool (e.g. after out-of-band lake maintenance such
-        as ``maintenance.erase_keys`` — cached state would be stale)."""
-        self._warm_actors = None
-
-    def _applier_pool_size(self) -> int:
-        """Warm applier pool size, capped BELOW the CPU count: leave ≥2
-        cores for the stage-1 tasks. A ``(lo, hi)`` concurrency caps it at
-        ``hi``."""
-        if isinstance(self.concurrency, tuple):
-            return self.concurrency[1]
-        # library callers may size the pool before (or without) a live Ray
-        # session: cluster_cpus fails soft to the host CPU count
-        hi = max(2, cluster_cpus() - 2)
-        if isinstance(self.concurrency, int):
-            hi = min(self.concurrency, hi)
-        return max(1, hi)
-
     # ------------------------------------------------------------------
 
     def _spill_apply(self, ds, tick_id: int, schema_ser: bytes):
@@ -254,11 +225,12 @@ class ReplayEngine:
         batch's rows to per-bucket delta files under
         ``lake/_shuffle/tick-N/`` (the lake directory IS the shared storage
         on a real cluster — this is an external shuffle, like Spark's, with
-        parquet+zstd as the wire format); stage 2 is the warm applier pool over (bucket, files)
-        descriptors — content bytes never transit the object store, and
-        stage-2 parallelism is min(buckets, pool) regardless of input block
-        sizing. Crash-safe: the spill dir is wiped and rebuilt on tick redo.
-        Returns the bucket manifest dicts.
+        parquet+zstd as the wire format); stage 2 is ``cpu_chunks`` applier
+        tasks over (bucket, files) descriptors — content bytes never transit
+        the object store, and stage-2 parallelism is min(buckets, CPUs[,
+        concurrency]) regardless of input block sizing. Crash-safe: the
+        spill dir is wiped and rebuilt on tick redo. Returns the bucket
+        manifest dicts.
         """
         import shutil
         import uuid
@@ -272,7 +244,7 @@ class ReplayEngine:
         nb = self.num_buckets
         enrich = self._make_enricher()
         # capture plain values, NOT self: the closure ships to every task and
-        # self would drag along warm-actor handles and the WAL manifest
+        # self would drag along the WAL manifest
         do_aggregate = self.aggregate
         lineage = self.lineage
         folds_active = bool(self.folds)
@@ -379,7 +351,8 @@ class ReplayEngine:
 
         # orchestration evidence for the scaling bench: how many independent
         # tasks each stage actually ran (stage 1 = one spill file per task
-        # batch; stage 2 = one work item per touched bucket)
+        # batch; stage 2 = one work item per touched bucket, run as
+        # ``last_stage2_tasks`` chunk tasks)
         self.last_stage1_tasks = len({r["file"] for r in shards})
 
         by_bucket: dict[int, tuple[list[str], list[int], list[str], list[int]]] = {}
@@ -397,22 +370,24 @@ class ReplayEngine:
             for b, fr in sorted(by_bucket.items())
         ]
         self.last_stage2_items = len(items)
+        self.last_stage2_tasks = 0
         if not items:
             return []
-        t_wa = time.perf_counter()
-        pool = self._warm_pool()
-        futures = [
-            pool[it["bucket"] % len(pool)].apply.remote(
-                it["bucket"], it["files"], it["rgs"], tick_id, schema_ser,
-                it["ffiles"], it["frgs"],
-            )
-            for it in items
-        ]
-        out = ray.get(futures)  # list of manifest dicts
+        t_ap = time.perf_counter()
+        task = ray.remote(num_cpus=1)(_merge_chunk)
+        args = (
+            self.lake_dir, tick_id, schema_ser, self.folds, self.fold_lateness,
+            self.emit_changelog, self.state_mode, self.delta_threshold,
+        )
+        conc = self.concurrency
+        cap = conc[1] if isinstance(conc, tuple) else conc
+        chunks = cpu_chunks(items, cap)
+        self.last_stage2_tasks = len(chunks)
+        out = [m for ms in ray.get([task.remote(args, c) for c in chunks]) for m in ms]
         if os.environ.get("ETL_RAY_DEBUG"):
             print(
-                f"[etl-ray] warm apply ({len(items)} buckets): "
-                f"{time.perf_counter() - t_wa:.2f}s",
+                f"[etl-ray] apply ({len(items)} buckets, {len(chunks)} tasks): "
+                f"{time.perf_counter() - t_ap:.2f}s",
                 flush=True,
             )
         return out
@@ -480,7 +455,6 @@ class ReplayEngine:
         # committed state row (duplicate live keys). Adopt the lake's value.
         if last is not None and last.get("num_buckets") not in (None, self.num_buckets):
             self.num_buckets = last["num_buckets"]
-            self._warm_actors = None
         segs = pending_segments(self.wal, through, max_segments)
         if not segs:
             return None
@@ -489,10 +463,6 @@ class ReplayEngine:
         dim_versions = self._refresh_dims()  # named multi-dim refresh
         self.lineage.recover()  # roll back any crashed rebucket attempt
         self.lineage.gc(self.retain_ticks)  # drop uncommitted staging from any crashed run
-
-        # kick actor CREATION now (async, num_cpus=0): startup overlaps
-        # the stage-1 dataset instead of serializing after it
-        self._warm_pool()
 
         self.lineage.gc_agglog_tick(tick_id)  # crashed-attempt agg-log files
         import shutil as _shutil

@@ -1,14 +1,13 @@
-"""WAL segment discovery and schema-grouped reads.
+"""WAL segment discovery and schema-aligned reads.
 
 Analog of the reference's load reader + readiness sensors: read only the
 partitions in range (``mod_load_data_get_data.sql:10-32``) after checking
 source manifests (``apps_flyer.py:209-257`` GCS sensors → here, the WAL's
 ``_segments.json``).
 
-Segments may carry different (additively-evolving) schemas; files are grouped
-by schema fingerprint, each group is read with its own ``read_parquet``, every
-batch is promoted to the unified target schema, and the groups are unioned —
-so the rest of the pipeline sees one stable schema.
+Segments may carry different (additively-evolving) schemas; every segment's
+row groups are promoted to the unified target schema as they are read, so
+the rest of the pipeline sees one stable schema.
 """
 
 from __future__ import annotations
@@ -45,52 +44,6 @@ def target_schema_for(segments: list[dict]) -> pa.Schema:
         seen.add(key)
         schemas.append(pq.read_schema(s["file"]))
     return unify_schemas(schemas)
-
-
-def read_segments(
-    segments: list[dict],
-    target: pa.Schema,
-    *,
-    columns: list[str] | None = None,
-    override_num_blocks: int | None = None,
-) -> ray.data.Dataset:
-    """One Dataset over a segment group, every batch aligned to ``target``.
-
-    ``columns`` prunes at the read (only needed columns leave storage)."""
-    groups: dict[tuple, list[str]] = {}
-    for s in segments:
-        groups.setdefault(
-            (s.get("has_size_bytes", False), s.get("has_meta", False)), []
-        ).append(s["file"])
-
-    if columns is not None:
-        target = pa.schema([f for f in target if f.name in set(columns)])
-
-    def _align(batch: pa.Table) -> pa.Table:
-        return align_to(batch, target)
-
-    total_files = sum(len(f) for f in groups.values())
-    parts = []
-    for _, files in sorted(groups.items()):
-        cols = None
-        if columns is not None:
-            avail = set(pq.read_schema(files[0]).names)
-            cols = [c for c in columns if c in avail]
-        # default: one block per segment file — segments are already sized
-        # for the pipeline (no SplitBlocks shatter into tiny blocks);
-        # an explicit override is apportioned across schema groups and can
-        # split WITHIN files down to row-group granularity (the WAL writes
-        # 32k-row groups for exactly this)
-        if override_num_blocks:
-            nb = max(len(files), override_num_blocks * len(files) // total_files)
-        else:
-            nb = len(files)
-        ds = ray.data.read_parquet(files, columns=cols, override_num_blocks=nb)
-        parts.append(ds.map_batches(_align, batch_format="pyarrow", zero_copy_batch=True))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
 
 
 def read_segments_indexed(

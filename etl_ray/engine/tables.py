@@ -1098,9 +1098,11 @@ def _refresh_partials(
     task_fn,
 ) -> dict | None:
     """Shared incremental-refresh driver for ALL partial-file views
-    (aggregate, repo_stats preset, session). Work = one Ray task per bucket
-    whose manifest tick advanced since the last refresh (manifest tick is
-    the bucket's last-rewrite tick, so an untouched bucket costs nothing).
+    (aggregate, repo_stats preset, session). Work = every bucket whose
+    manifest tick advanced since the last refresh (manifest tick is the
+    bucket's last-rewrite tick, so an untouched bucket costs nothing), cut
+    into ``partitioning.cpu_chunks``: one plain Ray task per contiguous
+    chunk, not per bucket (the result's ``tasks``).
     A changed view DEFINITION (spec hash), upstream type drift (types
     hash — e.g. widening landed since the last refresh) or a changed hash
     group count G (the upstream bucket count, e.g. after a rebucket; a
@@ -1121,6 +1123,7 @@ def _refresh_partials(
 
     from .lineage import LakeLineage
     from .lock import writer_lock
+    from .partitioning import cpu_chunks
 
     up = LakeLineage(upstream_dir)
     last = up.last_tick()
@@ -1174,19 +1177,16 @@ def _refresh_partials(
         if types_hash not in (None, new_types_hash):
             applied = -1
         touched = [m for m in manifests if m["tick"] > applied]
-        if touched:
-            task = ray.remote(num_cpus=1)(task_fn)
-            futs = [
-                task.remote(
-                    dict(m), spec,
-                    os.path.join(pdir, f"b={m['bucket']:05d}.parquet"),
-                    col_types, num_groups,
-                )
-                for m in touched
-            ]
-            rows = sum(ray.get(futs))
-        else:
-            rows = 0
+        chunks = cpu_chunks(touched)
+        task = ray.remote(num_cpus=1)(_partials_chunk)
+        rows = sum(
+            ray.get(
+                [
+                    task.remote(task_fn, c, spec, pdir, col_types, num_groups)
+                    for c in chunks
+                ]
+            )
+        )
         _publish_view_manifest(
             view_dir,
             {
@@ -1198,7 +1198,22 @@ def _refresh_partials(
                 **manifest_extra(col_types),
             },
         )
-    return {"upstream_tick": last["tick"], "buckets": len(touched), "partial_rows": rows}
+    return {
+        "upstream_tick": last["tick"],
+        "buckets": len(touched),
+        "tasks": len(chunks),
+        "partial_rows": rows,
+    }
+
+
+def _partials_chunk(task_fn, mans, spec, pdir, col_types, num_groups) -> int:
+    """One refresh task: ``task_fn`` over a contiguous chunk of touched
+    bucket manifests; returns the partial rows written."""
+    return sum(
+        task_fn(m, spec, os.path.join(pdir, f"b={m['bucket']:05d}.parquet"),
+                col_types, num_groups)
+        for m in mans
+    )
 
 
 def refresh_session_view(

@@ -75,10 +75,12 @@ def test_folds_match_duckdb_window_fold(ray_session, small_wal, tmp_path, mode):
         aggregate=False,
     )
     if mode == "multi_tick_cold":
-        # a fresh applier pool every tick: each bucket's state (and fold
-        # columns) hydrates from its committed manifest
+        # a new engine every tick: nothing carries over but the lake
         while eng.tick(1) is not None:
-            eng.invalidate_warm_state()
+            eng = ReplayEngine(
+                small_wal.wal_dir, lake, num_buckets=8, concurrency=2,
+                folds=DEFAULT_FOLDS, aggregate=False,
+            )
     else:
         eng.replay_all(segments_per_tick=None if mode == "single_tick" else 1)
     got = _fold_df(lake)
