@@ -123,15 +123,22 @@ def main(argv: list[str] | None = None) -> int:
         help="drop feed directories older than this many ticks (default: keep all)",
     )
     r.add_argument(
+        "--delta-threshold",
+        type=int,
+        default=None,
+        help="bucket state layout: a touched bucket appends one "
+        "O(touched-keys) delta file per tick and folds into a fresh base "
+        "once it holds this many (merge-on-read, same LWW semantics, far "
+        "less write amplification); 0 (default) rewrites the full bucket "
+        "each touched tick",
+    )
+    r.add_argument(
         "--state-mode",
         choices=["rewrite", "delta"],
-        default="rewrite",
-        help="bucket state layout: 'rewrite' rewrites the full bucket each "
-        "touched tick; 'delta' appends one O(touched-keys) file per tick "
-        "and folds into a fresh base past --delta-threshold (merge-on-read, "
-        "same LWW semantics, far less write amplification)",
+        default=None,
+        help="older spelling of --delta-threshold: 'rewrite' is 0, 'delta' "
+        "is --delta-threshold (default 8)",
     )
-    r.add_argument("--delta-threshold", type=int, default=8)
     r.add_argument(
         "--ext-map",
         default=None,
@@ -202,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         "--agglog",
         action="store_true",
         help="instead: consolidate the day-indexed agg log to one file per "
-        "day (O(days) metadata; also migrates legacy day=*/ layouts)",
+        "day (O(days) metadata)",
     )
     c.add_argument(
         "--feed",
@@ -223,14 +230,6 @@ def main(argv: list[str] | None = None) -> int:
     rb = sub.add_parser("rebucket", help="change the lake's bucket count (crash-safe)")
     rb.add_argument("--lake", required=True)
     rb.add_argument("--buckets", type=int, required=True)
-    rb.add_argument(
-        "--drop-column",
-        action="append",
-        default=None,
-        help="drop this state column during the rewrite (explicit repair, "
-        "e.g. a phantom hive-inferred column from a pre-fix rebucket); "
-        "repeatable",
-    )
 
     st = sub.add_parser("status", help="lineage summary of a lake")
     st.add_argument("--lake", required=True)
@@ -460,6 +459,14 @@ def main(argv: list[str] | None = None) -> int:
                 from etl_ray.engine.folds import DEFAULT_FOLDS
 
                 folds = DEFAULT_FOLDS
+            from etl_ray.engine.apply import resolve_delta_threshold
+
+            try:
+                threshold = resolve_delta_threshold(
+                    args.state_mode, args.delta_threshold
+                )
+            except ValueError as e:
+                p.error(str(e))
             eng = ReplayEngine(
                 args.wal,
                 args.lake,
@@ -473,8 +480,7 @@ def main(argv: list[str] | None = None) -> int:
                 changelog_retain=args.changelog_retain,
                 deadline_minutes=args.deadline_minutes,
                 ext_map_path=args.ext_map,
-                state_mode=args.state_mode,
-                delta_threshold=args.delta_threshold,
+                delta_threshold=threshold,
             )
             from etl_ray.engine.replay import DeadlineExceededError
 
@@ -659,9 +665,9 @@ def main(argv: list[str] | None = None) -> int:
                                     {
                                         "tick": t["tick"],
                                         "kind": t.get("kind", "replay"),
-                                        "segments": len(t.get("segments", [])),
-                                        "events": t.get("events", 0),
-                                        "live_rows": t.get("live_rows"),
+                                        "segments": len(t["segments"]),
+                                        "events": t["events"],
+                                        "live_rows": t["live_rows"],
                                         "changelog_rows": t.get("changelog_rows"),
                                         "quarantined_rows": t.get("quarantined_rows"),
                                     }
@@ -782,9 +788,7 @@ def main(argv: list[str] | None = None) -> int:
                     lin,
                     set(args.day),
                     last["through_seqno"],
-                    # NOT last_tick's: a maintenance tick would yield 0 and
-                    # silently mis-bucket the rewritten day partitions
-                    tz_offset_minutes=lin.latest_tz_offset(),
+                    tz_offset_minutes=last["tz_offset_minutes"],
                 )
             print(json.dumps(res))
         elif args.cmd == "skew":
@@ -854,11 +858,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "rebucket":
             from etl_ray.engine.maintenance import rebucket
 
-            print(
-                json.dumps(
-                    rebucket(args.lake, args.buckets, drop_columns=args.drop_column)
-                )
-            )
+            print(json.dumps(rebucket(args.lake, args.buckets)))
         elif args.cmd == "verify":
             import pandas as pd
 
@@ -896,10 +896,7 @@ def main(argv: list[str] | None = None) -> int:
                 from etl_ray.oracle import expected_lang_daily, expected_repo_daily
 
                 lin = LakeLineage(args.lake)
-                # maintenance ticks (erase/rebucket/compact) don't record
-                # the tz offset — take it from the latest tick that does,
-                # or a post-maintenance verify on a tz lake falsely fails
-                tzoff = lin.latest_tz_offset()
+                tzoff = lin.last_tick()["tz_offset_minutes"]
                 gl_t = read_agg(lin, "lang_daily_agg")
                 gr_t = read_agg(lin, "repo_daily_agg")
                 el = expected_lang_daily(

@@ -318,8 +318,7 @@ def recompute_days_from_agglog(
 
     def chunk_reduce(batch: pa.Table) -> pa.Table:
         g = pa.concat_tables(
-            # rg == -1: legacy per-day layout, whole-file read
-            pq.read_table(f) if rg < 0 else pq.ParquetFile(f).read_row_group(rg)
+            pq.ParquetFile(f).read_row_group(rg)
             for files, rgs in zip(batch["files"].to_pylist(), batch["rgs"].to_pylist())
             for f, rg in zip(files, rgs)
         ).to_pandas()

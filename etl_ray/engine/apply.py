@@ -42,6 +42,7 @@ from .partitioning import read_row_groups
 from .schema_evo import align_to, unify_schemas
 
 DELETED_COL = "deleted"
+DEFAULT_DELTA_THRESHOLD = 8  # state_mode="delta" without a threshold
 
 MANIFEST_SCHEMA = pa.schema(
     [
@@ -78,16 +79,70 @@ def schema_from_b64(payload: str) -> pa.Schema:
 
 def bucket_schemas(manifests: list[dict]) -> list[pa.Schema]:
     """Inputs for a unified-schema sweep over bucket manifests: the schema
-    each applier embedded in its manifest when present (no file IO), else
-    one parquet footer read per chain file (bootstrap/rebucket/as-of/legacy
-    manifests)."""
-    out: list[pa.Schema] = []
-    for m in manifests:
-        if m.get("schema_b64"):
-            out.append(schema_from_b64(m["schema_b64"]))
-        else:
-            out.extend(pq.read_schema(f) for f in bucket_files(m))
-    return out
+    each one records (no file IO; an as-of pseudo-manifest records its
+    chain files' footers, see ``export._as_of_manifests``)."""
+    return [schema_from_b64(m["schema_b64"]) for m in manifests]
+
+
+def bucket_manifest(
+    bucket: int,
+    tick: int,
+    state: pa.Table,
+    *,
+    data_file: str,
+    delta_files: list[str],
+    written: list[str],
+    delta_rows: int = 0,
+    fold_file: str | None = None,
+    fold_through_lsn: int = 0,
+    applied_lsn: int | None = None,
+) -> dict:
+    """A bucket's commit record: every field of ``MANIFEST_SCHEMA``, the
+    only place that knows its shape. ``state`` is the bucket's full folded
+    state after the write, ``written`` the files the write produced (their
+    bytes are ``bytes_written``). ``applied_lsn`` defaults to the state's
+    highest lsn; a write that drops rows passes the previous value, since
+    a bucket's watermark never goes down."""
+    if applied_lsn is None:
+        applied_lsn = pc.max(state["lsn"]).as_py()
+    return {
+        "bucket": int(bucket),
+        "tick": int(tick),
+        "applied_lsn": int(applied_lsn),
+        "rows": state.num_rows,
+        "live_rows": state.num_rows - (pc.sum(state[DELETED_COL]).as_py() or 0),
+        "delta_rows": int(delta_rows),
+        "data_file": data_file,
+        "delta_files": list(delta_files),
+        "bytes_written": sum(os.path.getsize(f) for f in written),
+        "fold_file": fold_file,
+        "fold_through_lsn": int(fold_through_lsn),
+        "schema_b64": schema_b64(state.schema),
+    }
+
+
+def resolve_delta_threshold(
+    state_mode: str | None = None, delta_threshold: int | None = None
+) -> int:
+    """The one state knob: how many delta files a bucket's chain may hold
+    before its next write folds them into a fresh base; 0 rewrites the
+    whole bucket on every write (and is the default). ``state_mode`` is the
+    older spelling, still accepted: ``"rewrite"`` is 0 and takes no
+    threshold; ``"delta"`` is ``delta_threshold``, default
+    ``DEFAULT_DELTA_THRESHOLD``."""
+    if state_mode not in (None, "rewrite", "delta") or (
+        state_mode == "rewrite" and delta_threshold is not None
+    ):
+        raise ValueError(
+            f"state_mode={state_mode!r} with delta_threshold={delta_threshold!r}: "
+            "pass delta_threshold alone (0 = rewrite); state_mode must be "
+            "'delta', or 'rewrite' without a threshold"
+        )
+    if delta_threshold is None:
+        delta_threshold = DEFAULT_DELTA_THRESHOLD if state_mode == "delta" else 0
+    if delta_threshold < 0:
+        raise ValueError(f"delta_threshold must be >= 0, got {delta_threshold}")
+    return int(delta_threshold)
 
 
 def fold_tail_path(state_path: str) -> str:
@@ -97,7 +152,7 @@ def fold_tail_path(state_path: str) -> str:
 def bucket_files(man: dict) -> list[str]:
     """A bucket's content files in fold order: base, then deltas oldest
     first (delta-mode lakes; a rewrite-mode manifest has just the base)."""
-    return [man["data_file"], *(man.get("delta_files") or [])]
+    return [man["data_file"], *man["delta_files"]]
 
 
 def chain_cache_path(files: list[str]) -> str:
@@ -325,10 +380,10 @@ def apply_folds(
 
 
 def plan_state_write(
-    lineage, bucket: int, tick: int, man: dict | None,
-    state_mode: str, delta_threshold: int,
+    lineage, bucket: int, tick: int, man: dict | None, delta_threshold: int
 ) -> tuple[bool, str, str, list[str]]:
-    """Decide base-vs-delta for one bucket write, crash-redo aware.
+    """Decide base-vs-delta for one bucket write, crash-redo aware: append
+    a delta while the chain holds fewer than ``delta_threshold``.
 
     Returns ``(write_delta, out_path, data_file, delta_files)``. A redo of
     an ALREADY-PUBLISHED bucket (manifest tick == this tick — the crash
@@ -336,18 +391,14 @@ def plan_state_write(
     reproduces its prior outcome in place instead of growing the chain:
     re-appending would fold the same delta twice on every read and count
     double against the threshold."""
-    prev_deltas = list((man or {}).get("delta_files") or [])
+    prev_deltas = man["delta_files"] if man is not None else []
     delta_path = lineage.bucket_delta_path(bucket, tick)
-    if man is not None and man.get("tick") == tick:
+    if man is not None and man["tick"] == tick:
         if delta_path in prev_deltas:
             return True, delta_path, man["data_file"], prev_deltas
         base = lineage.bucket_state_path(bucket, tick)
         return False, base, base, []
-    if (
-        state_mode == "delta"
-        and man is not None
-        and len(prev_deltas) < delta_threshold
-    ):
+    if man is not None and len(prev_deltas) < delta_threshold:
         return True, delta_path, man["data_file"], prev_deltas + [delta_path]
     base = lineage.bucket_state_path(bucket, tick)
     return False, base, base, []
@@ -384,7 +435,6 @@ def apply_bucket(
     folds: list,
     fold_lateness: int,
     changelog: bool,
-    state_mode: str,
     delta_threshold: int,
 ) -> dict:
     """Merge one bucket's deltas into its state and write the result.
@@ -418,17 +468,17 @@ def apply_bucket(
     # base+delta (S3 semantics kept, write amplification dropped): an
     # existing bucket appends ONE file of this tick's touched-key winner
     # rows; readers fold base+deltas with the same LWW kernel. Past the
-    # threshold (or in rewrite mode / first write) the fold lands as a
-    # fresh base and the delta chain resets.
+    # threshold (0: every write / first write) the fold lands as a fresh
+    # base and the delta chain resets.
     write_delta, out_path, data_file, delta_files = plan_state_write(
-        lineage, bucket, tick, man, state_mode, delta_threshold
+        lineage, bucket, tick, man, delta_threshold
     )
 
     fold_file = None
-    fold_hi = (man or {}).get("fold_through_lsn") or 0
+    fold_hi = man["fold_through_lsn"] if man is not None else 0
     if folds and fold_rows is not None:
         prev_tail = None
-        if man is not None and man.get("fold_file"):
+        if man is not None and man["fold_file"]:
             prev_tail = pq.read_table(man["fold_file"])
         # the prune horizon is the FOLD stream's own committed watermark
         # (max WAL lsn folded) — NOT applied_lsn, which an erasure tick
@@ -448,25 +498,11 @@ def apply_bucket(
     tmp = out_path + f".{os.getpid()}.tmp"
     pq.write_table(out_tab, tmp, compression="zstd")
     os.replace(tmp, out_path)
-    bytes_written = os.path.getsize(out_path)
-    if fold_file:
-        bytes_written += os.path.getsize(fold_file)
-
-    live = merged.num_rows - pc.sum(merged[DELETED_COL]).as_py()
-    return {
-        "bucket": int(bucket),
-        "tick": int(tick),
-        "applied_lsn": int(pc.max(merged["lsn"]).as_py()),
-        "rows": int(merged.num_rows),
-        "live_rows": int(live),
-        "delta_rows": int(deltas.num_rows),
-        "data_file": data_file,
-        "delta_files": delta_files,
-        "bytes_written": int(bytes_written),
-        "fold_file": fold_file,
-        "fold_through_lsn": int(fold_hi),
-        "schema_b64": schema_b64(merged.schema),
-    }
+    return bucket_manifest(
+        bucket, tick, merged, data_file=data_file, delta_files=delta_files,
+        written=[out_path, *([fold_file] if fold_file else [])],
+        delta_rows=deltas.num_rows, fold_file=fold_file, fold_through_lsn=fold_hi,
+    )
 
 
 class MergeApplier:
@@ -483,8 +519,8 @@ class MergeApplier:
         folds: list | None = None,
         fold_lateness: int = 0,
         changelog: bool = False,
-        state_mode: str = "rewrite",  # "rewrite" | "delta" (base+delta)
-        delta_threshold: int = 8,  # deltas folded into a new base beyond this
+        delta_threshold: int | None = None,  # see resolve_delta_threshold
+        state_mode: str | None = None,  # its older spelling
     ):
         # once per applier: lineage handles + deserialized target schema
         self.lineage = LakeLineage(lake_dir)
@@ -493,8 +529,7 @@ class MergeApplier:
         self.folds = folds or []
         self.fold_lateness = fold_lateness
         self.changelog = changelog
-        self.state_mode = state_mode
-        self.delta_threshold = delta_threshold
+        self.delta_threshold = resolve_delta_threshold(state_mode, delta_threshold)
         self._pf_cache: dict[str, pq.ParquetFile] = {}
 
     def apply_spilled(self, batch: pa.Table) -> pa.Table:
@@ -528,8 +563,7 @@ class MergeApplier:
         manifest = apply_bucket(
             self.lineage, bucket, self.tick, deltas, state, man, fold_rows,
             folds=self.folds, fold_lateness=self.fold_lateness,
-            changelog=self.changelog, state_mode=self.state_mode,
-            delta_threshold=self.delta_threshold,
+            changelog=self.changelog, delta_threshold=self.delta_threshold,
         )
         return pa.Table.from_pylist([manifest], schema=MANIFEST_SCHEMA)
 

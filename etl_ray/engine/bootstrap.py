@@ -150,6 +150,9 @@ def bootstrap_lake(
                 "state_rows": rows,
                 "live_rows": rows,
                 "num_buckets": num_buckets,
+                # a snapshot has no event stream: aggregates start empty, and
+                # the first replay tick's offset is the one they use
+                "tz_offset_minutes": 0,
                 "kind": "bootstrap",
                 "retained_through_tick": 0,
             }

@@ -327,30 +327,6 @@ def gc_changelog(lake_dir: str, *, drop_below_tick: int | None = None,
     return removed
 
 
-def committed_changelog_files(
-    lake_dir: str, from_tick: int | None = None, to_tick: int | None = None
-) -> list[str]:
-    """Feed parts of COMMITTED ticks only (a crashed attempt's directory may
-    exist on disk before the redo wipes it — readers must never see it)."""
-    from .lineage import LakeLineage
-
-    committed = {t["tick"] for t in LakeLineage(lake_dir).all_ticks()}
-    out: list[str] = []
-    for d in sorted(glob.glob(os.path.join(lake_dir, "_changelog", "t*"))):
-        m = re.search(r"t(\d+)$", d)
-        if not m:
-            continue
-        t = int(m.group(1))
-        if t not in committed:
-            continue
-        if from_tick is not None and t < from_tick:
-            continue
-        if to_tick is not None and t > to_tick:
-            continue
-        out.extend(sorted(glob.glob(os.path.join(d, "*.parquet"))))
-    return out
-
-
 # -- compacted feed runs ------------------------------------------------------
 #
 # A long-running lake accumulates one file per (bucket, tick) under
@@ -380,7 +356,7 @@ def committed_changelog_parts(
     lake_dir: str, from_tick: int | None = None, to_tick: int | None = None
 ) -> list[dict]:
     """Feed parts as ``{"file", "rgs"}`` descriptors; ``rgs=None`` means the
-    whole file (legacy per-tick part). Compacted runs take precedence over a
+    whole file (an uncompacted per-tick part). Compacted runs take precedence over a
     tick's own directory — a crash between publishing a compacted run and
     removing its absorbed tick dirs double-references rows, which this
     preference makes harmless."""

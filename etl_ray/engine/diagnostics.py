@@ -38,8 +38,8 @@ def skew_report(lake_dir: str, *, top_k: int = 20) -> dict:
     # buckets — untouched buckets have no manifest, and ignoring them hides
     # exactly the skew this report exists to surface (few hot keys → few
     # manifests, all similar-sized → imbalance falsely reads 1.0)
-    last = lineage.last_tick() or {}
-    nb = int(last.get("num_buckets") or len(mans))
+    last = lineage.last_tick()
+    nb = last["num_buckets"] if last is not None else len(mans)
     mean = float(rows.sum()) / max(nb, 1)
     stats = {
         "buckets": len(mans),

@@ -54,16 +54,24 @@ def _as_of_manifests(lineage: LakeLineage, as_of_tick: int) -> list[dict]:
     ``LakeLineage.gc``). Buckets whose first write postdates ``as_of_tick``
     are (correctly) absent. A ``rebucket`` rewrites the whole key space
     under new bucket ids and resets time-travel history — as-of reads are
-    valid only back to the latest rebucket."""
+    valid only back to the latest rebucket.
+
+    A historical chain's schema is not the one its live manifest records,
+    so each pseudo-manifest embeds the union of its chain files' footers
+    (the only footer reads of a schema sweep)."""
     import glob
     import re
+
+    import pyarrow.parquet as pq
+
+    from .apply import schema_b64
 
     last = lineage.last_tick()
     if last is None:
         raise FileNotFoundError(f"no committed ticks under {lineage.lake_dir}")
     if as_of_tick > last["tick"]:
         raise ValueError(f"as_of_tick {as_of_tick} is in the future (last: {last['tick']})")
-    retained = last.get("retained_through_tick", last["tick"])
+    retained = last["retained_through_tick"]
     if as_of_tick < retained:
         raise ValueError(
             f"as_of_tick {as_of_tick} predates retained history "
@@ -92,7 +100,15 @@ def _as_of_manifests(lineage: LakeLineage, as_of_tick: int) -> list[dict]:
         chain = [
             f for t, f in sorted(deltas) if base_tick < t <= as_of_tick
         ]
-        out.append({"data_file": base, "delta_files": chain})
+        schema = unify_schemas([pq.read_schema(f) for f in [base, *chain]])
+        out.append(
+            {
+                "bucket": int(os.path.basename(bdir)[len("b="):]),
+                "data_file": base,
+                "delta_files": chain,
+                "schema_b64": schema_b64(schema),
+            }
+        )
     return out
 
 
@@ -124,23 +140,24 @@ def final_state(
     from .partitioning import run_spilled
 
     lineage = LakeLineage(lake_dir)
-    manifests = lineage.all_bucket_manifests()
-    if as_of_tick is not None:
+    if as_of_tick is None:
+        lineage.last_tick()  # refuses a lake written before the current format
+        manifests = lineage.all_bucket_manifests()
+    else:
         manifests = _as_of_manifests(lineage, as_of_tick)
     if not manifests:
         raise FileNotFoundError(f"no committed bucket manifests under {lake_dir}")
 
-    # schema evolution: old buckets may predate new columns — unify + align.
-    # Schemas come from the bucket manifests (embedded by the appliers) when
-    # available; legacy/maintenance manifests fall back to footer reads.
+    # schema evolution: old buckets may predate new columns — unify + align
+    # to the union of the schemas the bucket manifests record
     target = unify_schemas(bucket_schemas(manifests))
     publish = as_of_tick is None
     # only what read_bucket_state needs, one shape for every manifest kind
     items = [
         {
-            "bucket": int(m.get("bucket", -1)),
+            "bucket": m["bucket"],
             "data_file": m["data_file"],
-            "delta_files": list(m.get("delta_files") or []),
+            "delta_files": m["delta_files"],
         }
         for m in manifests
     ]

@@ -5,15 +5,36 @@ Reference analogs: the skip-if-already-loaded guard
 two-phase write (``spark_job_data_locker.py:447-469``), and the datasource
 freshness PUT (``lib/datasource.py:22-24``).
 
-Lake layout::
+Lake layout (lake format ``LAKE_FORMAT``)::
 
     lake/
-      buckets/b=00017/state-t000003.parquet    full bucket state as of tick 3
-      _manifests/bucket-00017.json             {bucket, tick, applied_lsn, rows,
-                                                live_rows, data_file, schema}
-      _ticks/tick-000003.json                  {tick, through_seqno,
-                                                applied_through_lsn, stats}
+      buckets/b=00017/state-t000003.parquet        bucket base state as of tick 3
+      buckets/b=00017/state-t000005.delta.parquet  tick 5's touched-key rows
+                                                   (delta chains, apply.py)
+      _manifests/bucket-00017.json   one bucket's commit record, every field
+                                     of apply.MANIFEST_SCHEMA (built only by
+                                     apply.bucket_manifest): applied_lsn,
+                                     rows, live_rows, data_file, delta_files,
+                                     fold_file, schema_b64, ...
+      _ticks/tick-000005.json        the lake's commit record: tick,
+                                     through_seqno, applied_through_lsn,
+                                     wal_through_lsn, num_buckets,
+                                     tz_offset_minutes, retained_through_tick,
+                                     row counts, kind (ticks that replay no
+                                     segment), and the ``lake_format`` stamp
+      _agglog/t000005-<token>.parquet  narrow per-day event log, one row group
+      _agglog/t000005-<token>.json     per day run, and its {day: row group} index
       _aggs/<table>/day=YYYY-MM-DD.parquet     per-day aggregate partitions
+
+``applied_through_lsn`` is the highest LSN applied (an erasure tick lifts it
+above the log); ``wal_through_lsn`` is the log's own high LSN, which the
+lateness and compaction watermarks derive from.
+
+Only the tick manifest is stamped: it is the commit point and every lake
+has one. ``publish_tick`` stamps it and refuses one that lacks a field of
+``TICK_FIELDS``; ``last_tick``/``all_ticks`` refuse an unstamped one, so
+every reader may index any of those fields. A lake written before the
+current format is replayed from its WAL into a new lake, not read.
 
 Commit protocol (crash-safe on a POSIX FS; on a real cluster this directory
 is shared storage and the driver is the single committer):
@@ -39,12 +60,37 @@ import json
 import os
 import re
 
+#: version of the manifest layout above; bumped when a reader starts to
+#: rely on a field that an older writer did not record
+LAKE_FORMAT = 1
+
+#: fields every tick manifest carries (``publish_tick`` enforces them)
+TICK_FIELDS = frozenset(
+    {
+        "tick", "through_seqno", "applied_through_lsn",
+        "wal_through_lsn", "num_buckets", "tz_offset_minutes",
+        "retained_through_tick", "segments", "events", "state_rows",
+        "live_rows",
+    }
+)
+
 
 def _atomic_write_json(path: str, obj: dict) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(obj, f)
     os.replace(tmp, path)
+
+
+def _read_tick(path: str) -> dict:
+    with open(path) as f:
+        tick = json.load(f)
+    if tick.get("lake_format") != LAKE_FORMAT:
+        raise ValueError(
+            f"{path}: tick manifest written before lake format {LAKE_FORMAT}; "
+            "replay the WAL into a new lake"
+        )
+    return tick
 
 
 class LakeLineage:
@@ -132,44 +178,48 @@ class LakeLineage:
 
     def last_tick(self) -> dict | None:
         ticks = sorted(glob.glob(os.path.join(self.ticks_dir, "tick-*.json")))
-        if not ticks:
-            return None
-        with open(ticks[-1]) as f:
-            return json.load(f)
-
-    @staticmethod
-    def wal_watermark(tick: dict) -> int:
-        """True max WAL LSN seen by the lake, NOT inflated by erasure ticks
-        (whose ``applied_through_lsn`` sits ``lsn_gap`` above the log). New
-        ticks carry ``wal_through_lsn`` explicitly; legacy lakes fall back to
-        ``applied_through_lsn`` (pre-fix behavior, correct until the first
-        erasure). Compaction/lateness watermarks MUST derive from this, never
-        from ``applied_through_lsn`` — otherwise each erasure silently eats
-        one ``lateness_bound`` of tombstone protection."""
-        return tick.get("wal_through_lsn", tick["applied_through_lsn"])
-
-    def latest_tz_offset(self) -> int:
-        """The lake's aggregate-day tz offset: from the LATEST tick that
-        records it. Maintenance ticks (erasure/rebucket/compaction) don't
-        carry the field — reading ``last_tick()`` directly returns 0 after
-        any maintenance op on a tz lake, which mis-buckets recomputed days
-        and falsely fails aggregate verification."""
-        for t in reversed(self.all_ticks()):
-            if "tz_offset_minutes" in t:
-                return int(t["tz_offset_minutes"])
-        return 0
+        return _read_tick(ticks[-1]) if ticks else None
 
     def all_ticks(self) -> list[dict]:
-        out = []
-        for p in sorted(glob.glob(os.path.join(self.ticks_dir, "tick-*.json"))):
-            with open(p) as f:
-                out.append(json.load(f))
-        return out
+        return [
+            _read_tick(p)
+            for p in sorted(glob.glob(os.path.join(self.ticks_dir, "tick-*.json")))
+        ]
 
     def publish_tick(self, tick: dict) -> None:
+        missing = TICK_FIELDS - tick.keys()
+        if missing:
+            raise ValueError(f"tick manifest lacks {sorted(missing)}")
         _atomic_write_json(
-            os.path.join(self.ticks_dir, f"tick-{tick['tick']:06d}.json"), tick
+            os.path.join(self.ticks_dir, f"tick-{tick['tick']:06d}.json"),
+            {**tick, "lake_format": LAKE_FORMAT},
         )
+
+    def publish_maintenance_tick(self, last: dict, kind: str, **fields) -> dict:
+        """Commit a maintenance op (erasure, rebucket, compaction): the tick
+        after ``last`` consumes no WAL segment, so it carries the lake's WAL
+        position, bucket count and tz offset forward, and counts rows over
+        the bucket manifests as now published. It ends time-travel history:
+        the op rewrote state in place. ``fields`` add or override (an
+        erasure's ``applied_through_lsn``, a rebucket's ``num_buckets``)."""
+        manifests = self.all_bucket_manifests()
+        tick = {
+            "tick": last["tick"] + 1,
+            "kind": kind,
+            "through_seqno": last["through_seqno"],
+            "applied_through_lsn": last["applied_through_lsn"],
+            "wal_through_lsn": last["wal_through_lsn"],
+            "num_buckets": last["num_buckets"],
+            "tz_offset_minutes": last["tz_offset_minutes"],
+            "retained_through_tick": last["tick"] + 1,
+            "segments": [],
+            "events": 0,
+            "state_rows": sum(m["rows"] for m in manifests),
+            "live_rows": sum(m["live_rows"] for m in manifests),
+            **fields,
+        }
+        self.publish_tick(tick)
+        return tick
 
     # -- GC -------------------------------------------------------------------
 
@@ -188,9 +238,8 @@ class LakeLineage:
         live = set()
         for m in self.all_bucket_manifests():
             live.add(m["data_file"])
-            for f in m.get("delta_files") or []:
-                live.add(f)  # base+delta layout (apply.read_bucket_state)
-            if m.get("fold_file"):
+            live.update(m["delta_files"])  # base+delta chains (apply.py)
+            if m["fold_file"]:
                 live.add(m["fold_file"])  # fold LSN-tail sidecar
         cutoff = None
         if retain_ticks > 0:
@@ -291,31 +340,9 @@ class LakeLineage:
     def agglog_part_path(self, tick: int, token: str) -> str:
         return os.path.join(self.agglog_dir(), f"t{tick:06d}-{token}.parquet")
 
-    def agglog_day_rgs(self, day: str) -> list[tuple[str, int]]:
-        """(parquet file, row group) pairs holding this day's log rows.
-        Row group ``-1`` means "whole file" — used for the legacy per-day
-        layout (``day=<d>/t*.parquet``, pre-round-2 lakes), which must still
-        be scanned or continuing replay on an old lake silently under-counts
-        every legacy day."""
-        if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", day):
-            raise ValueError(f"bad day partition: {day!r}")
-        out = []
-        for idx in sorted(glob.glob(os.path.join(self.agglog_dir(), "t*.json"))):
-            with open(idx) as f:
-                days = json.load(f)
-            if day in days:
-                out.append((idx[: -len(".json")] + ".parquet", days[day]))
-        for p in sorted(
-            glob.glob(os.path.join(self.agglog_dir(), f"day={day}", "t*.parquet"))
-        ):
-            out.append((p, -1))
-        return out
-
     def agglog_days_rgs(self, days: set[str]) -> dict[str, list[tuple[str, int]]]:
-        """Batch form of :meth:`agglog_day_rgs`: ONE pass over the index
-        files for any number of days. The per-day method re-opens every
-        ``t*.json`` per call — O(days × ticks) driver file opens on a
-        backfill; this is O(ticks + days)."""
+        """(parquet file, row group) pairs holding each day's log rows, from
+        ONE pass over the ``t*.json`` index files for any number of days."""
         for d in days:
             if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", d):
                 raise ValueError(f"bad day partition: {d!r}")
@@ -327,11 +354,6 @@ class LakeLineage:
             for d, rg in file_days.items():
                 if d in out:
                     out[d].append((pqf, rg))
-        for d in days:
-            for p in sorted(
-                glob.glob(os.path.join(self.agglog_dir(), f"day={d}", "t*.parquet"))
-            ):
-                out[d].append((p, -1))
         return out
 
     def gc_agglog_tick(self, tick: int) -> int:
@@ -341,9 +363,6 @@ class LakeLineage:
         pats = [
             os.path.join(self.lake_dir, "_agglog", f"t{tick:06d}-*"),
             os.path.join(self.lake_dir, "_agglog", "*.tmp"),
-            # legacy per-day layout (pre-round-2 lakes)
-            os.path.join(self.lake_dir, "_agglog", "day=*", f"t{tick:06d}-*.parquet"),
-            os.path.join(self.lake_dir, "_agglog", "day=*", "*.tmp"),
         ]
         for pat in pats:
             for p in glob.glob(pat):

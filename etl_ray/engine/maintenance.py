@@ -34,7 +34,6 @@ def erase_keys(
     lake_dir: str,
     keys: list[tuple[str, str]],
     *,
-    num_buckets: int | None = None,
     lsn_gap: int = ERASE_LSN_GAP,
     erase_map_fields: list[str] | None = None,
 ) -> dict:
@@ -42,11 +41,7 @@ def erase_keys(
 
     with writer_lock(lake_dir, "erase"):
         return _erase_keys_locked(
-            lake_dir,
-            keys,
-            num_buckets=num_buckets,
-            lsn_gap=lsn_gap,
-            erase_map_fields=erase_map_fields,
+            lake_dir, keys, lsn_gap=lsn_gap, erase_map_fields=erase_map_fields
         )
 
 
@@ -54,7 +49,6 @@ def _erase_keys_locked(
     lake_dir: str,
     keys: list[tuple[str, str]],
     *,
-    num_buckets: int | None = None,
     lsn_gap: int = ERASE_LSN_GAP,
     erase_map_fields: list[str] | None = None,
 ) -> dict:
@@ -66,35 +60,32 @@ def _erase_keys_locked(
     WAL events already emitted but not yet applied (bounded lateness —
     within the gap) cannot out-rank it and resurrect the erased rows;
     genuinely NEW events beyond the gap legitimately re-create the key.
-    ``num_buckets`` defaults to the lake's own committed bucket count."""
+    Tombstones go to the buckets of the lake's own committed bucket count:
+    any other count would leave the key live in its real bucket."""
     lineage = LakeLineage(lake_dir)
     lineage.recover()
     last = lineage.last_tick()
     if last is None:
         raise RuntimeError("cannot erase from an empty lake (no committed tick)")
-    if num_buckets is None:
-        num_buckets = last.get("num_buckets")
-        if num_buckets is None:
-            raise ValueError("lake predates bucket-count lineage; pass num_buckets")
     tick_id = last["tick"] + 1
     # anchor the tombstone gap on the TRUE WAL high-LSN, not the (possibly
     # already erase-inflated) applied watermark — otherwise repeated erasures
     # stack gaps (k·lsn_gap after k erasures) and later compaction loses its
     # lateness protection entirely. Successive erasures step by +1 above the
     # applied watermark so later delete-requests still out-rank earlier ones.
-    wal_hi = LakeLineage.wal_watermark(last)
-    erase_lsn = max(last["applied_through_lsn"] + 1, wal_hi + lsn_gap)
+    erase_lsn = max(
+        last["applied_through_lsn"] + 1, last["wal_through_lsn"] + lsn_gap
+    )
 
     repos = pa.array([k[0] for k in keys], pa.string())
     paths = pa.array([k[1] for k in keys], pa.string())
     n = len(keys)
-    # state-shaped tombstone rows (schema of the current lake — delta files
-    # included: the newest columns may exist only in appended deltas)
-    from .apply import bucket_files
+    # state-shaped tombstone rows (the lake's unified schema, as the bucket
+    # manifests record it — delta files included)
+    from .apply import bucket_schemas
     from .schema_evo import unify_schemas
 
-    files = [f for m in lineage.all_bucket_manifests() for f in bucket_files(m)]
-    target = unify_schemas([pq.read_schema(f) for f in files])
+    target = unify_schemas(bucket_schemas(lineage.all_bucket_manifests()))
     cols = {}
     for f in target:
         if f.name == "repo":
@@ -108,7 +99,7 @@ def _erase_keys_locked(
         else:
             cols[f.name] = pa.nulls(n, f.type)
     deltas = pa.table(cols)
-    buckets = bucket_of(deltas["repo"], deltas["path"], num_buckets)
+    buckets = bucket_of(deltas["repo"], deltas["path"], last["num_buckets"])
 
     applier = MergeApplier(
         lake_dir, tick_id, target_schema_ser(deltas.schema)
@@ -118,14 +109,13 @@ def _erase_keys_locked(
         prev_man = lineage.bucket_manifest(int(b))
         part = deltas.filter(pc.equal(buckets, b))
         man = applier._apply_one(int(b), part)
-        d = {k: man[k][0].as_py() for k in man.schema.names}
-        if not d.get("fold_file") and prev_man is not None:
+        d = man.to_pylist()[0]
+        if prev_man is not None:
             # the erase mini-tick runs without folds configured; carry the
-            # bucket's fold LSN-tail sidecar reference AND fold watermark so
-            # fold dedup state survives the erasure (the tail file itself is
-            # GC-kept via this ref)
-            d["fold_file"] = prev_man.get("fold_file")
-            d["fold_through_lsn"] = prev_man.get("fold_through_lsn")
+            # bucket's fold LSN-tail sidecar reference (the fold watermark
+            # rides through apply_bucket) so fold dedup state survives the
+            # erasure (the tail file itself is GC-kept via this ref)
+            d["fold_file"] = prev_man["fold_file"]
         lineage.publish_bucket(d)
         applied += part.num_rows
     # change data feed: forget the subject in retained history, then tell
@@ -141,22 +131,10 @@ def _erase_keys_locked(
 
         feed_purged = purge_keys_from_changelog(lake_dir, keys)
         append_erase_records(lake_dir, tick_id, keys, erase_lsn, target)
-    lineage.publish_tick(
-        {
-            "tick": tick_id,
-            "through_seqno": last["through_seqno"],
-            "applied_through_lsn": erase_lsn,
-            "wal_through_lsn": wal_hi,  # erasure does NOT advance the WAL
-            "segments": [],
-            "events": n,
-            "buckets_touched": len(pc.unique(buckets)),
-            "state_rows": sum(m["rows"] for m in lineage.all_bucket_manifests()),
-            "live_rows": sum(m["live_rows"] for m in lineage.all_bucket_manifests()),
-            "num_buckets": num_buckets,  # propagate lake config lineage
-            "kind": "erasure",
-            # maintenance rewrites state in place: time-travel history ends here
-            "retained_through_tick": tick_id,
-        }
+    # erasure does NOT advance the WAL: only applied_through_lsn moves
+    lineage.publish_maintenance_tick(
+        last, "erasure", applied_through_lsn=erase_lsn, events=n,
+        buckets_touched=len(pc.unique(buckets)),
     )
     map_removed = 0
     if erase_map_fields:
@@ -214,7 +192,7 @@ def snapshot_derivatives(
         raise RuntimeError("empty lake")
     # erasure ticks inflate applied_through_lsn by lsn_gap; recency windows
     # must anchor on the true WAL position
-    hi_lsn = LakeLineage.wal_watermark(last)
+    hi_lsn = last["wal_through_lsn"]
     us_day = 86_400_000_000
 
     os.makedirs(out_dir, exist_ok=True)
@@ -256,16 +234,12 @@ def rebucket(
     new_num_buckets: int,
     *,
     fail_after_publish: int | None = None,  # crash injection for tests
-    drop_columns: list[str] | None = None,  # explicit state-column repair
 ) -> dict:
     from .lock import writer_lock
 
     with writer_lock(lake_dir, "rebucket"):
         return _rebucket_locked(
-            lake_dir,
-            new_num_buckets,
-            fail_after_publish=fail_after_publish,
-            drop_columns=drop_columns,
+            lake_dir, new_num_buckets, fail_after_publish=fail_after_publish
         )
 
 
@@ -274,7 +248,6 @@ def _rebucket_locked(
     new_num_buckets: int,
     *,
     fail_after_publish: int | None = None,
-    drop_columns: list[str] | None = None,
 ) -> dict:
     """Change the lake's bucket count — the partition-evolution operation a
     growing lake needs (bucket count is otherwise fixed at creation; at
@@ -306,22 +279,10 @@ def _rebucket_locked(
         raise RuntimeError("empty lake")
     tick_id = last["tick"] + 1
     old_manifests = lineage.all_bucket_manifests()
-    from .apply import bucket_files as _bucket_files
+    from .apply import bucket_files, bucket_manifest, bucket_schemas, fold_tail_path
 
-    files = [f for m in old_manifests for f in _bucket_files(m)]
-    target = unify_schemas([pq.read_schema(f) for f in files])
-    if drop_columns:
-        # explicit column repair while the whole lake rewrites anyway —
-        # e.g. shedding the phantom `b` a pre-fix rebucket baked into state
-        # files (an operator decision, never a heuristic: a drop is data loss
-        # if the column was real)
-        # literal "deleted": the function-local `from .apply import
-        # DELETED_COL` further down makes the module-level name unusable here
-        core = {"repo", "path", "lsn", "deleted"}
-        bad = core & set(drop_columns)
-        if bad:
-            raise ValueError(f"cannot drop engine-core columns: {sorted(bad)}")
-        target = pa.schema([f for f in target if f.name not in set(drop_columns)])
+    files = [f for m in old_manifests for f in bucket_files(m)]
+    target = unify_schemas(bucket_schemas(old_manifests))
     nb = new_num_buckets
 
     spill_dir = os.path.join(lake_dir, "_shuffle", f"rebucket-{tick_id:06d}")
@@ -329,8 +290,6 @@ def _rebucket_locked(
 
     shutil.rmtree(spill_dir, ignore_errors=True)
     os.makedirs(spill_dir, exist_ok=True)
-
-    drop_set = set(drop_columns or [])
 
     from .partitioning import (
         cpu_chunks,
@@ -345,16 +304,10 @@ def _rebucket_locked(
         # reader would hive-parse the buckets/b=00017/ layout into a
         # phantom string column `b` (the OLD bucket id) baked into every
         # rewritten state file
-        outs = []
-        for f in batch["file"].to_pylist():
-            t = pq.ParquetFile(f).read()
-            present = [c for c in t.schema.names if c in drop_set]
-            if present:
-                t = t.drop_columns(present)
-            # align_to keeps extra columns by design, so the repair drop
-            # above must happen BEFORE it
-            outs.append(spill_buckets(align_to(t, target), nb, spill_dir))
-        return pa.concat_tables(outs)
+        return pa.concat_tables(
+            spill_buckets(align_to(pq.ParquetFile(f).read(), target), nb, spill_dir)
+            for f in batch["file"].to_pylist()
+        )
 
     items = spilled_items(
         run_spilled([{"file": f} for f in files], rebucket_spill).take_all()
@@ -363,18 +316,14 @@ def _rebucket_locked(
     # fold-tail union (exact: LSNs are globally unique per event); the new
     # fold watermark is the MIN over old buckets — a lower horizon only
     # keeps more tail entries, never over-prunes
-    fold_hi = min(
-        (m.get("fold_through_lsn") or 0 for m in old_manifests), default=0
-    )
+    fold_hi = min((m["fold_through_lsn"] for m in old_manifests), default=0)
     tail_union = None
-    old_tails = [m["fold_file"] for m in old_manifests if m.get("fold_file")]
+    old_tails = [m["fold_file"] for m in old_manifests if m["fold_file"]]
     if old_tails:
         t = pa.concat_tables(pq.read_table(f) for f in old_tails)
         tail_union = pa.table(
             {"lsn": pa.array(np.unique(t["lsn"].to_numpy()), pa.int64())}
         )
-
-    from .apply import DELETED_COL, fold_tail_path
 
     def write_bucket(bucket: int, fs: list[str], rgs: list[int]) -> dict:
         from .dedup import last_writer
@@ -393,18 +342,11 @@ def _rebucket_locked(
             fold_file = fold_tail_path(out_path)
             pq.write_table(tail_union, fold_file + ".tmp", compression="snappy")
             os.replace(fold_file + ".tmp", fold_file)
-        live = t.num_rows - (pc.sum(t[DELETED_COL]).as_py() or 0)
-        return {
-            "bucket": bucket,
-            "tick": tick_id,
-            "applied_lsn": int(pc.max(t["lsn"]).as_py()),
-            "rows": int(t.num_rows),
-            "live_rows": int(live),
-            "delta_rows": 0,
-            "data_file": out_path,
-            "fold_file": fold_file,
-            "fold_through_lsn": fold_hi,
-        }
+        return bucket_manifest(
+            bucket, tick_id, t, data_file=out_path, delta_files=[],
+            written=[out_path, *([fold_file] if fold_file else [])],
+            fold_file=fold_file, fold_through_lsn=fold_hi,
+        )
 
     @ray.remote(num_cpus=1)
     def write_buckets(chunk: list[dict]) -> list[dict]:
@@ -429,22 +371,8 @@ def _rebucket_locked(
     for m in old_manifests:
         if m["bucket"] not in new_ids:
             lineage.remove_bucket_manifest(m["bucket"])
-    lineage.publish_tick(
-        {
-            "tick": tick_id,
-            "through_seqno": last["through_seqno"],
-            "applied_through_lsn": last["applied_through_lsn"],
-            "wal_through_lsn": LakeLineage.wal_watermark(last),
-            "num_buckets": nb,
-            "segments": [],
-            "events": 0,
-            "buckets_touched": len(new_manifests),
-            "state_rows": sum(m["rows"] for m in new_manifests),
-            "live_rows": sum(m["live_rows"] for m in new_manifests),
-            "kind": "rebucket",
-            # maintenance rewrites state in place: time-travel history ends here
-            "retained_through_tick": tick_id,
-        }
+    tick = lineage.publish_maintenance_tick(
+        last, "rebucket", num_buckets=nb, buckets_touched=len(new_manifests)
     )
     os.remove(lineage.rebucket_marker_path)
     lineage.gc()
@@ -453,7 +381,7 @@ def _rebucket_locked(
         "tick": tick_id,
         "num_buckets": nb,
         "buckets": len(new_manifests),
-        "state_rows": sum(m["rows"] for m in new_manifests),
+        "state_rows": tick["state_rows"],
     }
 
 
@@ -471,8 +399,7 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
     long-running lake accumulates O(ticks × tasks) files and every per-day
     recompute re-opens all of their footers. Compaction rewrites the log to
     one file per day — O(days) metadata, one footer per day read — through
-    the SAME ``t*.json`` index layout the readers already use, and migrates
-    legacy ``day=*/`` directories (pre-round-2 lakes) into it. Replayed
+    the SAME ``t*.json`` index layout the readers already use. Replayed
     duplicate LSNs are dropped while rewriting (safe: the recompute kernel
     dedups by LSN anyway — ``aggregates._day_intermediate``).
 
@@ -506,13 +433,10 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
     agdir = lineage.agglog_dir()
 
     old_indexes = sorted(glob.glob(os.path.join(agdir, "t*.json")))
-    legacy_dirs = sorted(glob.glob(os.path.join(agdir, "day=*")))
     days: set[str] = set()
     for idx in old_indexes:
         with open(idx) as f:
             days.update(json.load(f).keys())
-    for d in legacy_dirs:
-        days.add(os.path.basename(d)[len("day="):])
 
     items = []
     keep_parquets: set[str] = set()
@@ -546,7 +470,7 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
         outs = []
         for row in batch.to_pylist():
             t = pa.concat_tables(
-                pq.read_table(f) if rg < 0 else pq.ParquetFile(f).read_row_group(rg)
+                pq.ParquetFile(f).read_row_group(rg)
                 for f, rg in zip(row["files"], row["rgs"])
             )
             lsns = t["lsn"].to_numpy()
@@ -581,11 +505,6 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
         if os.path.exists(pqf):
             os.remove(pqf)
         removed += 1
-    import shutil as _shutil
-
-    for d in legacy_dirs:
-        _shutil.rmtree(d, ignore_errors=True)
-        removed += 1
     return {
         "days": len(items),
         "rows": int(res["rows"].sum()),
@@ -618,7 +537,7 @@ def _compact_tombstones_locked(
     possible lateness of the log; below the low watermark no event can
     arrive that it would still need to shadow).
 
-    The default watermark is ``applied_through_lsn − lateness_bound``: the
+    The default watermark is ``wal_through_lsn − lateness_bound``: the
     WAL delivers bounded-out-of-order events across segment boundaries, so a
     tombstone within the lateness bound of the high watermark may still need
     to shadow a late lower-LSN update arriving in a later tick — collecting
@@ -636,32 +555,32 @@ def _compact_tombstones_locked(
         # by lsn_gap per erasure tick, which would silently zero (then turn
         # negative) the lateness protection and let late lower-LSN updates
         # resurrect erased keys
-        watermark = LakeLineage.wal_watermark(last) - lateness_bound
+        watermark = last["wal_through_lsn"] - lateness_bound
     else:
         watermark = keep_after_lsn
     tick_id = last["tick"] + 1
 
-    from .apply import read_bucket_state
+    from .apply import bucket_manifest, read_bucket_state
 
     removed = rewritten = 0
     for man in lineage.all_bucket_manifests():
         t = read_bucket_state(man)  # folded view in delta mode
         dead = pc.and_(t[DELETED_COL], pc.less_equal(t["lsn"], watermark))
         n_dead = pc.sum(dead).as_py() or 0
-        if n_dead == 0 and not man.get("delta_files"):
+        if n_dead == 0 and not man["delta_files"]:
             continue
         kept = t.filter(pc.invert(dead))
         out_path = lineage.bucket_state_path(man["bucket"], tick_id)
         pq.write_table(kept, out_path + ".tmp", compression="zstd")
         os.replace(out_path + ".tmp", out_path)
-        # compaction always lands as a fresh BASE: the delta chain resets
+        # compaction always lands as a fresh BASE: the delta chain resets;
+        # the watermark stays (dropping tombstones applies no event)
         lineage.publish_bucket(
-            dict(
-                man,
-                tick=tick_id,
-                rows=kept.num_rows,
-                data_file=out_path,
-                delta_files=[],
+            bucket_manifest(
+                man["bucket"], tick_id, kept, data_file=out_path,
+                delta_files=[], written=[out_path], fold_file=man["fold_file"],
+                fold_through_lsn=man["fold_through_lsn"],
+                applied_lsn=man["applied_lsn"],
             )
         )
         removed += n_dead
@@ -669,23 +588,6 @@ def _compact_tombstones_locked(
     # explicit tick record: a compaction tick must not inherit the previous
     # tick's segments/agglog/buckets_touched fields (it would masquerade as a
     # segment-processing tick in lineage and replay's agg-log completeness scan)
-    manifests = lineage.all_bucket_manifests()
-    lineage.publish_tick(
-        {
-            "tick": tick_id,
-            "through_seqno": last["through_seqno"],
-            "applied_through_lsn": last["applied_through_lsn"],
-            "wal_through_lsn": LakeLineage.wal_watermark(last),
-            "num_buckets": last.get("num_buckets"),
-            "segments": [],
-            "events": 0,
-            "buckets_touched": rewritten,
-            "state_rows": sum(m["rows"] for m in manifests),
-            "live_rows": sum(m["live_rows"] for m in manifests),
-            "kind": "compaction",
-            # maintenance rewrites state in place: time-travel history ends here
-            "retained_through_tick": tick_id,
-        }
-    )
+    lineage.publish_maintenance_tick(last, "compaction", buckets_touched=rewritten)
     lineage.gc()
     return {"tombstones_removed": removed, "buckets_rewritten": rewritten, "tick": tick_id}

@@ -180,7 +180,7 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
     if ctx.segments or ctx.events:
         return []  # mid-tick: the current attempt's parts aren't committed
     ticks = ctx.lineage.all_ticks()
-    seg_ticks = [t for t in ticks if t.get("segments")]
+    seg_ticks = [t for t in ticks if t["segments"]]
     if not seg_ticks or not all(t.get("changelog") for t in seg_ticks):
         return []
     if any(t.get("kind") == "bootstrap" for t in ticks):
@@ -207,9 +207,7 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
     if not feed_parts:
         return []
 
-    nb = (ctx.prev_tick or {}).get("num_buckets") or max(
-        (m["bucket"] for m in ctx.new_manifests), default=0
-    ) + 1
+    nb = ticks[-1]["num_buckets"]
     spill_dir = os.path.join(lake, "_audit_shuffle")
     shutil.rmtree(spill_dir, ignore_errors=True)
     os.makedirs(spill_dir, exist_ok=True)

@@ -97,17 +97,16 @@ class ReplayEngine:
         on_event=None,  # alert callback(s): see engine/alerts.py
         ext_map_path: str | None = None,  # versioned enrichment dim (JSON)
         dims: list | None = None,  # named broadcast dims (enrich.DimSpec)
-        state_mode: str = "rewrite",  # "rewrite" | "delta" (base+delta buckets)
-        delta_threshold: int = 8,  # delta files per bucket before a base fold
+        delta_threshold: int | None = None,  # see apply.resolve_delta_threshold
+        state_mode: str | None = None,  # its older spelling
     ):
-        if state_mode not in ("rewrite", "delta"):
-            raise ValueError(f"state_mode must be rewrite|delta, got {state_mode!r}")
-        # retain_ticks works in BOTH modes: rewrite keeps whole per-tick
-        # state images; delta reconstructs an as-of point by folding the
-        # newest base <= T plus the deltas in (base, T] (GC keeps
-        # dereferenced chain segments inside the window — lineage.gc)
-        self.state_mode = state_mode
-        self.delta_threshold = int(delta_threshold)
+        from .apply import resolve_delta_threshold
+
+        # retain_ticks works at every threshold: a rewrite keeps whole
+        # per-tick state images; a delta chain reconstructs an as-of point
+        # by folding the newest base <= T plus the deltas in (base, T] (GC
+        # keeps dereferenced chain segments inside the window — lineage.gc)
+        self.delta_threshold = resolve_delta_threshold(state_mode, delta_threshold)
         # Versioned broadcast dimension (the reference refreshes its
         # currency/GeoIP dims on side-DAGs — DAG_get_currencies_data.py:33-63,
         # DAG_update_geoip_db.py:32-51): a JSON overlay of the built-in
@@ -377,7 +376,7 @@ class ReplayEngine:
         task = ray.remote(num_cpus=1)(_merge_chunk)
         args = (
             self.lake_dir, tick_id, schema_ser, self.folds, self.fold_lateness,
-            self.emit_changelog, self.state_mode, self.delta_threshold,
+            self.emit_changelog, self.delta_threshold,
         )
         conc = self.concurrency
         cap = conc[1] if isinstance(conc, tuple) else conc
@@ -453,7 +452,7 @@ class ReplayEngine:
         # the bucket count is a property of the LAKE, not the run: resuming
         # with a different value would scatter a key's updates away from its
         # committed state row (duplicate live keys). Adopt the lake's value.
-        if last is not None and last.get("num_buckets") not in (None, self.num_buckets):
+        if last is not None:
             self.num_buckets = last["num_buckets"]
         segs = pending_segments(self.wal, through, max_segments)
         if not segs:
@@ -576,10 +575,10 @@ class ReplayEngine:
             # after aggregate=False ticks or a tz-offset change fall back to
             # the WAL rescan
             log_complete = all(
-                t.get("agglog", False)
-                and t.get("tz_offset_minutes", 0) == self.tz_offset_minutes
+                t["agglog"]
+                and t["tz_offset_minutes"] == self.tz_offset_minutes
                 for t in self.lineage.all_ticks()
-                if t.get("segments")
+                if t["segments"]
             )
             if log_complete:
                 aggregates.recompute_days_from_agglog(self.lineage, days)
@@ -606,7 +605,7 @@ class ReplayEngine:
             )
 
         prev_hi = last["applied_through_lsn"] if last else 0
-        prev_wal = LakeLineage.wal_watermark(last) if last else 0
+        prev_wal = last["wal_through_lsn"] if last else 0
         self.lineage.publish_tick(
             {
                 "tick": tick_id,
@@ -630,11 +629,8 @@ class ReplayEngine:
                 # keeps [tick - retain_ticks, tick] plus per-bucket boundary
                 # states; monotone (history once dropped never comes back)
                 "retained_through_tick": (
-                    max(
-                        (last or {}).get("retained_through_tick", (last or {}).get("tick", 0)),
-                        tick_id - self.retain_ticks,
-                    )
-                    if self.retain_ticks > 0
+                    max(last["retained_through_tick"], tick_id - self.retain_ticks)
+                    if self.retain_ticks > 0 and last
                     else tick_id
                 ),
                 "quality": quality_summary,
@@ -644,9 +640,9 @@ class ReplayEngine:
                 # + appended deltas + fold tails) — the base+delta win shows
                 # up here as bytes/tick dropping from O(bucket) to O(touched)
                 "state_bytes_written": int(
-                    sum(m.get("bytes_written") or 0 for m in manifests)
+                    sum(m["bytes_written"] for m in manifests)
                 ),
-                "state_mode": self.state_mode,
+                "delta_threshold": self.delta_threshold,
                 # enrichment-dim lineage: which dim version(s) tagged this tick
                 "dim_version": dim_version,
                 "dim_versions": dim_versions or None,

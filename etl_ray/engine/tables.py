@@ -91,8 +91,11 @@ class TableSpec:
     retain_ticks: int = 0
     view: str | None = None  # derived-view kind, see VIEW_KINDS
     source: str | None = None  # upstream table name (views only)
-    state_mode: str = "rewrite"  # per-table bucket layout ("rewrite"|"delta")
-    delta_threshold: int = 8
+    # per-table bucket layout: delta files per bucket before a base fold,
+    # 0 = rewrite (apply.resolve_delta_threshold; state_mode is its older
+    # spelling, "rewrite" | "delta")
+    state_mode: str | None = None
+    delta_threshold: int | None = None
     # view="aggregate" only: GROUP BY columns and the aggregate field list —
     # [{"out": name, "fn": sum|count|min|max|mean, "col": src, "default": v}]
     # ("col" optional for count = COUNT(*); "default" fills an all-null group)
@@ -255,11 +258,12 @@ class TableSpec:
             for d in self.dims:
                 if not isinstance(d, DimSpec):
                     DimSpec.from_config(d)  # shape check, raises on typos
-        if self.state_mode not in ("rewrite", "delta"):
-            raise ValueError(
-                f"table {self.name!r}: state_mode must be rewrite|delta, "
-                f"got {self.state_mode!r}"
-            )
+        from .apply import resolve_delta_threshold
+
+        try:
+            resolve_delta_threshold(self.state_mode, self.delta_threshold)
+        except ValueError as e:
+            raise ValueError(f"table {self.name!r}: {e}") from None
 
 
 _CONFIG_KEYS = frozenset(
@@ -304,8 +308,8 @@ def spec_from_config(entry: dict) -> TableSpec:
         retain_ticks=int(entry.get("retain_ticks", 0)),
         view=entry.get("view"),
         source=entry.get("source"),
-        state_mode=entry.get("state_mode", "rewrite"),
-        delta_threshold=int(entry.get("delta_threshold", 8)),
+        state_mode=entry.get("state_mode"),
+        delta_threshold=entry.get("delta_threshold"),
         view_group_by=list(entry.get("group_by", [])),
         view_aggs=[dict(a) for a in entry.get("aggs", [])],
         dims=[dict(d) for d in entry.get("dims", [])],
@@ -1130,7 +1134,7 @@ def _refresh_partials(
     if last is None:
         return None
     spec_hash = _agg_spec_hash(spec)
-    num_groups = int(last.get("num_buckets") or 1)
+    num_groups = last["num_buckets"]
     mf = _view_manifest(view_dir)
     applied = mf.get("upstream_tick", -1)
     if mf.get("spec_hash") not in (None, spec_hash):
@@ -1151,12 +1155,10 @@ def _refresh_partials(
             b = int(os.path.basename(f)[2:-8])
             if b not in live_buckets:
                 os.remove(f)
-        # unified upstream schema: preferred source is the schema each
-        # applier embedded in its bucket manifest (one JSON field per
-        # bucket, no file IO); buckets whose manifest predates the field
-        # (bootstrap/rebucket/legacy lakes) fall back to parquet footer
-        # reads. Validates the view's columns against the table and pins
-        # every bucket's partial to ONE type per column despite evolution.
+        # unified upstream schema, from the schema each bucket manifest
+        # records (one JSON field per bucket, no file IO). Validates the
+        # view's columns against the table and pins every bucket's partial
+        # to ONE type per column despite evolution.
         from .apply import bucket_schemas
         from .schema_evo import unify_schemas
 

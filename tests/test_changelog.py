@@ -13,7 +13,6 @@ import pyarrow.parquet as pq
 import pytest
 
 from etl_ray.engine import ReplayEngine
-from etl_ray.engine.changelog import committed_changelog_files
 from etl_ray.engine.export import final_state
 
 

@@ -160,7 +160,7 @@ def test_delta_mode_writes_fewer_bytes(ray_session, tmp_path):
         )
         eng.replay_all(segments_per_tick=1)
         ticks = LakeLineage(lake).all_ticks()
-        assert all(t["state_mode"] == mode for t in ticks)
+        assert all(t["delta_threshold"] == (8 if mode == "delta" else 0) for t in ticks)
         # first tick writes full bases in both modes — compare the steady
         # state (every tick after the first)
         sizes[mode] = sum(t["state_bytes_written"] for t in ticks[1:])

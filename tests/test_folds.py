@@ -149,7 +149,7 @@ def test_fold_state_survives_erasure_tick(ray_session, small_wal, tmp_path):
 
     live = _fold_df(lake)
     victims = [tuple(r) for r in live[["repo", "path"]].head(5).to_numpy()]
-    erase_keys(lake, victims, num_buckets=8)
+    erase_keys(lake, victims)
     # tail references survive the erasure tick
     assert any(
         m.get("fold_file") for m in eng.lineage.all_bucket_manifests()

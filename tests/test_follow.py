@@ -72,7 +72,7 @@ def test_follow_with_live_feed_consumer(ray_session, small_wal, tmp_path):
     exports — the streaming CDC-out end-to-end."""
     import os
 
-    from etl_ray.engine.changelog import committed_changelog_files
+    from etl_ray.engine.changelog import committed_changelog_parts
 
     view_dir = str(tmp_path / "walview")
     os.makedirs(view_dir, exist_ok=True)
@@ -112,7 +112,14 @@ def test_follow_with_live_feed_consumer(ray_session, small_wal, tmp_path):
     import pyarrow.parquet as pq
 
     feed = pd.concat(
-        [pq.read_table(f).to_pandas() for f in committed_changelog_files(lake)],
+        [
+            (
+                pq.read_table(p["file"])
+                if p["rgs"] is None
+                else pq.ParquetFile(p["file"]).read_row_groups(p["rgs"])
+            ).to_pandas()
+            for p in committed_changelog_parts(lake)
+        ],
         ignore_index=True,
     )
     assert set(feed["tick"].unique()) == {r.tick for r in results}

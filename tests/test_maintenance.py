@@ -19,7 +19,7 @@ def test_erase_keys(ray_session, small_wal, tmp_path):
     before = _live_df(lake)
     victims = [tuple(r) for r in before[["repo", "path"]].head(7).to_numpy()]
 
-    res = erase_keys(lake, victims, num_buckets=8)
+    res = erase_keys(lake, victims)
     assert res["erased"] == 7
 
     after = _live_df(lake)
@@ -134,7 +134,7 @@ def test_compaction_watermark_survives_erasure(ray_session, small_wal, tmp_path)
     assert int(with_tombs["deleted"].sum()) > 0
 
     lin = LakeLineage(lake)
-    wal_hi_before = LakeLineage.wal_watermark(lin.last_tick())
+    wal_hi_before = lin.last_tick()["wal_through_lsn"]
 
     ks = [tuple(r) for r in _live_df(lake)[["repo", "path"]].head(2).to_numpy()]
     erase_keys(lake, [ks[0]])
@@ -142,7 +142,7 @@ def test_compaction_watermark_survives_erasure(ray_session, small_wal, tmp_path)
 
     last = lin.last_tick()
     # erasure ticks must not advance the WAL watermark
-    assert LakeLineage.wal_watermark(last) == wal_hi_before
+    assert last["wal_through_lsn"] == wal_hi_before
     assert last["applied_through_lsn"] > wal_hi_before
 
     # default lateness bound exceeds this small log's LSN range: every WAL
@@ -174,74 +174,13 @@ def test_erase_map_field_validation(ray_session, small_wal, tmp_path):
     assert res["map_rows_removed"] >= 1
 
 
-def test_agglog_legacy_day_layout_read(ray_session, small_wal, tmp_path):
-    """A pre-round-2 lake stores agg-log rows under day=<d>/t*.parquet;
-    agglog_day_rgs must surface them (as whole-file reads, rg=-1) so
-    continuing replay doesn't silently under-count legacy days."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from etl_ray.engine.aggregates import read_agg, recompute_days_from_agglog
-    from etl_ray.engine.lineage import LakeLineage
-
-    lake = str(tmp_path / "lake")
-    ReplayEngine(small_wal.wal_dir, lake, num_buckets=8, concurrency=2).replay_all()
-    lin = LakeLineage(lake)
-    before = (
-        read_agg(lin, "lang_daily_agg")
-        .to_pandas()
-        .sort_values(["day", "lang"])
-        .reset_index(drop=True)
-    )
-    days = sorted(before["day"].unique())
-
-    # downgrade the newest indexed agg-log file to the legacy layout: split
-    # its day row-groups into day=<d>/ whole files and drop the index
-    import glob as _glob
-    import json as _json
-
-    for n, idx_path in enumerate(
-        sorted(_glob.glob(os.path.join(lake, "_agglog", "t*.json")))
-    ):
-        pq_path = idx_path[: -len(".json")] + ".parquet"
-        with open(idx_path) as f:
-            day_rgs = _json.load(f)
-        pf = pq.ParquetFile(pq_path)
-        for d, rg in day_rgs.items():
-            legacy_dir = os.path.join(lake, "_agglog", f"day={d}")
-            os.makedirs(legacy_dir, exist_ok=True)
-            pq.write_table(
-                pf.read_row_group(rg),
-                os.path.join(legacy_dir, f"t000000-legacy{n}.parquet"),
-            )
-        pf.close()
-        os.remove(idx_path)
-        os.remove(pq_path)
-
-    rgs = lin.agglog_day_rgs(days[0])
-    assert any(rg == -1 for _, rg in rgs), "legacy files not surfaced"
-
-    recompute_days_from_agglog(lin, days)
-    after = (
-        read_agg(lin, "lang_daily_agg")
-        .to_pandas()
-        .sort_values(["day", "lang"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(before, after, check_dtype=False)
-
-
 def test_compact_agglog(ray_session, small_wal, tmp_path):
     """Agg-log compaction: one file per day, aggregates identical after,
-    legacy day=*/ dirs migrated, crash-window double-reference harmless,
-    and a second run is a no-op."""
+    crash-window double-reference harmless, and a second run is a no-op."""
     import glob as _glob
     import json as _json
     import os
     import shutil as _shutil
-
-    import pyarrow.parquet as pq
 
     from etl_ray.engine.aggregates import read_agg, recompute_days_from_agglog
     from etl_ray.engine.lineage import LakeLineage
@@ -265,25 +204,10 @@ def test_compact_agglog(ray_session, small_wal, tmp_path):
     before = aggs()
     days = sorted(before["lang_daily_agg"]["day"].unique())
 
-    # downgrade one indexed file to the legacy layout so migration is covered
-    idx_path = sorted(_glob.glob(os.path.join(lake, "_agglog", "t*.json")))[0]
-    pq_path = idx_path[: -len(".json")] + ".parquet"
-    with open(idx_path) as f:
-        day_rgs = _json.load(f)
-    pf = pq.ParquetFile(pq_path)
-    for d, rg in day_rgs.items():
-        ldir = os.path.join(lake, "_agglog", f"day={d}")
-        os.makedirs(ldir, exist_ok=True)
-        pq.write_table(pf.read_row_group(rg), os.path.join(ldir, "t000000-legacy.parquet"))
-    pf.close()
-    os.remove(idx_path)
-    os.remove(pq_path)
-
     res = compact_agglog(lake)
     assert res["days"] == len(days)
     files = _glob.glob(os.path.join(lake, "_agglog", "t*.parquet"))
     assert len(files) == len(days)
-    assert not _glob.glob(os.path.join(lake, "_agglog", "day=*")), "legacy not migrated"
 
     recompute_days_from_agglog(lin, set(days))
     after = aggs()
@@ -373,7 +297,7 @@ def test_compact_agglog_day_over_one_rowgroup(ray_session, small_wal, tmp_path):
     base_rows = len(
         {
             lsn
-            for f, rg in lin.agglog_day_rgs(day)
+            for f, rg in lin.agglog_days_rgs({day})[day]
             for lsn in (
                 pq.read_table(f) if rg < 0 else pq.ParquetFile(f).read_row_group(rg)
             )["lsn"].to_pylist()
@@ -405,7 +329,7 @@ def test_compact_agglog_day_over_one_rowgroup(ray_session, small_wal, tmp_path):
 
     compact_agglog(lake)
 
-    rgs = lin.agglog_day_rgs(day)
+    rgs = lin.agglog_days_rgs({day})[day]
     assert len(rgs) == 1 and rgs[0][1] == 0
     got = pq.ParquetFile(rgs[0][0]).read_row_group(0).num_rows
     assert got == base_rows + n, f"lost {base_rows + n - got} rows past rg 0"

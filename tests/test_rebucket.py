@@ -107,31 +107,3 @@ def test_rebucket_no_phantom_partition_column(ray_session, small_wal, tmp_path):
     from etl_ray.engine.export import final_state
 
     assert "b" not in final_state(lake).schema().names
-
-
-def test_rebucket_drop_column_repair(ray_session, small_wal, tmp_path):
-    """rebucket(drop_columns=[...]) sheds an unwanted state column during
-    the rewrite (the explicit repair for pre-fix phantom columns) while the
-    content sha invariant holds; core columns refuse to drop."""
-    import glob
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import pytest as _pytest
-
-    lake = str(tmp_path / "lake")
-    ReplayEngine(small_wal.wal_dir, lake, num_buckets=8, concurrency=2).replay_all()
-    before = _live_df(lake)
-    # contaminate one state file the way the pre-fix rebucket did
-    f = sorted(glob.glob(f"{lake}/buckets/b=*/state-*.parquet"))[0]
-    t = pq.read_table(f)
-    t = t.append_column("b", pa.array(["00001"] * t.num_rows))
-    pq.write_table(t, f, compression="zstd")
-
-    with _pytest.raises(ValueError, match="engine-core"):
-        rebucket(lake, 12, drop_columns=["repo"])
-
-    rebucket(lake, 12, drop_columns=["b"])
-    for sf in glob.glob(f"{lake}/buckets/b=*/state-*.parquet"):
-        assert "b" not in pq.read_schema(sf).names, sf
-    pd.testing.assert_frame_equal(_live_df(lake), before)
