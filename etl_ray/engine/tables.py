@@ -815,36 +815,38 @@ def _enc_extreme(order_col, value_col) -> "pa.Array":
 
 
 def _dec_extreme(bin_col, value_type) -> "pa.Array":
-    """Packed winners → values of ``value_type``. Runs at final aggregate
-    grain only (one cell per group), so the per-cell Python is bounded by
-    output size, not data size."""
+    """Packed winners → values of ``value_type``, column at a time: the
+    marker byte becomes one null mask, and fixed-width payloads invert
+    :func:`_sortable_u64` through a big-endian uint64 view."""
+    import numpy as np
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    sign = 1 << 63
-    mask = (1 << 64) - 1
-    out = []
-    for b in bin_col.to_pylist():
-        if b is None or len(b) < 9 or b[8:9] == b"\x00":
-            out.append(None)
-            continue
-        payload = b[9:]
-        if pa.types.is_string(value_type):
-            out.append(payload.decode("utf-8"))
-        elif pa.types.is_binary(value_type):
-            out.append(payload)
-        elif pa.types.is_floating(value_type):
-            import struct
-
-            u = int.from_bytes(payload, "big")
-            bits = (u ^ sign) if u & sign else (~u & mask)
-            out.append(struct.unpack(">d", struct.pack(">Q", bits))[0])
-        else:  # ints / timestamp / date / bool — stored as shifted int64
-            u = int.from_bytes(payload, "big") ^ sign
-            x = u - (1 << 64) if u >= sign else u
-            if pa.types.is_boolean(value_type):
-                x = bool(x)
-            out.append(x)
-    return pa.array(out, type=value_type)
+    if isinstance(bin_col, pa.ChunkedArray):
+        bin_col = bin_col.combine_chunks()
+    marker = pc.binary_slice(bin_col, 8, 9)
+    present = pc.fill_null(pc.equal(marker, pa.scalar(b"\x01", pa.binary())), False)
+    if pa.types.is_string(value_type) or pa.types.is_binary(value_type):
+        # an explicit stop: binary_slice's default one overflows in pyarrow 16
+        stop = max(pc.max(pc.binary_length(bin_col)).as_py() or 0, 9)
+        payload = pc.binary_slice(bin_col, 9, stop)
+        return pc.if_else(present, payload.cast(value_type), pa.scalar(None, value_type))
+    payload = pc.if_else(
+        present, pc.binary_slice(bin_col, 9, 17), pa.scalar(bytes(8), pa.binary())
+    ).cast(pa.binary(8))
+    u = np.frombuffer(
+        payload.buffers()[1], ">u8", len(payload), payload.offset * 8
+    ).astype(np.uint64)
+    sign = np.uint64(1 << 63)
+    mask = ~present.to_numpy(zero_copy_only=False)
+    if pa.types.is_floating(value_type):
+        bits = np.where(u & sign != 0, u ^ sign, ~u)
+        return pa.array(bits.view(np.float64), mask=mask).cast(value_type)
+    # ints / timestamp / date / bool — stored as shifted int64
+    out = pa.array((u ^ sign).view(np.int64), mask=mask)
+    if pa.types.is_date32(value_type):
+        out = out.cast(pa.int32())  # no direct int64→date32 cast kernel
+    return out.cast(value_type)
 
 
 def _extremal_fields(agg_spec: dict) -> list[dict]:
@@ -906,6 +908,59 @@ def _partial_plan(agg_spec: dict) -> tuple[list, list[tuple[str, str | None, str
             fields.append((a["out"], col, arrow_fn))
     arrow_aggs = [([], fn) if col is None else (col, fn) for col, fn in pairs]
     return arrow_aggs, fields
+
+
+def _reduce_riders(table, group_cols, aggs, enc_types, extra_aggs=()) -> "pa.Table":
+    """The read-side half of every declared aggregate (both view kinds):
+    ONE Arrow ``group_by(group_cols)`` over the partial columns of
+    :func:`_partial_plan` plus ``extra_aggs`` ((col, arrow fn), each landing
+    under ``col``), then the finish — mean = sum/count (NULL on zero
+    count), first/last decoded from the winning packed cell, a NULL-typed
+    metric as int64, ``default`` via coalesce. An all-NULL ``sum`` stays
+    NULL (Arrow's ``min_count=1``, as SQL SUM). Output groups come in order
+    of first appearance."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    reduce_aggs = list(extra_aggs)
+    for a in aggs:
+        fn, out = a["fn"], a["out"]
+        if fn == "mean":
+            reduce_aggs += [(f"__s_{out}", "sum"), (f"__c_{out}", "sum")]
+        elif fn in ("count", "sum"):
+            reduce_aggs.append((out, "sum"))  # counts re-sum across partials
+        elif fn in ("first", "last"):
+            # winner-of-winners: min/max of the packed cell across partials
+            reduce_aggs.append((f"__e_{out}", "min" if fn == "first" else "max"))
+        else:
+            reduce_aggs.append((out, fn))  # min/max are idempotent
+    g = table.group_by(group_cols, use_threads=False).aggregate(reduce_aggs)
+    g = g.rename_columns(
+        [n if n in group_cols else n.rsplit("_", 1)[0] for n in g.schema.names]
+    )
+    cols = {c: g[c] for c in (*group_cols, *(c for c, _ in extra_aggs))}
+    for a in aggs:
+        if a["fn"] == "mean":
+            c = pc.cast(g[f"__c_{a['out']}"], pa.float64())
+            s = pc.cast(g[f"__s_{a['out']}"], pa.float64())
+            zero = pc.equal(c, 0.0)
+            v = pc.if_else(
+                zero,
+                pa.scalar(None, pa.float64()),
+                pc.divide(s, pc.if_else(zero, pa.scalar(1.0), c)),
+            )
+        elif a["fn"] in ("first", "last"):
+            v = _dec_extreme(g[f"__e_{a['out']}"], enc_types.get(a["out"], pa.string()))
+        else:
+            v = g[a["out"]].combine_chunks()
+            if pa.types.is_null(v.type):
+                # an optional rider's column has not arrived upstream
+                # yet: surface the declared int64 metric type
+                v = v.cast(pa.int64())
+        if a.get("default") is not None:
+            v = pc.coalesce(v, pa.scalar(a["default"], v.type))
+        cols[a["out"]] = v
+    return pa.table(cols)
 
 
 def _agg_partial_of_state(
@@ -988,10 +1043,10 @@ _TS_UNITS_PER_MINUTE = {
 
 
 def _gap_in_ts_units(ts_type, gap_minutes: float) -> float:
-    """Exact float, NOT rounded to the unit grid — the read-side merge
-    compares with the exact ``pd.Timedelta``, and the two halves of the
-    algorithm must apply the same threshold or session splits would depend
-    on physical bucket placement."""
+    """Exact float, NOT rounded to the unit grid. Both halves of the
+    algorithm compare integer ts differences with this one value
+    (:func:`_session_starts`), so session splits cannot depend on physical
+    bucket placement."""
     import pyarrow as pa
 
     if not pa.types.is_timestamp(ts_type):
@@ -1016,6 +1071,39 @@ def _adjacent_neq(col) -> "np.ndarray":
     an = pc.is_null(a).to_numpy(zero_copy_only=False)
     bn = pc.is_null(b).to_numpy(zero_copy_only=False)
     return neq | (an != bn)
+
+
+def _session_starts(t, key: list[str], start: str, end: str, gap: float):
+    """THE session-break rule, shared by the fragment cut (one event per
+    row: ``start`` is ``end``) and the read-side merge (fragments). Sorts
+    ``t`` by (key, start, end) and returns ``(sorted, new, key_new)``: row
+    i opens a session (``new``) when it opens a key (``key_new``; null ==
+    null) or its start lies more than ``gap`` ts units past the running max
+    of ``end`` over the key's earlier rows. That running max is ONE
+    ``np.maximum.accumulate`` for all keys: ``end`` is replaced by its rank
+    in [0, n) and key j's ranks are offset by j * n, so no key's values
+    reach into the next key's — and the offsets stay below n² < 2⁶³."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    cols = list(dict.fromkeys([*key, start, end]))
+    s = t.take(pc.sort_indices(t, sort_keys=[(c, "ascending") for c in cols]))
+    n = s.num_rows
+    key_new = np.ones(n, dtype=bool)
+    if n > 1:
+        key_new[1:] = False
+        for k in key:
+            key_new[1:] |= _adjacent_neq(s[k])
+    lo, hi = (
+        pc.cast(s[c], pa.int64()).to_numpy(zero_copy_only=False) for c in (start, end)
+    )
+    ends, rank = np.unique(hi, return_inverse=True)
+    off = (np.cumsum(key_new) - 1) * n
+    run_end = ends[np.maximum.accumulate(off + rank) - off]
+    new = key_new.copy()
+    new[1:] |= (lo[1:] - run_end[:-1]) > gap
+    return s, new, key_new
 
 
 def _session_partial_of_state(
@@ -1048,20 +1136,8 @@ def _session_partial_of_state(
             pc.is_valid(t[ts]),
         )
     )
-    idx = pc.sort_indices(
-        live, sort_keys=[(k, "ascending") for k in (*key, ts)]
-    )
-    s = live.take(idx)
+    s, new_frag, _ = _session_starts(live, key, ts, ts, gap)
     n = s.num_rows
-    new_frag = np.zeros(n, dtype=bool)
-    if n:
-        new_frag[0] = True
-    if n > 1:
-        x = pc.cast(s[ts], pa.int64()).to_numpy(zero_copy_only=False)
-        brk = np.diff(x) > gap
-        for k in key:
-            brk |= _adjacent_neq(s[k])
-        new_frag[1:] = brk
     first_rows = np.flatnonzero(new_frag)
     starts = pa.array(first_rows)
     ends = pa.array(np.r_[first_rows[1:], n] - 1)
@@ -1231,9 +1307,8 @@ def refresh_session_view(
 
         _gap_in_ts_units(col_types[ts], sess_spec["gap_minutes"])
         _agg_validate_types(rider_spec, col_types)
-        # the cross-fragment reduce runs in pandas, whose object-dtype
-        # min/max chokes on the None an all-null fragment produces — string
-        # values must ride first/last (packed cells carry nulls safely)
+        # sum/mean riders take numeric columns, min/max also temporal ones;
+        # string values ride first/last (packed cells carry nulls safely)
         for a in rider_spec["aggs"]:
             fn = a["fn"]
             if fn not in ("sum", "mean", "min", "max"):
@@ -1319,13 +1394,15 @@ def read_session_view(sess_spec: dict, view_dir: str):
     """The session view as a Ray Dataset: per-key interval merge of the
     per-bucket fragments, in one consumer pass over the hash-grouped
     partials (``partitioning.run_spilled``; a key's fragments all sit in
-    one hash group). The merge inside each consumer is vectorized pandas
-    over ALL its keys (sort + per-key running cummax of session_end), not a
-    Python loop per key. Every block, empty or not, has the one schema of
+    one hash group). Each consumer merges ALL its keys in Arrow and numpy:
+    one sort and one running max of session_end label every fragment with
+    its session (:func:`_session_starts`, the rule that cut the fragments),
+    then one Arrow ``group_by`` on that label reduces the session bounds and
+    the riders (:func:`_reduce_riders`, shared with the aggregate view).
+    Every block, empty or not, has the one schema of
     :func:`_session_schema`. Output grain: one row per (key, session) with
     session_start/end, n_events, riders, session_seq."""
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data
@@ -1347,72 +1424,25 @@ def read_session_view(sess_spec: dict, view_dir: str):
         # (schema() and write_parquet are fine)
         return ray.data.from_arrow(schema.empty_table())
 
-    gap = pd.Timedelta(minutes=sess_spec["gap_minutes"])
+    gap = _gap_in_ts_units(schema.field("session_start").type, sess_spec["gap_minutes"])
+    bounds = [
+        *((k, "first") for k in key),
+        ("session_start", "min"),
+        ("session_end", "max"),
+        ("n_events", "sum"),
+    ]
 
-    def merge(df: pd.DataFrame) -> pa.Table:
-        df = df.sort_values(
-            [*key, "session_start", "session_end"],
-            kind="mergesort",
-            ignore_index=True,
-        )
-        kc = pd.Series(False, index=df.index)
-        for k in key:
-            a, b = df[k], df[k].shift()
-            kc |= a.ne(b) & ~(a.isna() & b.isna())
-        kc.iloc[0] = True
-        kid = kc.cumsum()
-        prev_end = df.groupby(kid)["session_end"].cummax().shift(1)
-        df["__sid"] = (kc | ((df["session_start"] - prev_end) > gap)).cumsum()
-        agg_kwargs = {k: (k, "first") for k in key}
-        agg_kwargs["session_start"] = ("session_start", "min")
-        agg_kwargs["session_end"] = ("session_end", "max")
-        agg_kwargs["n_events"] = ("n_events", "sum")
-        for a in riders:
-            fn, out_name = a["fn"], a["out"]
-            if fn == "mean":
-                agg_kwargs[f"__s_{out_name}"] = (f"__s_{out_name}", "sum")
-                agg_kwargs[f"__c_{out_name}"] = (f"__c_{out_name}", "sum")
-            elif fn in ("count", "sum"):
-                # sum: values replaced by the min_count=1 sum below
-                agg_kwargs[out_name] = (out_name, "sum")
-            elif fn in ("first", "last"):
-                # winner-of-winners: lexicographic min/max of the packed
-                # (order, value) cell — bytes compare elementwise in pandas
-                agg_kwargs[f"__e_{out_name}"] = (
-                    f"__e_{out_name}", "min" if fn == "first" else "max"
-                )
-            else:
-                agg_kwargs[out_name] = (out_name, fn)
-        out = df.groupby("__sid", as_index=False, sort=True).agg(**agg_kwargs)
-        out = out.drop(columns="__sid")
-        sum_cols = [a["out"] for a in riders if a["fn"] == "sum"]
-        if sum_cols:
-            # a session whose fragments are all NULL sums to NULL, not 0
-            sums = df.groupby("__sid", sort=True)[sum_cols].sum(min_count=1)
-            for c in sum_cols:
-                out[c] = sums[c].to_numpy()
-        for a in riders:
-            fn, out_name = a["fn"], a["out"]
-            if fn == "mean":
-                c = out.pop(f"__c_{out_name}").astype("float64")
-                s_ = out.pop(f"__s_{out_name}").astype("float64")
-                out[out_name] = np.where(c == 0.0, np.nan, s_ / np.where(c == 0.0, 1.0, c))
-            elif fn in ("first", "last"):
-                e = pa.array(out.pop(f"__e_{out_name}").tolist(), pa.binary())
-                out[out_name] = _dec_extreme(
-                    e, enc_types.get(out_name, pa.string())
-                ).to_pandas()
-            if a.get("default") is not None and out[out_name].isna().any():
-                out[out_name] = out[out_name].fillna(a["default"])
-        out["n_events"] = out["n_events"].astype("int64")
-        out["session_seq"] = (
-            out.groupby(key, dropna=False).cumcount() + 1
-        ).astype("int64")
-        return pa.Table.from_pandas(
-            out, schema=schema, preserve_index=False
-        ).replace_schema_metadata(None)
+    def merge(t: pa.Table) -> pa.Table:
+        s, new, key_new = _session_starts(t, key, "session_start", "session_end", gap)
+        sid = np.cumsum(new) - 1
+        # a session's ordinal within its key: its id minus the id the key opens with
+        seq = (sid - sid[key_new][np.cumsum(key_new) - 1] + 1)[new]
+        s = s.append_column("__sid", pa.array(sid))
+        out = _reduce_riders(s, ["__sid"], riders, enc_types, bounds)
+        out = out.append_column("session_seq", pa.array(seq))
+        return out.select(schema.names).cast(schema)
 
-    return run_spilled(items, lambda b: merge(read_spilled(b).to_pandas()))
+    return run_spilled(items, lambda b: merge(read_spilled(b)))
 
 
 def refresh_view(spec: TableSpec, upstream_dir: str, view_dir: str) -> dict | None:
@@ -1503,10 +1533,8 @@ def read_agg_view(agg_spec: dict, view_dir: str):
     """The view as a Ray Dataset: final reduce over the hash-grouped
     partials (aggregate-grain rows only — the combiner half was done at
     refresh) in one consumer pass (``partitioning.run_spilled``; a group's
-    rows all sit in one hash group): an Arrow ``group_by`` per consumer,
-    then a projection finishing means and null defaults."""
+    rows all sit in one hash group): :func:`_reduce_riders` per consumer."""
     import pyarrow as pa
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray.data
 
@@ -1530,48 +1558,9 @@ def read_agg_view(agg_spec: dict, view_dir: str):
                     [], pa.float64() if a["fn"] == "mean" else pa.int64()
                 )
         return ray.data.from_arrow(pa.table(cols))
-    reduce_aggs = []  # (partial column, arrow fn)
-    for a in aggs:
-        fn, out = a["fn"], a["out"]
-        if fn == "mean":
-            reduce_aggs += [(f"__s_{out}", "sum"), (f"__c_{out}", "sum")]
-        elif fn in ("count", "sum"):
-            reduce_aggs.append((out, "sum"))  # counts re-sum across partials
-        elif fn in ("first", "last"):
-            # winner-of-winners: min/max of the packed cell across buckets
-            reduce_aggs.append((f"__e_{out}", "min" if fn == "first" else "max"))
-        else:
-            reduce_aggs.append((out, fn))  # min/max are idempotent
 
     def reduce(t: pa.Table) -> pa.Table:
-        g = t.group_by(group_by).aggregate(reduce_aggs)
-        g = g.rename_columns(
-            [n if n in group_by else n.rsplit("_", 1)[0] for n in g.schema.names]
-        )
-        cols = {k: g[k] for k in group_by}
-        for a in aggs:
-            if a["fn"] == "mean":
-                c = pc.cast(g[f"__c_{a['out']}"], pa.float64())
-                s = pc.cast(g[f"__s_{a['out']}"], pa.float64())
-                zero = pc.equal(c, 0.0)
-                v = pc.if_else(
-                    zero,
-                    pa.scalar(None, pa.float64()),
-                    pc.divide(s, pc.if_else(zero, pa.scalar(1.0), c)),
-                )
-            elif a["fn"] in ("first", "last"):
-                e = g[f"__e_{a['out']}"].combine_chunks()
-                v = _dec_extreme(e, enc_types.get(a["out"], pa.string()))
-            else:
-                v = g[a["out"]].combine_chunks()
-                if pa.types.is_null(v.type):
-                    # an optional rider's column has not arrived upstream
-                    # yet: surface the declared int64 metric type
-                    v = v.cast(pa.int64())
-            if a.get("default") is not None:
-                v = pc.coalesce(v, pa.scalar(a["default"], v.type))
-            cols[a["out"]] = v
-        return pa.table(cols)
+        return _reduce_riders(t, group_by, aggs, enc_types)
 
     items = _partial_items(files, mf.get("hash_groups"))
     if not items:  # every partial empty: the typed empty reduce

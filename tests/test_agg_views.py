@@ -419,6 +419,66 @@ def test_extreme_pack_date_order_keys():
     ).to_pylist() == [7]
 
 
+_PACKABLE_CASES = [
+    ("int8", [-128, 0, 127]),
+    ("int16", [-32768, 1, 32767]),
+    ("int32", [-(2**31), -1, 2**31 - 1]),
+    ("int64", [-(2**63), -1, 0, 2**63 - 1]),
+    ("uint8", [0, 255]),
+    ("uint32", [0, 2**32 - 1]),
+    ("uint64", [0, 2**63 - 1]),
+    ("float32", [float("nan"), -0.0, 0.0, float("-inf"), float("inf"), -1.5]),
+    ("float64", [float("nan"), -0.0, 0.0, float("-inf"), float("inf"), 5e-324]),
+    ("bool", [True, False]),
+    ("date32", [-719162, 0, 2932896]),
+    ("date64", [-86_400_000, 0, 86_400_000]),
+    ("ts_tz", [-(2**55), 0, 1_700_000_000_000_000]),
+    ("ts_s", [0, 1_700_000_000]),
+    ("string", ["", "é", "日本語", "a\x00b", "plain"]),
+    ("binary", [b"", b"\x00", b"\xff\x00\x01", b"plain"]),
+]
+
+
+@pytest.mark.parametrize("name,cases", _PACKABLE_CASES, ids=[c[0] for c in _PACKABLE_CASES])
+def test_extreme_pack_roundtrip_every_packable_type(name, cases):
+    """``_enc_extreme`` → min/max → ``_dec_extreme`` for every value type the
+    first/last validation accepts: each cell decodes to its value exactly
+    (NaN, ±0.0 and ±inf by bit pattern), a NULL order key decodes to NULL,
+    the NULL value at the winning order wins, and the largest order wins
+    the max."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from etl_ray.engine.tables import _dec_extreme, _enc_extreme
+
+    typ = {
+        "bool": pa.bool_(), "date32": pa.date32(), "date64": pa.date64(),
+        "ts_tz": pa.timestamp("us", tz="Asia/Kolkata"), "ts_s": pa.timestamp("s"),
+        "string": pa.string(), "binary": pa.binary(),
+    }.get(name) or pa.type_for_alias(name)
+    # row 0: the NULL value at the smallest order; last row: a NULL order
+    # key next to a value that would otherwise win both extremes
+    values = pa.array([None, *cases, cases[0]], typ)
+    order = pa.array([-(2**63), *range(1, len(cases) + 1), None], pa.int64())
+    enc = _enc_extreme(order, values)
+    assert enc.null_count == 1
+
+    def same(got, exp):
+        assert got.type == typ
+        assert [repr(v) for v in got.to_pylist()] == [repr(v) for v in exp]
+
+    same(_dec_extreme(enc, typ), [None, *values.to_pylist()[1:-1], None])
+    # a chunked, offset input decodes the same (the reduce hands chunks)
+    same(
+        _dec_extreme(pa.chunked_array([enc.slice(0, 2), enc.slice(2)]).slice(1), typ),
+        [*values.to_pylist()[1:-1], None],
+    )
+    first = pa.array([pc.min(enc).as_py()], pa.binary())
+    last = pa.array([pc.max(enc).as_py()], pa.binary())
+    same(_dec_extreme(first, typ), [None])
+    same(_dec_extreme(last, typ), [values.to_pylist()[-2]])
+
+
 def test_first_last_rejects_unpackable_value(ray_session, small_wal, tmp_path):
     """Review regression: an unsupported VALUE type fails at refresh-time
     validation with a value-column message, not per-bucket in the kernel."""

@@ -11,6 +11,8 @@ import os
 import duckdb
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etl_ray.engine.lineage import LakeLineage
 from etl_ray.engine.tables import (
@@ -921,6 +923,168 @@ def test_session_gap_is_exact_not_unit_rounded():
         _gap_in_ts_units(pa.int64(), 30)
 
 
+def _session_view_of(tmp_path, cols: dict, num_buckets: int, gap_minutes: float):
+    """Refresh + read a plain session view (key repo, ts commit_ts) over an
+    upstream holding exactly ``cols``; returns (refresh result, sorted rows)."""
+    import pyarrow as pa
+    import ray
+
+    from etl_ray.engine.tables import read_session_view, refresh_session_view
+
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    up = _bootstrapped_upstream(tmp_path, cols, num_buckets)
+    spec = {"key": ["repo"], "ts": "commit_ts", "gap_minutes": gap_minutes}
+    vdir = str(tmp_path / "v")
+    res = refresh_session_view(spec, up, vdir)
+    t = pa.concat_tables(ray.get(read_session_view(spec, vdir).to_arrow_refs()))
+    return res, t.sort_by([("repo", "ascending"), ("session_start", "ascending")])
+
+
+@pytest.mark.parametrize("apart,sessions", [(60_000, 1), (60_001, 2)])
+def test_session_fragments_in_two_buckets_merge_at_exactly_gap(
+    ray_session, tmp_path, apart, sessions
+):
+    """Two one-event fragments of one key, cut in different upstream
+    buckets, merge when their events are exactly ``gap`` (1 min) apart and
+    split at ``gap`` + 1 ts unit (1 ms) — the read-side merge applies the
+    fragment side's ``> gap`` rule."""
+    import pyarrow as pa
+
+    from etl_ray.engine.partitioning import bucket_of
+
+    nb = 16
+    paths = [f"p{i}" for i in range(nb)]
+    b = bucket_of(pa.chunked_array([["r"] * nb]), pa.chunked_array([paths]), nb).to_pylist()
+    second = next(p for p, x in zip(paths, b) if x != b[0])
+    res, t = _session_view_of(
+        tmp_path,
+        {
+            "repo": ["r", "r"],
+            "path": [paths[0], second],
+            "commit_ts": pa.array(
+                [1_700_000_000_000, 1_700_000_000_000 + apart], pa.timestamp("ms")
+            ),
+            "lsn": pa.array([1, 2], pa.int64()),
+        },
+        nb,
+        gap_minutes=1,
+    )
+    assert res["partial_rows"] == 2, "one fragment per bucket"
+    assert t.num_rows == sessions
+    assert t["n_events"].to_pylist() == [2 // sessions] * sessions
+    assert t["session_seq"].to_pylist() == list(range(1, sessions + 1))
+
+
+def test_session_fractional_gap_same_view_at_any_bucket_count(ray_session, tmp_path):
+    """A gap that is a fraction of the ts unit (0.000025 min = 1.5 ms; a
+    seconds-unit ts lands in parquet as ms, so the unit here is ms) yields
+    the same session view whether one bucket cuts every fragment or sixteen
+    buckets cut them apart — and both equal a plain per-key scan."""
+    import numpy as np
+    import pyarrow as pa
+
+    rng = np.random.RandomState(7)
+    n = 240
+    repos = [f"r{i}" for i in rng.randint(0, 6, n)]
+    ts = 1_700_000_000_000 + np.cumsum(rng.choice([0, 1, 2, 3], n))
+    cols = {
+        "repo": repos,
+        "path": [f"p{i}" for i in range(n)],
+        "commit_ts": pa.array(ts, pa.timestamp("ms")),
+        "lsn": pa.array(range(1, n + 1), pa.int64()),
+    }
+    views = [
+        _session_view_of(tmp_path / f"nb{nb}", cols, nb, gap_minutes=0.000025)[1]
+        for nb in (1, 16)
+    ]
+    assert views[0].schema.field("session_start").type == pa.timestamp("ms")
+    assert views[0].equals(views[1])
+    exp = []
+    for r in sorted(set(repos)):
+        xs = sorted(int(x) for x, k in zip(ts, repos) if k == r)
+        seq, lo, cnt = 0, xs[0], 1
+        for prev, x in zip(xs, xs[1:]):
+            if x - prev > 1.5:
+                seq += 1
+                exp.append((r, lo, prev, cnt, seq))
+                lo, cnt = x, 0
+            cnt += 1
+        exp.append((r, lo, xs[-1], cnt, seq + 1))
+    v = views[0]
+    got = zip(
+        v["repo"].to_pylist(),
+        v["session_start"].cast(pa.int64()).to_pylist(),
+        v["session_end"].cast(pa.int64()).to_pylist(),
+        v["n_events"].to_pylist(),
+        v["session_seq"].to_pylist(),
+    )
+    assert list(got) == exp
+
+
+def _merge_sessions_py(frags, gap):
+    """Plain-Python interval merge: per key (NULL is one key), fragments in
+    (start, end) order; a fragment opens a session when it starts more than
+    ``gap`` past the largest end seen so far. → sorted (key, start, end, n)."""
+    out = []
+    for k in {f[0] for f in frags}:
+        run = sorted((s, e) for kk, s, e in frags if kk == k)
+        cur = None
+        for s, e in run:
+            if cur is None or s - cur[2] > gap:
+                cur = [k, s, e, 0]
+                out.append(cur)
+            cur[2], cur[3] = max(cur[2], e), cur[3] + 1
+    return sorted((tuple(c) for c in out), key=lambda c: (repr(c[0]), c[1:]))
+
+
+_frag = st.tuples(
+    st.tuples(st.sampled_from([None, "a", "b"]), st.sampled_from([None, 1, 2])),
+    st.integers(0, 40),
+    st.integers(0, 6),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_frag, min_size=1, max_size=40),
+    st.integers(0, 5),
+    st.sampled_from([0, 0.5, 1, 2.5, 4, 10]),
+)
+def test_session_starts_matches_python_interval_merge(frags, dups, gap):
+    """The one session-break rule (``_session_starts``) against a
+    plain-Python interval merge over random fragments: NULL keys in either
+    key column, ts ties and duplicated fragments included. No Ray."""
+    import numpy as np
+    import pyarrow as pa
+
+    from etl_ray.engine.tables import _session_starts
+
+    frags = frags + frags[:dups]
+    t = pa.table(
+        {
+            "k1": pa.array([k[0] for k, _, _ in frags], pa.string()),
+            "k2": pa.array([k[1] for k, _, _ in frags], pa.int64()),
+            "lo": pa.array([s for _, s, _ in frags], pa.timestamp("s")),
+            "hi": pa.array([s + d for _, s, d in frags], pa.timestamp("s")),
+        }
+    )
+    s, new, key_new = _session_starts(t, ["k1", "k2"], "lo", "hi", gap)
+    assert new[0] and key_new[0] and not (key_new & ~new).any()
+    got = {}
+    for i, k1, k2, lo, hi in zip(
+        np.cumsum(new) - 1,
+        s["k1"].to_pylist(),
+        s["k2"].to_pylist(),
+        s["lo"].cast(pa.int64()).to_pylist(),
+        s["hi"].cast(pa.int64()).to_pylist(),
+    ):
+        g = got.setdefault(i, [(k1, k2), lo, hi, 0])
+        assert g[0] == (k1, k2), "a session never spans two keys"
+        g[1], g[2], g[3] = min(g[1], lo), max(g[2], hi), g[3] + 1
+    got = sorted((tuple(g) for g in got.values()), key=lambda c: (repr(c[0]), c[1:]))
+    assert got == _merge_sessions_py([(k, s, s + d) for k, s, d in frags], gap)
+
+
 def test_session_view_riders_match_oracle(ray_session, small_wal, tmp_path):
     """Rider aggregates inside each session row (sum/mean/min/max +
     first/last by the session ts, ties broken by value like the packed
@@ -1086,9 +1250,8 @@ def test_view_reserved_partial_prefix_rejected(view):
 
 
 def test_session_rider_string_minmax_rejected(ray_session, small_wal, tmp_path):
-    """min/max riders over string columns are rejected at refresh (the
-    pandas cross-fragment reduce cannot order None) — first/last is the
-    supported path for string values."""
+    """min/max riders over string columns are rejected at refresh —
+    first/last is the supported path for string values."""
     lake = MultiTableLake(
         str(tmp_path / "ml"),
         [
