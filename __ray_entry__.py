@@ -147,8 +147,9 @@ _LOCAL_TZ_OFFSET_MIN = 330  # IST-like per-table offset; moves day boundaries
 def cdc_lang_daily_local(sf_dir: str):
     """Engine-side LOCAL-day aggregation (the reference closes day partitions
     on each app's local midnight, ``lib/utils.py:59-62``): a dedicated replay
-    with ``tz_offset_minutes=330`` whose agg-log day derivation shifts to the
-    table's local midnight; oracled via ``+ INTERVAL 330 MINUTE``."""
+    with ``tz_offset_minutes=330`` whose day recompute derives each agg-log
+    row's local day from its ``commit_ts``; oracled via
+    ``+ INTERVAL 330 MINUTE``."""
     from etl_ray.engine import ReplayEngine
     from etl_ray.engine.aggregates import read_agg
     from etl_ray.engine.lineage import LakeLineage

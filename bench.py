@@ -170,7 +170,7 @@ def run_bench() -> dict:
         ReplayEngine(
             wal.wal_dir, mlake, num_buckets=max(2 * NUM_CPUS, 32),
             concurrency=NUM_CPUS, state_mode=mode,
-            aggregate=False,  # state-write cost only: aggs add equal noise
+            aggregate=False,  # no day recompute; the agg-log write stays in both modes
         ).replay_all(segments_per_tick=4)
         timings[f"cdc_replay_{mode}_4seg_ticks"] = round(
             time.perf_counter() - t0, 3

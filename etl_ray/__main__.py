@@ -82,7 +82,12 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--lake", required=True)
     r.add_argument("--buckets", type=int, default=64)
     r.add_argument("--segments-per-tick", type=int, default=None)
-    r.add_argument("--no-aggregates", action="store_true")
+    r.add_argument(
+        "--no-aggregates",
+        action="store_true",
+        help="skip the daily aggregate recompute; the agg log is still kept, "
+        "so a later tick or recompute-aggs --day computes any day from it",
+    )
     r.add_argument("--num-cpus", type=int, default=None)
     r.add_argument(
         "--folds",
@@ -312,10 +317,10 @@ def main(argv: list[str] | None = None) -> int:
 
     ra = sub.add_parser(
         "recompute-aggs",
-        help="re-aggregate specific day partitions from the WAL (repair / "
-        "late-data heal, the reference's D-2/D-1/D0 cascade on demand)",
+        help="re-aggregate specific local day partitions from the lake's agg "
+        "log at the last tick's tz offset (repair / late-data heal, the "
+        "reference's D-2/D-1/D0 cascade on demand)",
     )
-    ra.add_argument("--wal", required=True)
     ra.add_argument("--lake", required=True)
     ra.add_argument(
         "--day", action="append", required=True, help="YYYY-MM-DD; repeatable"
@@ -776,19 +781,14 @@ def main(argv: list[str] | None = None) -> int:
             from etl_ray.engine import aggregates
             from etl_ray.engine.lineage import LakeLineage
             from etl_ray.engine.lock import writer_lock
-            from etl_ray.wal import WalInfo as _WalInfo
 
             lin = LakeLineage(args.lake)
             last = lin.last_tick()
             if last is None:
                 p.error("lake has no committed tick")
             with writer_lock(args.lake, "recompute-aggs"):
-                res = aggregates.recompute_days(
-                    _WalInfo.load(args.wal),
-                    lin,
-                    set(args.day),
-                    last["through_seqno"],
-                    tz_offset_minutes=last["tz_offset_minutes"],
+                res = aggregates.recompute_days_from_agglog(
+                    lin, set(args.day), tz_offset_minutes=last["tz_offset_minutes"]
                 )
             print(json.dumps(res))
         elif args.cmd == "skew":

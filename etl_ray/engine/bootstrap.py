@@ -11,10 +11,10 @@ row gets ``default_lsn`` and intra-snapshot ordering is flattened: a WAL
 event only overrides a snapshot row if its LSN exceeds ``default_lsn``
 (document/choose it as the snapshot's high watermark).
 
-Aggregates start EMPTY: a snapshot has no event stream, so day partitions
-cover post-bootstrap activity only (deterministic — the agg-log fast path
-sees a complete log of every post-bootstrap segment tick). When the full
-WAL is actually available, ``recompute-aggs --day`` heals any day from it.
+Aggregates start EMPTY: a snapshot has no event stream, so the agg log —
+the only input of the daily aggregates — holds post-bootstrap events only,
+and day partitions cover post-bootstrap activity only (deterministic; a
+``recompute-aggs --day`` repair sees the same post-bootstrap rows).
 The change data feed likewise starts at the bootstrap point: snapshot rows
 never enter it, so ``fold_feed`` alone cannot reconstruct a bootstrapped
 lake — consumers seed from the snapshot (or an ``export``) and apply the

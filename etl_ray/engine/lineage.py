@@ -22,8 +22,11 @@ Lake layout (lake format ``LAKE_FORMAT``)::
                                      tz_offset_minutes, retained_through_tick,
                                      row counts, kind (ticks that replay no
                                      segment), and the ``lake_format`` stamp
-      _agglog/t000005-<token>.parquet  narrow per-day event log, one row group
-      _agglog/t000005-<token>.json     per day run, and its {day: row group} index
+      _agglog/t000005-<token>.parquet  narrow event log (commit_ts, lang, repo,
+                                       path, op, lsn, nbytes) of one stage-1
+                                       task, sorted by commit_ts: one row
+                                       group per UTC-day run, and
+      _agglog/t000005-<token>.json     its {UTC day: row group} index
       _aggs/<table>/day=YYYY-MM-DD.parquet     per-day aggregate partitions
 
 ``applied_through_lsn`` is the highest LSN applied (an erasure tick lifts it
@@ -60,9 +63,10 @@ import json
 import os
 import re
 
-#: version of the manifest layout above; bumped when a reader starts to
-#: rely on a field that an older writer did not record
-LAKE_FORMAT = 1
+#: version of the lake layout above; bumped when a reader starts to rely on
+#: a field or file layout that an older writer did not produce (2: the agg
+#: log carries commit_ts and is indexed by UTC day)
+LAKE_FORMAT = 2
 
 #: fields every tick manifest carries (``publish_tick`` enforces them)
 TICK_FIELDS = frozenset(
@@ -327,10 +331,11 @@ class LakeLineage:
     # -- narrow agg log (per-day projection of the event stream) --------------
     #
     # Layout: one parquet per stage-1 task per tick with one ROW GROUP per
-    # day run, plus a sidecar ``.json`` index {day: row_group} — the same
-    # indexed-spill-file trick as the data shuffle. A wide-day tick (full
-    # history replay / backfill) writes tasks×1 files instead of tasks×days
-    # tiny ones.
+    # UTC-day run, plus a sidecar ``.json`` index {day: row_group} — the
+    # same indexed-spill-file trick as the data shuffle. A wide-day tick
+    # (full history replay / backfill) writes tasks×1 files instead of
+    # tasks×days tiny ones. Rows carry ``commit_ts``, so a reader derives
+    # any local day from the UTC days it overlaps (aggregates.local_day).
 
     def agglog_dir(self) -> str:
         d = os.path.join(self.lake_dir, "_agglog")

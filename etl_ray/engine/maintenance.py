@@ -586,8 +586,8 @@ def _compact_tombstones_locked(
         removed += n_dead
         rewritten += 1
     # explicit tick record: a compaction tick must not inherit the previous
-    # tick's segments/agglog/buckets_touched fields (it would masquerade as a
-    # segment-processing tick in lineage and replay's agg-log completeness scan)
+    # tick's segments/buckets_touched fields (it would masquerade as a
+    # segment-processing tick in lineage and in the feed audit's coverage scan)
     lineage.publish_maintenance_tick(last, "compaction", buckets_touched=rewritten)
     lineage.gc()
     return {"tombstones_removed": removed, "buckets_rewritten": rewritten, "tick": tick_id}

@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..wal import WalInfo
@@ -84,7 +83,7 @@ class ReplayEngine:
         *,
         num_buckets: int = 32,
         concurrency: int | tuple[int, int] | None = None,
-        aggregate: bool = True,
+        aggregate: bool = True,  # False skips only the day recompute
         fail_after_buckets: int | None = None,  # crash injection for tests
         checks: list | None = None,  # quality.CheckSpec list; None = defaults
         folds: list | None = None,  # folds.FoldSpec list; default: none
@@ -244,23 +243,21 @@ class ReplayEngine:
         enrich = self._make_enricher()
         # capture plain values, NOT self: the closure ships to every task and
         # self would drag along the WAL manifest
-        do_aggregate = self.aggregate
         lineage = self.lineage
         folds_active = bool(self.folds)
-        tz_off = self.tz_offset_minutes
         qdir = os.path.join(self.lake_dir, "_quarantine", f"tick-{tick_id:06d}")
 
         from .partitioning import spill_buckets
 
         def stage1(batch: pa.Table) -> pa.Table:
-            """Fused stage-1 task: enrich → (a) append the narrow per-day
-            agg-log projection (pre-reduction — aggregates need every
-            distinct LSN) → (b) per-batch last-writer pre-reduction →
-            tombstone shape → ONE shuffle file with one parquet ROW GROUP
-            per bucket (an indexed shuffle file): bucket readers fetch only
-            their row group — no per-(task,bucket) tiny-file explosion."""
-            from .aggregates import _project
-
+            """Fused stage-1 task: enrich → (a) append the narrow agg-log
+            projection (pre-reduction — aggregates need every distinct LSN;
+            written whether or not this run aggregates, so the log always
+            covers every replayed event) → (b) per-batch last-writer
+            pre-reduction → tombstone shape → ONE shuffle file with one
+            parquet ROW GROUP per bucket (an indexed shuffle file): bucket
+            readers fetch only their row group — no per-(task,bucket)
+            tiny-file explosion."""
             empty_desc = pa.table(
                 {
                     "bucket": pa.array([], pa.int32()),
@@ -286,35 +283,7 @@ class ReplayEngine:
             if batch.num_rows == 0:
                 return empty_desc
             batch = enrich(batch)
-            if do_aggregate:
-                # ONE agg-log file per task, one row group per day run,
-                # sidecar day→rg index (indexed spill-file shape) — a
-                # wide-day backfill tick writes tasks files, not tasks×days
-                import json as _json
-
-                proj = _project(batch, tz_off)
-                order = pc.sort_indices(proj, sort_keys=[("day", "ascending")])
-                proj = proj.take(order)
-                fp = lineage.agglog_part_path(tick_id, uuid.uuid4().hex)
-                runs = pc.run_end_encode(proj["day"].combine_chunks())
-                ends = runs.run_ends.to_numpy().tolist()
-                starts = [0, *ends[:-1]]
-                index = {}
-                writer = pq.ParquetWriter(fp + ".tmp", proj.schema, compression="snappy")
-                try:
-                    for rg, (day, s, e) in enumerate(
-                        zip(runs.values.to_pylist(), starts, ends)
-                    ):
-                        # one row group per day run — see write_bucket_rgs
-                        writer.write_table(proj.slice(s, e - s), row_group_size=e - s)
-                        index[day] = rg
-                finally:
-                    writer.close()
-                os.replace(fp + ".tmp", fp)
-                idx_path = fp[: -len(".parquet")] + ".json"
-                with open(idx_path + ".tmp", "w") as f:
-                    _json.dump(index, f)
-                os.replace(idx_path + ".tmp", idx_path)
+            aggregates.append_agglog(lineage, tick_id, batch)
             fold_lookup: dict[int, int] = {}
             ffile = ""
             if folds_active:
@@ -570,23 +539,9 @@ class ReplayEngine:
         if self.aggregate:
             t_ag = time.perf_counter()
             days = aggregates.days_of_segments(segs, self.tz_offset_minutes)
-            # the agg log is only complete if EVERY segment-processing tick
-            # so far maintained it AND under the same local-day boundary;
-            # after aggregate=False ticks or a tz-offset change fall back to
-            # the WAL rescan
-            log_complete = all(
-                t["agglog"]
-                and t["tz_offset_minutes"] == self.tz_offset_minutes
-                for t in self.lineage.all_ticks()
-                if t["segments"]
+            aggregates.recompute_days_from_agglog(
+                self.lineage, days, tz_offset_minutes=self.tz_offset_minutes
             )
-            if log_complete:
-                aggregates.recompute_days_from_agglog(self.lineage, days)
-            else:
-                aggregates.recompute_days(
-                    self.wal, self.lineage, days, segs[-1]["seqno"],
-                    tz_offset_minutes=self.tz_offset_minutes,
-                )
             if os.environ.get("ETL_RAY_DEBUG"):
                 print(
                     f"[etl-ray] aggregates ({len(days)} days): "
@@ -622,7 +577,6 @@ class ReplayEngine:
                 "state_rows": state_rows,
                 "live_rows": live_rows,
                 "num_buckets": self.num_buckets,
-                "agglog": self.aggregate,
                 "quarantined_rows": quarantined,
                 "tz_offset_minutes": self.tz_offset_minutes,
                 # earliest tick an as-of read can still serve exactly: gc

@@ -3,6 +3,9 @@ per-changed-day recomputation across ticks (the D-2/D-1/D0 heal analog)."""
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import pandas as pd
 
 from etl_ray.engine import ReplayEngine
@@ -57,26 +60,27 @@ def test_aggregates_incremental_multi_tick(ray_session, small_wal, tmp_path):
     _check_aggs(lake, small_wal)
 
 
-def _rescan_all_days(lake: str, wal, tz_offset_minutes: int = 0) -> None:
-    """Aggregate every day of the log with the WAL-rescan recompute path
-    (the fallback for ticks the agg log does not cover)."""
-    from etl_ray.engine.aggregates import days_of_segments, recompute_days
+def _recompute_all_days(lake: str, wal, tz_offset_minutes: int = 0) -> None:
+    """Aggregate every day of the log from the lake's agg log alone (what a
+    day that only aggregate-off ticks touched waits for)."""
+    from etl_ray.engine.aggregates import days_of_segments, recompute_days_from_agglog
 
-    recompute_days(
-        wal, LakeLineage(lake), days_of_segments(wal.segments, tz_offset_minutes),
-        wal.segments[-1]["seqno"], tz_offset_minutes=tz_offset_minutes,
+    recompute_days_from_agglog(
+        LakeLineage(lake), days_of_segments(wal.segments, tz_offset_minutes),
+        tz_offset_minutes=tz_offset_minutes,
     )
 
 
 def test_aggregates_wal_fallback_path(ray_session, small_wal, tmp_path):
-    """The WAL-rescan recompute path, run over the days of a lake replayed
-    with aggregates off, produces the same aggregates as the agg log."""
+    """A lake replayed with aggregates off writes no day partition but
+    keeps the agg log; recomputing every day from that log gives the
+    oracle's aggregates."""
     lake = str(tmp_path / "lake")
     ReplayEngine(
         small_wal.wal_dir, lake, num_buckets=8, concurrency=2, aggregate=False
     ).replay_all()
     assert not LakeLineage(lake).agg_day_files("lang_daily_agg")
-    _rescan_all_days(lake, small_wal)
+    _recompute_all_days(lake, small_wal)
     _check_aggs(lake, small_wal)
 
 
@@ -84,23 +88,34 @@ def test_aggregates_local_day_boundary(ray_session, small_wal, tmp_path):
     """Engine-side local-day aggregation (reference closes partitions on the
     app's LOCAL midnight, lib/utils.py:59-62): a +330-minute table offset
     must match the DuckDB oracle's `+ INTERVAL 330 MINUTE` day derivation —
-    on BOTH the agg-log fast path (multi-tick spill) and the WAL-rescan
-    fallback, and the two day sets must actually differ from UTC."""
+    per tick during replay, on demand after an aggregate-off replay, and on
+    demand over a log whose first half was replayed at offset 0 (the log is
+    indexed by UTC day, so re-daying needs no rewrite) — and the two day
+    sets must actually differ from UTC."""
     off = 330  # IST-like: guaranteed to move events across midnight
     exp = expected_lang_daily(small_wal, tz_offset_minutes=off).to_pandas()
     assert set(exp["day"]) != set(
         expected_lang_daily(small_wal).to_pandas()["day"]
     ) or len(exp) != len(expected_lang_daily(small_wal).to_pandas())
 
-    for tag in ("agglog", "rescan"):
+    half = len(small_wal.segments) // 2
+    for tag in ("agglog", "aggregate-off", "mixed"):
         lake = str(tmp_path / f"lake-{tag}")
+        if tag == "mixed":
+            ReplayEngine(
+                small_wal.wal_dir, lake, num_buckets=8, concurrency=2
+            ).tick(half)
         eng = ReplayEngine(
             small_wal.wal_dir, lake, num_buckets=8, concurrency=2,
-            tz_offset_minutes=off, aggregate=(tag == "agglog"),
+            tz_offset_minutes=off, aggregate=(tag != "aggregate-off"),
         )
         eng.replay_all(segments_per_tick=2)
-        if tag == "rescan":
-            _rescan_all_days(lake, small_wal, off)
+        if tag == "mixed":
+            # drop the first half's UTC-day partitions, then re-day the
+            # whole log at 330
+            shutil.rmtree(os.path.join(lake, "_aggs"))
+        if tag != "agglog":
+            _recompute_all_days(lake, small_wal, off)
         got = (
             read_agg(LakeLineage(lake), "lang_daily_agg")
             .to_pandas()
@@ -144,14 +159,10 @@ def test_high_repo_cardinality_no_driver_funnel(ray_session, tmp_path, monkeypat
     """VERDICT r3 #2: with repos ≈ events, the aggregate recompute must not
     funnel (day × lang × repo)-grain data through the driver — per-day tasks
     write their own partition files and the driver materializes only one
-    counter row per day (both the agg-log and the WAL-rescan paths)."""
+    counter row per day."""
     import ray.data as rd
 
-    from etl_ray.engine.aggregates import (
-        days_of_segments,
-        recompute_days,
-        recompute_days_from_agglog,
-    )
+    from etl_ray.engine.aggregates import days_of_segments, recompute_days_from_agglog
     from etl_ray.oracle import expected_repo_daily
     from etl_ray.wal import generate_wal
 
@@ -196,7 +207,6 @@ def test_high_repo_cardinality_no_driver_funnel(ray_session, tmp_path, monkeypat
     monkeypatch.setattr(rd.Dataset, "to_pandas", spy)
     days = days_of_segments(wal.segments)
     recompute_days_from_agglog(lin, days)
-    recompute_days(wal, lin, days, wal.segments[-1]["seqno"])
     assert seen, "recompute paths must have run"
     assert max(seen) <= len(days), (
         f"driver materialized {max(seen)} rows; counters only "
@@ -342,3 +352,165 @@ def test_agglog_recompute_multi_chunk(ray_session, tmp_path, monkeypatch):
     assert repo.schema.field("repo").type == pa.string()
     assert pc.sum(repo["deletes"]).as_py() == 5
     assert pc.sum(repo["upserts"]).as_py() == 0
+
+
+def _small_log(path, seed: int):
+    from etl_ray.wal import generate_wal
+
+    return generate_wal(
+        str(path), seed=seed, n_events=6_000, n_repos=10, paths_per_repo=60,
+        dup_rate=0.03, delete_rate=0.05, ooo_window=100, evolve_at_frac=0.5,
+        segment_rows=1_000, content_min=16, content_max=64, days_span=6,
+    )
+
+
+def _lang_daily(lake: str) -> pd.DataFrame:
+    return (
+        read_agg(LakeLineage(lake), "lang_daily_agg")
+        .to_pandas()
+        .sort_values(["day", "lang"])
+        .reset_index(drop=True)
+    )
+
+
+def test_agglog_keeps_stage1_enrichment(ray_session, tmp_path):
+    """The daily aggregates count what stage 1 enriched — here the lang a
+    versioned ext map assigns — whether or not earlier ticks aggregated:
+    lake A aggregates every tick, lake B skips the recompute on its first
+    (two-segment) tick only. Both show the dim's lang, agree on every day B
+    computed, and B leaves a day only its aggregate-off tick touched
+    uncomputed."""
+    import json
+
+    from etl_ray.engine.aggregates import days_of_segments
+
+    wal = _small_log(tmp_path / "wal", seed=7)
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps({"py": "snake"}))
+
+    def replay(lake: str, first_tick_aggregates: bool) -> pd.DataFrame:
+        kw = dict(num_buckets=4, concurrency=2, ext_map_path=str(ext))
+        ReplayEngine(
+            wal.wal_dir, lake, aggregate=first_tick_aggregates, **kw
+        ).tick(2)
+        ReplayEngine(wal.wal_dir, lake, **kw).replay_all(segments_per_tick=1)
+        return _lang_daily(lake)
+
+    a = replay(str(tmp_path / "a"), True)
+    b = replay(str(tmp_path / "b"), False)
+    assert "snake" in set(a["lang"]) and "snake" in set(b["lang"])
+    assert "python" not in set(a["lang"]) | set(b["lang"])
+    first_only = days_of_segments(wal.segments[:2]) - days_of_segments(wal.segments[2:])
+    assert first_only and set(b["day"]) == set(a["day"]) - first_only
+    pd.testing.assert_frame_equal(
+        a[~a["day"].isin(first_only)].reset_index(drop=True), b
+    )
+
+
+def test_tick_reads_no_history(ray_session, tmp_path, monkeypatch):
+    """A tick reads neither the WAL segments earlier ticks processed nor the
+    tick-manifest history: with those segment files moved away, the tick
+    after a tz-offset change and the tick after an aggregate-off tick both
+    recompute their days from the agg log and match the oracle (which reads
+    a copy of the log, bounded to the tick's segment prefix)."""
+    import dataclasses
+
+    from etl_ray.engine.aggregates import days_of_segments
+    from etl_ray.engine.replay import ReplayEngine as Engine
+
+    wal = _small_log(tmp_path / "wal", seed=3)
+    copy_dir = tmp_path / "oracle_copy"
+    aside = tmp_path / "aside"
+    copy_dir.mkdir()
+    aside.mkdir()
+    for s in wal.segments:
+        shutil.copy(s["file"], copy_dir)
+
+    def oracle_days(through: int, off: int) -> tuple[pd.DataFrame, set[str]]:
+        segs = [
+            {**s, "file": str(copy_dir / os.path.basename(s["file"]))}
+            for s in wal.segments
+            if s["seqno"] <= through
+        ]
+        exp = expected_lang_daily(dataclasses.replace(wal, segments=segs), off)
+        days = days_of_segments(segs[-1:], off)
+        return exp.to_pandas().pipe(lambda e: e[e["day"].isin(days)]), days
+
+    def move_processed(lake: str) -> None:
+        through = LakeLineage(lake).last_tick()["through_seqno"]
+        for s in wal.segments:
+            if s["seqno"] <= through and os.path.exists(s["file"]):
+                shutil.move(s["file"], aside / os.path.basename(s["file"]))
+
+    in_tick = []
+    history_reads = []
+    orig_tick = Engine.tick
+    orig_all = LakeLineage.all_ticks
+
+    def tick(self, *a, **k):
+        in_tick.append(1)
+        try:
+            return orig_tick(self, *a, **k)
+        finally:
+            in_tick.pop()
+
+    def all_ticks(self):
+        if in_tick:
+            history_reads.append(1)
+        return orig_all(self)
+
+    monkeypatch.setattr(Engine, "tick", tick)
+    monkeypatch.setattr(LakeLineage, "all_ticks", all_ticks)
+
+    lake = str(tmp_path / "lake")
+    kw = dict(num_buckets=4, concurrency=2)
+    eng = ReplayEngine(wal.wal_dir, lake, **kw)
+    eng.tick(1)
+    eng.tick(1)
+    move_processed(lake)
+
+    def check(r, off: int) -> None:
+        exp, days = oracle_days(LakeLineage(lake).last_tick()["through_seqno"], off)
+        got = _lang_daily(lake)
+        got = got[got["day"].isin(days)].reset_index(drop=True)
+        assert r is not None and len(got) > 0
+        pd.testing.assert_frame_equal(
+            got[list(exp.columns)], exp.reset_index(drop=True), check_dtype=False
+        )
+
+    # a tz-offset change: the next tick re-days from the log, no rewrite
+    check(ReplayEngine(wal.wal_dir, lake, tz_offset_minutes=330, **kw).tick(1), 330)
+    move_processed(lake)
+    # an aggregate-off tick, then an aggregating one
+    ReplayEngine(
+        wal.wal_dir, lake, tz_offset_minutes=330, aggregate=False, **kw
+    ).tick(1)
+    move_processed(lake)
+    check(ReplayEngine(wal.wal_dir, lake, tz_offset_minutes=330, **kw).tick(1), 330)
+    assert not history_reads, "ReplayEngine.tick read the tick-manifest history"
+
+
+def test_recompute_aggs_cli_reads_the_log(ray_session, small_wal, tmp_path, capsys):
+    """``recompute-aggs --day D`` after an aggregate-off replay computes day
+    D from the lake's agg log alone (no WAL argument) and matches the
+    oracle."""
+    import json
+
+    from etl_ray.__main__ import main
+    from etl_ray.engine.aggregates import days_of_segments
+
+    lake = str(tmp_path / "lake")
+    ReplayEngine(
+        small_wal.wal_dir, lake, num_buckets=8, concurrency=2, aggregate=False
+    ).replay_all()
+    day = sorted(days_of_segments(small_wal.segments))[1]
+    assert main(["recompute-aggs", "--lake", lake, "--day", day]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["days"] == 1
+    got = _lang_daily(lake)
+    exp = expected_lang_daily(small_wal).to_pandas()
+    assert set(got["day"]) == {day}
+    pd.testing.assert_frame_equal(
+        got[list(exp.columns)],
+        exp[exp["day"] == day].reset_index(drop=True),
+        check_dtype=False,
+    )

@@ -137,6 +137,26 @@ def test_unstamped_lake_is_refused(ray_session, small_wal, tmp_path):
         refresh_repo_stats(lake, str(tmp_path / "view"))
 
 
+def test_format_1_lake_is_refused(tmp_path):
+    """Format 2 changed the agg-log layout (commit_ts rows indexed by UTC
+    day), so a lake stamped with format 1 is refused like an unstamped one."""
+    from etl_ray.engine import lineage
+
+    assert lineage.LAKE_FORMAT == 2
+    lin = LakeLineage(str(tmp_path / "lake"))
+    lin.publish_tick({**dict.fromkeys(lineage.TICK_FIELDS, 0), "segments": []})
+    assert lin.last_tick()["lake_format"] == 2
+    path = os.path.join(lin.ticks_dir, "tick-000000.json")
+    with open(path) as f:
+        tick = json.load(f)
+    with open(path, "w") as f:
+        json.dump({**tick, "lake_format": 1}, f)
+    with pytest.raises(ValueError, match=f"{FORMAT_MSG} 2"):
+        lin.last_tick()
+    with pytest.raises(ValueError, match=f"{FORMAT_MSG} 2"):
+        lin.all_ticks()
+
+
 def test_state_mode_is_an_alias_of_delta_threshold():
     from etl_ray.engine.apply import resolve_delta_threshold
 

@@ -317,6 +317,8 @@ def test_compact_agglog_day_over_one_rowgroup(ray_session, small_wal, tmp_path):
             ).cast(fld.type)
         elif fld.name == "day":
             cols[fld.name] = pa.array([day] * n).cast(fld.type)
+        elif pa.types.is_timestamp(fld.type):
+            cols[fld.name] = pa.array(np.full(n, np.datetime64(day, "us"))).cast(fld.type)
         elif pa.types.is_integer(fld.type) or pa.types.is_floating(fld.type):
             cols[fld.name] = pa.array(np.ones(n, dtype=np.int64)).cast(fld.type)
         else:
