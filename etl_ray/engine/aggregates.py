@@ -94,37 +94,91 @@ def local_day(ts, tz_offset_minutes: int = 0) -> pa.Array:
 
 
 def append_agglog(lineage: LakeLineage, tick: int, batch: pa.Table) -> None:
-    """Append one stage-1 task's events to the agg log: ONE file per task,
-    sorted by ``commit_ts``, one row group per UTC-day run, and a sidecar
-    {day: row group} index written last (the indexed spill-file shape) — a
-    wide-day backfill tick writes one file per task, not tasks × days."""
-    import json
+    """Append one stage-1 task's events to the agg log: ONE file per task
+    (:func:`write_agglog_file`) — a wide-day backfill tick writes one file
+    per task, not tasks × days."""
     import uuid
 
-    proj = _project(batch)
-    proj = proj.take(pc.sort_indices(proj["commit_ts"]))
-    runs = pc.run_end_encode(local_day(proj["commit_ts"]).combine_chunks())
-    ends = runs.run_ends.to_numpy().tolist()
     fp = lineage.agglog_part_path(tick, uuid.uuid4().hex)
+    write_agglog_file(fp, _project(batch))
+
+
+def write_agglog_file(fp: str, rows: pa.Table) -> None:
+    """THE agg-log file writer (stage-1 appends, compaction, erasure):
+    ``rows`` sorted by ``commit_ts``, one row group per UTC-day run, then
+    the sidecar {UTC day: row group} index, written LAST — readers find the
+    file through it (the indexed spill-file shape). The sorted
+    ``commit_ts`` and near-sorted ``lsn`` are DELTA_BINARY_PACKED (~1-2 B a
+    row), the other columns dictionary-encoded."""
+    from .lineage import _atomic_write_json
+
+    rows = rows.take(pc.sort_indices(rows["commit_ts"]))
+    runs = pc.run_end_encode(local_day(rows["commit_ts"]).combine_chunks())
+    ends = runs.run_ends.to_numpy().tolist()
     index = {}
-    # the sorted commit_ts and near-sorted lsn delta-encode to ~1-2 B a row
     writer = pq.ParquetWriter(
-        fp + ".tmp", proj.schema, compression="snappy",
+        fp + ".tmp", rows.schema, compression="snappy",
         use_dictionary=["lang", "repo", "path", "op", "nbytes"],
-        column_encoding={"commit_ts": "DELTA_BINARY_PACKED", "lsn": "DELTA_BINARY_PACKED"},
+        column_encoding=dict.fromkeys(["commit_ts", "lsn"], "DELTA_BINARY_PACKED"),
     )
     with writer:
         for rg, (day, s, e) in enumerate(
             zip(runs.values.to_pylist(), [0, *ends[:-1]], ends)
         ):
             # one row group per day run — see write_bucket_rgs
-            writer.write_table(proj.slice(s, e - s), row_group_size=e - s)
+            writer.write_table(rows.slice(s, e - s), row_group_size=e - s)
             index[day] = rg
     os.replace(fp + ".tmp", fp)
-    idx_path = fp[: -len(".parquet")] + ".json"
-    with open(idx_path + ".tmp", "w") as f:
-        json.dump(index, f)
-    os.replace(idx_path + ".tmp", idx_path)
+    _atomic_write_json(fp[: -len(".parquet")] + ".json", index)
+
+
+def _key_mask(t: pa.Table, keys: list[tuple[str, str]]) -> pa.Array:
+    """Rows of ``t`` whose (repo, path) is one of ``keys``."""
+    pairs = pa.array([f"{r}\x00{p}" for r, p in keys], pa.string())
+    joined = pc.binary_join_element_wise(t["repo"], t["path"], "\x00")
+    return pc.fill_null(pc.is_in(joined, value_set=pairs), False)
+
+
+def erase_from_agglog(
+    lineage: LakeLineage, keys: list[tuple[str, str]], tick: int, tz_offset_minutes: int
+) -> dict:
+    """GDPR erasure of the agg log: the local days (at ``tz_offset_minutes``)
+    that ``keys``' log rows sit on are recomputed from the log without
+    them, then every log file holding such rows is rewritten without them
+    (:func:`write_agglog_file`, named under the committed ``tick``) and the
+    old file goes, index first. Only days that already have partitions are
+    recomputed: a lake that never aggregated keeps none.
+
+    Every crash point heals by re-running the erasure: until the last old
+    file goes, the keys are still found in the log, so their days are
+    recomputed again (idempotent) and the remaining files rewritten; a
+    transient old + new double reference is absorbed by the kernel's LSN
+    dedup."""
+    import glob
+    import uuid
+
+    hits, days = [], set()
+    for idx in sorted(glob.glob(os.path.join(lineage.agglog_dir(), "t*.json"))):
+        pqf = idx[: -len(".json")] + ".parquet"
+        keys_of_file = pq.read_table(pqf, columns=["repo", "path"])
+        if not pc.any(_key_mask(keys_of_file, keys)).as_py():
+            continue
+        t = pq.read_table(pqf)
+        mask = _key_mask(t, keys)
+        hits.append((idx, pqf, t.filter(pc.invert(mask))))
+        erased_ts = t["commit_ts"].filter(mask)
+        days.update(local_day(erased_ts, tz_offset_minutes).to_pylist())
+    have = {os.path.basename(f)[4:-8] for f in lineage.agg_day_files("lang_daily_agg")}
+    recompute_days_from_agglog(
+        lineage, days & have, tz_offset_minutes=tz_offset_minutes, exclude_keys=keys
+    )
+    for idx, pqf, keep in hits:
+        if keep.num_rows:
+            fp = lineage.agglog_part_path(tick, f"e{uuid.uuid4().hex}")
+            write_agglog_file(fp, keep)
+        os.remove(idx)
+        os.remove(pqf)
+    return {"agglog_files_rewritten": len(hits), "days_recomputed": len(days & have)}
 
 
 def _day_intermediate(g: pd.DataFrame, metrics: list[MetricSpec]) -> pd.DataFrame:
@@ -264,9 +318,13 @@ def recompute_days_from_agglog(
     *,
     tz_offset_minutes: int = 0,
     metrics: list[MetricSpec] | None = None,
+    exclude_keys: list[tuple[str, str]] = (),
 ) -> dict:
     """Re-aggregate the given local days (at ``tz_offset_minutes``) from
-    the agg log; overwrite their partition files.
+    the agg log, without the log rows of ``exclude_keys`` (an erasure's
+    (repo, path) keys); overwrite their partition files. A requested day
+    left with no log row keeps no partition, as in a lake that never saw
+    it.
 
     No shuffle AT ALL: the log is indexed by UTC day, so the days are cut
     into ``min(days, cluster CPUs)`` contiguous chunks, one task each. A
@@ -291,8 +349,6 @@ def recompute_days_from_agglog(
             items.append(
                 {"day": d, "files": [f for f, _ in rgs], "rgs": [r for _, r in rgs]}
             )
-    if not items:
-        return {"days": 0}
 
     def chunk_reduce(batch: pa.Table) -> pa.Table:
         pairs = dict.fromkeys(
@@ -301,6 +357,8 @@ def recompute_days_from_agglog(
             for f, rg in zip(files, rgs)
         )
         log = pa.concat_tables(pq.ParquetFile(f).read_row_group(rg) for f, rg in pairs)
+        if exclude_keys:
+            log = log.filter(pc.invert(_key_mask(log, exclude_keys)))
         day = local_day(log.column("commit_ts"), tz_offset_minutes)
         g = log.drop_columns(["commit_ts"]).append_column("day", day)
         g = g.filter(pc.is_in(day, value_set=batch["day"].combine_chunks())).to_pandas()
@@ -309,27 +367,29 @@ def recompute_days_from_agglog(
         counters = _reduce_days(lineage, mine, g, metrics)
         return pa.Table.from_pylist(counters, schema=_COUNTERS)
 
-    return _run_day_chunks(items, chunk_reduce)
+    # one task per contiguous chunk of days: each writes its own days'
+    # partition files; the caller sees ONE counter row per day, never
+    # (day × lang × repo)-grain data
+    res = (
+        ray.data.from_items(items, override_num_blocks=fan_out(len(items)))
+        .map_batches(chunk_reduce, batch_format="pyarrow", batch_size=None)
+        .to_pandas()
+        if items
+        else pd.DataFrame()
+    )
+    written = set(res["day"]) if len(res) else set()
+    for d in set(days) - written:
+        for name in ("lang_daily_agg", "repo_daily_agg"):
+            if os.path.exists(p := lineage.agg_day_path(name, d)):
+                os.remove(p)
+    if not written:
+        return {"days": 0}
+    return {"days": len(res), "inter_rows": int(res["inter_rows"].sum())}
 
 
 # ``perfbench/tracing.py`` spans this name by ``getattr``; the alias goes
 # once the benchmark no longer names it
 recompute_days = recompute_days_from_agglog
-
-
-def _run_day_chunks(items: list[dict], chunk_reduce) -> dict:
-    """Run ``chunk_reduce`` over ``min(days, cluster CPUs)`` contiguous
-    chunks of the per-day ``items``, one task each. Each task writes its
-    own days' partition files; the driver sees ONE counter row per day,
-    never (day × lang × repo)-grain data."""
-    res = (
-        ray.data.from_items(items, override_num_blocks=fan_out(len(items)))
-        .map_batches(chunk_reduce, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-    )
-    if len(res) == 0:
-        return {"days": 0}
-    return {"days": len(res), "inter_rows": int(res["inter_rows"].sum())}
 
 
 def read_agg(lineage: LakeLineage, table: str) -> pa.Table:

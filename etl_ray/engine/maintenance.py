@@ -136,6 +136,12 @@ def _erase_keys_locked(
         last, "erasure", applied_through_lsn=erase_lsn, events=n,
         buckets_touched=len(pc.unique(buckets)),
     )
+    # the subject's narrow event rows go from the agg log too, and the
+    # daily aggregates they fed are recomputed without them (re-running an
+    # interrupted erasure finishes this, like the feed purge above)
+    from .aggregates import erase_from_agglog
+
+    agglog = erase_from_agglog(lineage, keys, tick_id, last["tz_offset_minutes"])
     map_removed = 0
     if erase_map_fields:
         # the GDPR delete-request also removes the subject's pseudonym-map
@@ -168,6 +174,7 @@ def _erase_keys_locked(
         "erase_lsn": erase_lsn,
         "map_rows_removed": map_removed,
         "changelog_rows_purged": feed_purged,
+        **agglog,
     }
 
 
@@ -423,6 +430,7 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
 
     import pandas as pd
 
+    from .aggregates import write_agglog_file
     from .partitioning import run_spilled
 
     lineage = LakeLineage(lake_dir)
@@ -477,18 +485,10 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
             _, first = np.unique(lsns, return_index=True)
             if len(first) < len(lsns):
                 t = t.take(pa.array(np.sort(first)))
-            tmp = row["out"] + f".{os.getpid()}.tmp"
-            # one row group covering the whole file: the index records
-            # {day: 0} and readers fetch only read_row_group(0), so the
-            # default ~1M-row split would silently drop the tail
-            pq.write_table(
-                t, tmp, compression="zstd", row_group_size=max(t.num_rows, 1)
-            )
-            os.replace(tmp, row["out"])
-            # index json LAST — readers discover the file through it
-            _atomic_write_json(
-                row["out"][: -len(".parquet")] + ".json", {row["day"]: 0}
-            )
+            # the log's one writer: a UTC day's rows are one run, so the
+            # file is one row group however large, indexed {day: 0} (index
+            # last — readers discover the file through it)
+            write_agglog_file(row["out"], t)
             outs.append({"day": row["day"], "rows": t.num_rows})
         return pd.DataFrame(outs)
 

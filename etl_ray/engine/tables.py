@@ -416,8 +416,11 @@ class MultiTableLake:
     def tick(
         self, max_segments: int | None = None, *, tolerate_locked: bool = False
     ) -> dict:
-        """One pass over all tables: base tables tick, views refresh.
-        Returns {name: TickResult | refresh-dict | None}. With
+        """One pass over all tables: each base table ticks, then ONE
+        refresh pass advances every view of that source
+        (:func:`refresh_views`: each touched bucket is read once for all
+        its views, each view publishes its own ``_view.json``). Returns
+        {name: TickResult | refresh-dict | None} in spec order. With
         ``tolerate_locked`` (the live-tail mode), a table whose writer lock
         is held by a maintenance op yields None for THIS round while the
         other tables still commit — their results must not be lost to one
@@ -426,18 +429,26 @@ class MultiTableLake:
 
         out = {}
         for s in self.specs:
+            if s.is_view:
+                continue
             try:
-                if s.is_view:
-                    out[s.name] = refresh_view(
-                        s, self.table_dir(s.source), self.table_dir(s.name)
-                    )
-                else:
-                    out[s.name] = self.engine(s.name).tick(max_segments)
+                out[s.name] = self.engine(s.name).tick(max_segments)
             except WriterLockError:
                 if not tolerate_locked:
                     raise
                 out[s.name] = None
-        return out
+            out.update(self._refresh_views_of(s.name, tolerate_locked=tolerate_locked))
+        return {s.name: out[s.name] for s in self.specs}
+
+    def _refresh_views_of(self, source: str, *, tolerate_locked: bool = False) -> dict:
+        """{view name: refresh result} of one pass over ``source``'s views."""
+        views = [s for s in self.specs if s.is_view and s.source == source]
+        res = refresh_views(
+            self.table_dir(source),
+            [_view_job(s, self.table_dir(s.name)) for s in views],
+            tolerate_locked=tolerate_locked,
+        )
+        return {s.name: r for s, r in zip(views, res)}
 
     def replay_all(
         self,
@@ -586,11 +597,8 @@ class MultiTableLake:
             out[name] = erase_keys(
                 self.table_dir(name), keys, erase_map_fields=erase_map_fields
             )
-        for s in self.specs:
-            if s.is_view and s.source in targets:
-                out[s.name] = refresh_view(
-                    s, self.table_dir(s.source), self.table_dir(s.name)
-                )
+        for name in targets:
+            out.update(self._refresh_views_of(name))
         return out
 
     def status(self) -> dict:
@@ -608,6 +616,8 @@ class MultiTableLake:
                     "partial_files": len(
                         glob.glob(os.path.join(d, "partials", "b=*.parquet"))
                     ),
+                    # the refresh pass that published the view
+                    **{k: m.get(k) for k in REFRESH_PROFILE},
                 }
             else:
                 last = LakeLineage(d).last_tick() if os.path.isdir(d) else None
@@ -628,7 +638,10 @@ class MultiTableLake:
 # per-app metric config (``materialized_fields_config.py:22-66``,
 # ``app_config.py:209-221``). ``view="repo_stats"`` is a preset of the same
 # machinery. Partials are per-bucket, recomputed only for buckets whose
-# manifest tick advanced; the read is a small reduce over partial rows.
+# manifest tick advanced; the read is a small reduce over partial rows. Like
+# the reference's one fact table feeding every materialized table, ONE
+# refresh pass per source (:func:`refresh_views`) reads each touched bucket
+# once and writes the partials of all of that source's views from it.
 # ---------------------------------------------------------------------------
 
 
@@ -964,30 +977,17 @@ def _reduce_riders(table, group_cols, aggs, enc_types, extra_aggs=()) -> "pa.Tab
 
 
 def _agg_partial_of_state(
-    man: dict, agg_spec: dict, out_path: str, col_types: dict, num_groups: int
+    t: "pa.Table", agg_spec: dict, out_path: str, num_groups: int
 ) -> int:
-    """Recompute one bucket's partial of a derived aggregate view from its
-    committed state (merge-on-read in delta mode), hash-grouped on the
-    view key into ``num_groups`` (:func:`_write_partial`). Idempotent;
-    atomic publish. ``col_types`` (column → Arrow type from the UNIFIED upstream
-    schema) keeps partial schemas consistent across buckets: a column an
-    old bucket predates (schema evolution) reads back as nulls with an
-    arbitrary type, and a pre-widening bucket carries the narrow width —
-    both cast to the unified type here so every bucket's partial file
-    agrees, matching SQL over the full state."""
+    """One bucket's partial of a derived aggregate view from its committed
+    state ``t`` (read once per refresh pass, already cast to the unified
+    upstream types — :func:`_partials_chunk`), hash-grouped on the view key
+    into ``num_groups`` (:func:`_write_partial`). Idempotent; atomic
+    publish."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .apply import read_bucket_state
-
     group_by = agg_spec["group_by"]
-    need = {c for a in agg_spec["aggs"] if (c := a.get("col"))}
-    need |= {b for a in agg_spec["aggs"] if (b := a.get("by"))}
-    t = read_bucket_state(man, columns=[*group_by, *sorted(need), "deleted"])
-    for c, typ in col_types.items():
-        i = t.schema.get_field_index(c)
-        if i >= 0 and t.schema.field(i).type != typ:
-            t = t.set_column(i, c, pc.cast(t[c], typ))
     live = t.filter(pc.invert(pc.coalesce(t["deleted"], pa.scalar(False))))
     for a in _extremal_fields(agg_spec):
         live = live.append_column(
@@ -1107,28 +1107,18 @@ def _session_starts(t, key: list[str], start: str, end: str, gap: float):
 
 
 def _session_partial_of_state(
-    man: dict, sess_spec: dict, out_path: str, col_types: dict, num_groups: int
+    t: "pa.Table", sess_spec: dict, out_path: str, num_groups: int
 ) -> int:
-    """One bucket's session fragments from its committed state. Same
-    idempotent/atomic/unified-types contract as ``_agg_partial_of_state``;
-    rows with a null ts are skipped (they belong to no session — the SQL
-    analog filters ``ts IS NOT NULL``)."""
+    """One bucket's session fragments from its committed state ``t``. Same
+    contract as ``_agg_partial_of_state``; rows with a null ts are skipped
+    (they belong to no session — the SQL analog filters ``ts IS NOT
+    NULL``)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .apply import read_bucket_state
-
     key, ts = sess_spec["key"], sess_spec["ts"]
     rider_spec = _sess_rider_spec(sess_spec)
-    rider_cols = list(
-        dict.fromkeys(c for a in rider_spec["aggs"] if (c := a.get("col")))
-    )
-    t = read_bucket_state(man, columns=[*key, ts, *rider_cols, "deleted"])
-    for c, typ in col_types.items():
-        i = t.schema.get_field_index(c)
-        if i >= 0 and t.schema.field(i).type != typ:
-            t = t.set_column(i, c, pc.cast(t[c], typ))
     gap = _gap_in_ts_units(t.schema.field(ts).type, sess_spec["gap_minutes"])
     live = t.filter(
         pc.and_(
@@ -1164,198 +1154,331 @@ def _session_partial_of_state(
     return _write_partial(pa.table(cols), key, num_groups, out_path)
 
 
-def _refresh_partials(
-    *,
-    spec: dict,
-    upstream_dir: str,
-    view_dir: str,
-    kind: str,
-    need: list[str],
-    optional: set[str],
-    missing_msg,
-    validate_types,
-    manifest_extra,
-    task_fn,
-) -> dict | None:
-    """Shared incremental-refresh driver for ALL partial-file views
-    (aggregate, repo_stats preset, session). Work = every bucket whose
-    manifest tick advanced since the last refresh (manifest tick is the
-    bucket's last-rewrite tick, so an untouched bucket costs nothing), cut
-    into ``partitioning.cpu_chunks``: one plain Ray task per contiguous
-    chunk, not per bucket (the result's ``tasks``).
-    A changed view DEFINITION (spec hash), upstream type drift (types
-    hash — e.g. widening landed since the last refresh) or a changed hash
-    group count G (the upstream bucket count, e.g. after a rebucket; a
-    ``_view.json`` without one predates the indexed partials) forces a full
-    partial recompute. Crash-safe: partials are pure functions of committed
-    upstream state and ``_view.json`` publishes LAST, so a crashed refresh
-    just redoes its touched buckets.
+# --- one refresh pass per source ---------------------------------------------
+# Every partial-file view kind is one ``_Kind`` entry: the upstream columns
+# its partial reads (``need``; an ``optional`` one may be absent — schema
+# evolution — and pins to an int64 placeholder until it lands), its type
+# check, the decode metadata it adds to ``_view.json``, and the function that
+# turns one bucket's committed state into its partial. ``refresh_views``
+# drives all of them.
 
-    The kind-specific pieces come in as callables: ``missing_msg(missing,
-    upstream)`` words the required-column error, ``validate_types(col_types)``
-    raises on unusable types, ``manifest_extra(col_types)`` contributes
-    decode metadata to ``_view.json``, and ``task_fn(man, spec, out_path,
-    col_types, num_groups)`` recomputes one bucket's partial. A ``need``
-    column in ``optional`` may be absent upstream (schema evolution) and
-    pins to an int64 placeholder — types_hash changes (full recompute) once
-    it lands."""
-    import ray
 
-    from .lineage import LakeLineage
-    from .lock import writer_lock
-    from .partitioning import cpu_chunks
+@dataclass(frozen=True)
+class _Kind:
+    need: object  # spec -> [column]
+    optional: object  # spec -> {column}
+    missing: str  # required-column error, formatted with {missing} and {has}
+    validate: object  # (spec, col_types) -> None; raises on unusable types
+    extras: object  # (spec, col_types) -> decode metadata for _view.json
+    build: object  # (state, spec, out_path, num_groups) -> partial rows
 
-    up = LakeLineage(upstream_dir)
-    last = up.last_tick()
-    if last is None:
-        return None
-    spec_hash = _agg_spec_hash(spec)
-    num_groups = last["num_buckets"]
-    mf = _view_manifest(view_dir)
-    applied = mf.get("upstream_tick", -1)
-    if mf.get("spec_hash") not in (None, spec_hash):
-        applied = -1  # definition changed: every bucket's partial is stale
-    if mf.get("hash_groups") != num_groups:
-        applied = -1  # every partial is grouped for another G (or unindexed)
-    if last["tick"] <= applied:
-        return None
-    types_hash = mf.get("types_hash")  # re-checked once the schema is known
 
-    with writer_lock(view_dir, "view-refresh"):
-        pdir = os.path.join(view_dir, "partials")
-        os.makedirs(pdir, exist_ok=True)
-        manifests = up.all_bucket_manifests()
-        live_buckets = {m["bucket"] for m in manifests}
-        # orphans from an upstream rebucket to a smaller bucket count
-        for f in glob.glob(os.path.join(pdir, "b=*.parquet")):
-            b = int(os.path.basename(f)[2:-8])
-            if b not in live_buckets:
-                os.remove(f)
-        # unified upstream schema, from the schema each bucket manifest
-        # records (one JSON field per bucket, no file IO). Validates the
-        # view's columns against the table and pins every bucket's partial
-        # to ONE type per column despite evolution.
-        from .apply import bucket_schemas
-        from .schema_evo import unify_schemas
+def _agg_validate_types(agg_spec: dict, col_types: dict) -> None:
+    import pyarrow as pa
 
-        upstream = unify_schemas(bucket_schemas(manifests))
-        missing = [c for c in need if c not in upstream.names and c not in optional]
-        if missing:
-            raise ValueError(missing_msg(missing, upstream))
-        import pyarrow as pa
+    def _packable(t, *, as_value: bool) -> bool:
+        return (
+            pa.types.is_integer(t)
+            or pa.types.is_timestamp(t)
+            or pa.types.is_date(t)
+            or pa.types.is_floating(t)
+            or pa.types.is_boolean(t)
+            or (as_value and (pa.types.is_string(t) or pa.types.is_binary(t)))
+        )
 
-        # an optional column absent (so far) pins to a placeholder type —
-        # types_hash changes (full recompute) once it actually lands
-        col_types = {
-            c: (upstream.field(c).type if c in upstream.names else pa.int64())
-            for c in need
-        }
-        validate_types(col_types)
-        new_types_hash = _agg_spec_hash({c: str(t) for c, t in col_types.items()})
-        if types_hash not in (None, new_types_hash):
-            applied = -1
-        touched = [m for m in manifests if m["tick"] > applied]
-        chunks = cpu_chunks(touched)
-        task = ray.remote(num_cpus=1)(_partials_chunk)
-        rows = sum(
-            ray.get(
-                [
-                    task.remote(task_fn, c, spec, pdir, col_types, num_groups)
-                    for c in chunks
-                ]
+    for a in _extremal_fields(agg_spec):
+        bt = col_types[a["by"]]
+        if not _packable(bt, as_value=False):
+            raise ValueError(
+                f"first/last order key {a['by']!r} has unorderable "
+                f"type {bt} (need numeric/temporal)"
+            )
+        vt = col_types[a["col"]]
+        if not _packable(vt, as_value=True):
+            raise ValueError(
+                f"first/last value column {a['col']!r} has unpackable "
+                f"type {vt} (need string/binary/numeric/temporal)"
+            )
+
+
+def _sess_validate_types(sess_spec: dict, col_types: dict) -> None:
+    import pyarrow as pa
+
+    rider_spec = _sess_rider_spec(sess_spec)
+    _gap_in_ts_units(col_types[sess_spec["ts"]], sess_spec["gap_minutes"])
+    _agg_validate_types(rider_spec, col_types)
+    # sum/mean riders take numeric columns, min/max also temporal ones;
+    # string values ride first/last (packed cells carry nulls safely)
+    for a in rider_spec["aggs"]:
+        fn = a["fn"]
+        if fn not in ("sum", "mean", "min", "max"):
+            continue
+        t = col_types[a["col"]]
+        ok = (
+            pa.types.is_integer(t)
+            or pa.types.is_floating(t)
+            or pa.types.is_boolean(t)
+            or (
+                fn in ("min", "max")
+                and (pa.types.is_timestamp(t) or pa.types.is_date(t))
             )
         )
-        _publish_view_manifest(
-            view_dir,
-            {
-                "upstream_tick": last["tick"],
-                "kind": kind,
-                "spec_hash": spec_hash,
-                "types_hash": new_types_hash,
-                "hash_groups": num_groups,
-                **manifest_extra(col_types),
-            },
+        if not ok:
+            kinds = "numeric/temporal" if fn in ("min", "max") else "numeric"
+            raise ValueError(
+                f"session rider {a['out']!r}: {fn} needs a {kinds} "
+                f"column, got {t} (use first/last for string values)"
+            )
+
+
+_AGG_KIND = _Kind(
+    need=lambda agg: list(
+        dict.fromkeys(
+            [
+                *agg["group_by"],
+                *(v for a in agg["aggs"] for k in ("col", "by") if (v := a.get(k))),
+            ]
         )
-    return {
-        "upstream_tick": last["tick"],
-        "buckets": len(touched),
-        "tasks": len(chunks),
-        "partial_rows": rows,
-    }
+    ),
+    optional=lambda agg: {
+        a["col"] for a in agg["aggs"] if a.get("col") and a.get("optional")
+    },
+    missing=(
+        "view columns {missing} not in the upstream table (has: {has}; mark a "
+        'column arriving later via schema evolution "optional")'
+    ),
+    validate=_agg_validate_types,
+    # exact Arrow value types of first/last outputs (decode side)
+    extras=lambda agg, col_types: {"enc_types": _enc_types_payload(agg, col_types)},
+    build=_agg_partial_of_state,
+)
+
+_KINDS = {
+    "repo_stats": _AGG_KIND,
+    "aggregate": _AGG_KIND,
+    "session": _Kind(
+        need=lambda sess: list(
+            dict.fromkeys(
+                [
+                    *sess["key"], sess["ts"],
+                    *(a["col"] for a in sess.get("aggs") or [] if a.get("col")),
+                ]
+            )
+        ),
+        optional=lambda sess: set(),
+        missing="session-view columns {missing} not in the upstream table (has: {has})",
+        validate=_sess_validate_types,
+        extras=lambda sess, col_types: {
+            "ts_unit": str(col_types[sess["ts"]].unit),
+            "ts_tz": col_types[sess["ts"]].tz,
+            "enc_types": _enc_types_payload(_sess_rider_spec(sess), col_types),
+        },
+        build=_session_partial_of_state,
+    ),
+}
+
+#: what each ``_view.json`` records about the pass that published it
+REFRESH_PROFILE = ("refresh_s", "buckets", "tasks", "partial_rows")
 
 
-def _partials_chunk(task_fn, mans, spec, pdir, col_types, num_groups) -> int:
-    """One refresh task: ``task_fn`` over a contiguous chunk of touched
-    bucket manifests; returns the partial rows written."""
-    return sum(
-        task_fn(m, spec, os.path.join(pdir, f"b={m['bucket']:05d}.parquet"),
-                col_types, num_groups)
-        for m in mans
-    )
+def _view_job(spec: TableSpec, view_dir: str) -> tuple[str, dict, str]:
+    """A view table as one ``refresh_views`` entry: (kind, spec, dir)."""
+    if spec.view not in VIEW_KINDS:
+        raise ValueError(f"unknown view kind {spec.view!r}")
+    if spec.view == "session":
+        return "session", _sess_spec_of(spec), view_dir
+    return spec.view, _agg_spec_of(spec), view_dir
+
+
+def refresh_views(
+    upstream_dir: str,
+    views: list[tuple[str, dict, str]],
+    *,
+    tolerate_locked: bool = False,
+) -> list[dict | None]:
+    """Advance every view of ONE upstream table to its committed tick in
+    one pass. ``views`` holds (kind, spec, view_dir) entries (a
+    ``VIEW_KINDS`` name and the normalized aggregate or session spec); the
+    result is one refresh dict per view, None for a view that is already
+    current or — under ``tolerate_locked`` — whose writer lock is held.
+
+    The pass reads the upstream's last tick, bucket manifests and unified
+    schema once. Per view it checks columns and types and computes its own
+    touched set: every bucket whose manifest tick advanced since that
+    view's last refresh (a bucket's manifest tick is its last-rewrite tick,
+    so an untouched bucket costs nothing). A changed definition (spec
+    hash), upstream type drift (types hash — e.g. widening landed) or a
+    changed hash-group count G (the upstream bucket count, after a
+    rebucket) recomputes every bucket of THAT view only. The union of the
+    touched sets runs as ``partitioning.cpu_chunks``, one plain Ray task
+    per chunk (every result's ``tasks``): a task reads each bucket's state
+    ONCE, in the union of the projections of the views that need it, and
+    writes each of those views' partials from it.
+
+    The pass holds each refreshed view's writer lock (taken in sorted
+    order). Crash-safe per view: partials are pure functions of committed
+    upstream state, and each ``_view.json`` publishes LAST, one per view in
+    ``views`` order, recording the pass (``REFRESH_PROFILE``). A crash
+    between two publishes leaves the later views at their previous tick;
+    the next pass redoes just their touched buckets."""
+    import time
+    from contextlib import ExitStack
+
+    import pyarrow as pa
+    import ray
+
+    from .apply import bucket_schemas
+    from .lineage import LakeLineage
+    from .lock import WriterLockError, writer_lock
+    from .partitioning import cpu_chunks
+    from .schema_evo import unify_schemas
+
+    t0 = time.perf_counter()
+    out: list[dict | None] = [None] * len(views)
+    last = LakeLineage(upstream_dir).last_tick() if views else None
+    if last is None:
+        return out
+    num_groups = last["num_buckets"]
+    stale = {}  # view index -> [applied tick, recorded types hash]
+    for i, (_, spec, view_dir) in enumerate(views):
+        mf = _view_manifest(view_dir)
+        applied = mf.get("upstream_tick", -1)
+        if mf.get("spec_hash") not in (None, _agg_spec_hash(spec)):
+            applied = -1  # definition changed: every bucket's partial is stale
+        if mf.get("hash_groups") != num_groups:
+            applied = -1  # every partial is grouped for another G
+        if last["tick"] > applied:
+            stale[i] = [applied, mf.get("types_hash")]
+
+    with ExitStack() as locks:
+        for i in sorted(stale, key=lambda i: views[i][2]):
+            try:
+                locks.enter_context(writer_lock(views[i][2], "view-refresh"))
+            except WriterLockError:
+                if not tolerate_locked:
+                    raise
+                del stale[i]
+        if not stale:
+            return out
+        manifests = LakeLineage(upstream_dir).all_bucket_manifests()
+        live_buckets = {m["bucket"] for m in manifests}
+        # unified upstream schema, from the schema each bucket manifest
+        # records (no file IO): it validates every view's columns and pins
+        # each column to ONE type in every partial despite evolution
+        upstream = unify_schemas(bucket_schemas(manifests))
+        col_types, jobs = {}, []
+        for i, (applied, types_hash) in stale.items():
+            kind, spec, view_dir = views[i]
+            k = _KINDS[kind]
+            need, optional = k.need(spec), k.optional(spec)
+            missing = [c for c in need if c not in upstream.names and c not in optional]
+            if missing:
+                raise ValueError(
+                    k.missing.format(missing=missing, has=", ".join(upstream.names))
+                )
+            types = {
+                c: upstream.field(c).type if c in upstream.names else pa.int64()
+                for c in need
+            }
+            k.validate(spec, types)
+            new_types_hash = _agg_spec_hash({c: str(t) for c, t in types.items()})
+            if types_hash not in (None, new_types_hash):
+                applied = -1
+            pdir = os.path.join(view_dir, "partials")
+            os.makedirs(pdir, exist_ok=True)
+            # orphans from an upstream rebucket to a smaller bucket count
+            for f in glob.glob(os.path.join(pdir, "b=*.parquet")):
+                if int(os.path.basename(f)[2:-8]) not in live_buckets:
+                    os.remove(f)
+            col_types.update(types)
+            jobs.append(
+                {"view": i, "kind": kind, "spec": spec, "pdir": pdir, "cols": need,
+                 "applied": applied, "types_hash": new_types_hash}
+            )
+        work = [
+            (m, [j for j, v in enumerate(jobs) if m["tick"] > v["applied"]])
+            for m in manifests
+        ]
+        chunks = cpu_chunks([(m, js) for m, js in work if js])
+        task = ray.remote(num_cpus=1)(_partials_chunk)
+        parts = ray.get([task.remote(c, jobs, col_types, num_groups) for c in chunks])
+        rows = [sum(r) for r in zip([0] * len(jobs), *parts)]
+        for j, v in enumerate(jobs):
+            kind, spec, view_dir = views[v["view"]]
+            profile = {
+                "refresh_s": round(time.perf_counter() - t0, 4),
+                "buckets": sum(1 for m in manifests if m["tick"] > v["applied"]),
+                "tasks": len(chunks),
+                "partial_rows": rows[j],
+            }
+            _publish_view_manifest(
+                view_dir,
+                {
+                    "upstream_tick": last["tick"],
+                    "kind": kind,
+                    "spec_hash": _agg_spec_hash(spec),
+                    "types_hash": v["types_hash"],
+                    "hash_groups": num_groups,
+                    **_KINDS[kind].extras(spec, col_types),
+                    **profile,
+                },
+            )
+            out[v["view"]] = {"upstream_tick": last["tick"], **profile}
+    return out
+
+
+def _partials_chunk(items, jobs, col_types, num_groups) -> list[int]:
+    """One refresh task over a contiguous chunk of (bucket manifest, the
+    jobs that need it): each bucket's state is read ONCE (merge-on-read in
+    delta mode), in the union of those views' projections, and handed to
+    each view's ``build``. Returns partial rows written per job.
+
+    ``col_types`` (column → type in the UNIFIED upstream schema) keeps the
+    partials consistent across buckets: a column an old bucket predates
+    (schema evolution) reads back as int64 nulls, and a pre-widening bucket
+    carries the narrow width — both are cast to the unified type, so every
+    bucket's partial agrees, matching SQL over the full state."""
+    import pyarrow.compute as pc
+
+    from .apply import read_bucket_state
+
+    rows = [0] * len(jobs)
+    for man, js in items:
+        cols = list(dict.fromkeys(c for j in js for c in jobs[j]["cols"]))
+        t = read_bucket_state(man, columns=[*cols, "deleted"])
+        for c in cols:
+            if t.schema.field(c).type != col_types[c]:
+                i = t.schema.get_field_index(c)
+                t = t.set_column(i, c, pc.cast(t[c], col_types[c]))
+        for j in js:
+            v = jobs[j]
+            out_path = os.path.join(v["pdir"], f"b={man['bucket']:05d}.parquet")
+            rows[j] += _KINDS[v["kind"]].build(
+                t.select(list(dict.fromkeys([*v["cols"], "deleted"]))),
+                v["spec"], out_path, num_groups,
+            )
+    return rows
+
+
+def refresh_view(spec: TableSpec, upstream_dir: str, view_dir: str) -> dict | None:
+    """One view table's refresh: a one-view :func:`refresh_views` pass."""
+    return refresh_views(upstream_dir, [_view_job(spec, view_dir)])[0]
+
+
+def refresh_agg_view(
+    agg_spec: dict, upstream_dir: str, view_dir: str, *, kind: str = "aggregate"
+) -> dict | None:
+    return refresh_views(upstream_dir, [(kind, agg_spec, view_dir)])[0]
+
+
+def refresh_repo_stats(upstream_dir: str, view_dir: str) -> dict | None:
+    return refresh_agg_view(REPO_STATS_AGG, upstream_dir, view_dir, kind="repo_stats")
 
 
 def refresh_session_view(
     sess_spec: dict, upstream_dir: str, view_dir: str
 ) -> dict | None:
-    """Advance a session view to the upstream's committed tick — same
-    incremental contract as ``refresh_agg_view`` (shared driver)."""
-    ts = sess_spec["ts"]
-    rider_spec = _sess_rider_spec(sess_spec)
-
-    def validate(col_types):
-        import pyarrow as pa
-
-        _gap_in_ts_units(col_types[ts], sess_spec["gap_minutes"])
-        _agg_validate_types(rider_spec, col_types)
-        # sum/mean riders take numeric columns, min/max also temporal ones;
-        # string values ride first/last (packed cells carry nulls safely)
-        for a in rider_spec["aggs"]:
-            fn = a["fn"]
-            if fn not in ("sum", "mean", "min", "max"):
-                continue
-            t = col_types[a["col"]]
-            ok = (
-                pa.types.is_integer(t)
-                or pa.types.is_floating(t)
-                or pa.types.is_boolean(t)
-                or (
-                    fn in ("min", "max")
-                    and (pa.types.is_timestamp(t) or pa.types.is_date(t))
-                )
-            )
-            if not ok:
-                kinds = "numeric/temporal" if fn in ("min", "max") else "numeric"
-                raise ValueError(
-                    f"session rider {a['out']!r}: {fn} needs a {kinds} "
-                    f"column, got {t} (use first/last for string values)"
-                )
-
-    return _refresh_partials(
-        spec=sess_spec,
-        upstream_dir=upstream_dir,
-        view_dir=view_dir,
-        kind="session",
-        need=list(
-            dict.fromkeys(
-                [
-                    *sess_spec["key"], ts,
-                    *(c for a in rider_spec["aggs"] if (c := a.get("col"))),
-                ]
-            )
-        ),
-        optional=set(),
-        missing_msg=lambda missing, upstream: (
-            f"session-view columns {missing} not in the upstream table "
-            f"(has: {', '.join(upstream.names)})"
-        ),
-        validate_types=validate,
-        manifest_extra=lambda col_types: {
-            "ts_unit": str(col_types[ts].unit),
-            "ts_tz": col_types[ts].tz,
-            "enc_types": _enc_types_payload(rider_spec, col_types),
-        },
-        task_fn=_session_partial_of_state,
-    )
+    return refresh_views(upstream_dir, [("session", sess_spec, view_dir)])[0]
 
 
 def _session_schema(sess_spec: dict, mf: dict, footer) -> "pa.Schema":
@@ -1443,86 +1566,6 @@ def read_session_view(sess_spec: dict, view_dir: str):
         return out.select(schema.names).cast(schema)
 
     return run_spilled(items, lambda b: merge(read_spilled(b)))
-
-
-def refresh_view(spec: TableSpec, upstream_dir: str, view_dir: str) -> dict | None:
-    if spec.view not in VIEW_KINDS:
-        raise ValueError(f"unknown view kind {spec.view!r}")
-    if spec.view == "session":
-        return refresh_session_view(_sess_spec_of(spec), upstream_dir, view_dir)
-    return refresh_agg_view(
-        _agg_spec_of(spec), upstream_dir, view_dir, kind=spec.view
-    )
-
-
-def refresh_repo_stats(upstream_dir: str, view_dir: str) -> dict | None:
-    return refresh_agg_view(REPO_STATS_AGG, upstream_dir, view_dir, kind="repo_stats")
-
-
-def _agg_validate_types(agg_spec: dict, col_types: dict) -> None:
-    import pyarrow as pa
-
-    def _packable(t, *, as_value: bool) -> bool:
-        return (
-            pa.types.is_integer(t)
-            or pa.types.is_timestamp(t)
-            or pa.types.is_date(t)
-            or pa.types.is_floating(t)
-            or pa.types.is_boolean(t)
-            or (as_value and (pa.types.is_string(t) or pa.types.is_binary(t)))
-        )
-
-    for a in _extremal_fields(agg_spec):
-        bt = col_types[a["by"]]
-        if not _packable(bt, as_value=False):
-            raise ValueError(
-                f"first/last order key {a['by']!r} has unorderable "
-                f"type {bt} (need numeric/temporal)"
-            )
-        vt = col_types[a["col"]]
-        if not _packable(vt, as_value=True):
-            raise ValueError(
-                f"first/last value column {a['col']!r} has unpackable "
-                f"type {vt} (need string/binary/numeric/temporal)"
-            )
-
-
-def refresh_agg_view(
-    agg_spec: dict, upstream_dir: str, view_dir: str, *, kind: str = "aggregate"
-) -> dict | None:
-    """Advance the view to the upstream table's committed tick (shared
-    driver — incremental/crash-safety contract in ``_refresh_partials``)."""
-    need = list(
-        dict.fromkeys(
-            [
-                *agg_spec["group_by"],
-                *(c for a in agg_spec["aggs"] if (c := a.get("col"))),
-                *(b for a in agg_spec["aggs"] if (b := a.get("by"))),
-            ]
-        )
-    )
-
-    return _refresh_partials(
-        spec=agg_spec,
-        upstream_dir=upstream_dir,
-        view_dir=view_dir,
-        kind=kind,
-        need=need,
-        optional={
-            a["col"] for a in agg_spec["aggs"] if a.get("col") and a.get("optional")
-        },
-        missing_msg=lambda missing, upstream: (
-            f"view columns {missing} not in the upstream table "
-            f"(has: {', '.join(n for n in upstream.names)}; mark a "
-            "column arriving later via schema evolution \"optional\")"
-        ),
-        validate_types=lambda col_types: _agg_validate_types(agg_spec, col_types),
-        # exact Arrow value types of first/last outputs (decode side)
-        manifest_extra=lambda col_types: {
-            "enc_types": _enc_types_payload(agg_spec, col_types)
-        },
-        task_fn=_agg_partial_of_state,
-    )
 
 
 def read_repo_stats(view_dir: str):

@@ -78,10 +78,23 @@ def expected_final_state(
     return tbl
 
 
-def expected_lang_daily(wal: WalInfo, tz_offset_minutes: int = 0) -> pa.Table:
+def _without_keys(keys) -> str:
+    """SQL filter dropping the events of (repo, path) ``keys`` — the oracle
+    of an erasure."""
+    pairs = " OR ".join(
+        "(repo = '{}' AND path = '{}')".format(*(v.replace("'", "''") for v in k))
+        for k in keys
+    )
+    return f"AND NOT ({pairs})" if keys else ""
+
+
+def expected_lang_daily(
+    wal: WalInfo, tz_offset_minutes: int = 0, exclude_keys=()
+) -> pa.Table:
     """Expected (day, lang) aggregate over distinct-LSN events (no dup double
     counting): files_changed, bytes, distinct_repos. ``tz_offset_minutes``
-    moves the day boundary to a per-table local midnight."""
+    moves the day boundary to a per-table local midnight; the events of
+    the (repo, path) ``exclude_keys`` are left out (an erasure)."""
     con = duckdb.connect()
     _wal_rel(con, wal)
     tbl = con.execute(
@@ -90,6 +103,7 @@ def expected_lang_daily(wal: WalInfo, tz_offset_minutes: int = 0) -> pa.Table:
             SELECT * FROM wal
             WHERE op IN ('insert','update','delete')
               AND repo IS NOT NULL AND path IS NOT NULL AND lsn IS NOT NULL
+              {_without_keys(exclude_keys)}
         ),
         uniq AS (
             SELECT * FROM (
@@ -111,11 +125,12 @@ def expected_lang_daily(wal: WalInfo, tz_offset_minutes: int = 0) -> pa.Table:
     return tbl
 
 
-def expected_repo_daily(wal: WalInfo, tz_offset_minutes: int = 0) -> pa.Table:
+def expected_repo_daily(
+    wal: WalInfo, tz_offset_minutes: int = 0, exclude_keys=()
+) -> pa.Table:
     """Expected (day, repo) aggregate over distinct-LSN events:
-    events, upserts, deletes, distinct_paths. ``tz_offset_minutes`` moves
-    the day boundary to a per-table local midnight (matching
-    :func:`expected_lang_daily`)."""
+    events, upserts, deletes, distinct_paths. ``tz_offset_minutes`` and
+    ``exclude_keys`` as in :func:`expected_lang_daily`."""
     con = duckdb.connect()
     _wal_rel(con, wal)
     tbl = con.execute(
@@ -124,6 +139,7 @@ def expected_repo_daily(wal: WalInfo, tz_offset_minutes: int = 0) -> pa.Table:
             SELECT * FROM wal
             WHERE op IN ('insert','update','delete')
               AND repo IS NOT NULL AND path IS NOT NULL AND lsn IS NOT NULL
+              {_without_keys(exclude_keys)}
         ),
         uniq AS (
             SELECT * FROM (

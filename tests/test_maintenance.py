@@ -335,3 +335,106 @@ def test_compact_agglog_day_over_one_rowgroup(ray_session, small_wal, tmp_path):
     assert len(rgs) == 1 and rgs[0][1] == 0
     got = pq.ParquetFile(rgs[0][0]).read_row_group(0).num_rows
     assert got == base_rows + n, f"lost {base_rows + n - got} rows past rg 0"
+
+
+def _agglog(lake: str):
+    import glob as _glob
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    files = sorted(_glob.glob(os.path.join(lake, "_agglog", "t*.parquet")))
+    return pa.concat_tables(pq.read_table(f) for f in files)
+
+
+def _daily(lake: str) -> dict:
+    from etl_ray.engine.aggregates import read_agg
+    from etl_ray.engine.lineage import LakeLineage
+
+    lin = LakeLineage(lake)
+    return {
+        t: read_agg(lin, t).to_pandas().sort_values(["day", k]).reset_index(drop=True)
+        for t, k in (("lang_daily_agg", "lang"), ("repo_daily_agg", "repo"))
+    }
+
+
+def test_erase_scrubs_agglog_and_recomputes_days(ray_session, small_wal, tmp_path):
+    """GDPR: after ``erase_keys`` no agg-log row carries an erased key, and
+    the daily aggregates at the lake's tz offset equal DuckDB over the WAL
+    without those keys' events."""
+    from etl_ray.oracle import expected_lang_daily, expected_repo_daily
+
+    tz = 330
+    lake = str(tmp_path / "lake")
+    ReplayEngine(
+        small_wal.wal_dir, lake, num_buckets=8, concurrency=2, tz_offset_minutes=tz
+    ).replay_all(segments_per_tick=2)
+    # the two keys with the most logged events: they sit on several days
+    counts = (
+        _agglog(lake).group_by(["repo", "path"]).aggregate([("lsn", "count")])
+        .sort_by([("lsn_count", "descending"), ("repo", "ascending"),
+                  ("path", "ascending")])
+    )
+    victims = list(zip(counts["repo"][:2].to_pylist(), counts["path"][:2].to_pylist()))
+    assert counts["lsn_count"][0].as_py() > 1
+
+    res = erase_keys(lake, victims)
+    assert res["agglog_files_rewritten"] > 0 and res["days_recomputed"] > 0
+    log = _agglog(lake)
+    assert not set(zip(log["repo"].to_pylist(), log["path"].to_pylist())) & set(victims)
+
+    got = _daily(lake)
+    exp_l = expected_lang_daily(small_wal, tz, exclude_keys=victims).to_pandas()
+    exp_r = expected_repo_daily(small_wal, tz, exclude_keys=victims).to_pandas()
+    for t, exp in (("lang_daily_agg", exp_l), ("repo_daily_agg", exp_r)):
+        pd.testing.assert_frame_equal(
+            got[t][list(exp.columns)], exp, check_dtype=False
+        )
+    # the erasure is idempotent: a re-run finds nothing left to scrub
+    again = erase_keys(lake, victims)
+    assert again["agglog_files_rewritten"] == 0
+
+
+def test_compact_agglog_does_not_grow_the_log(ray_session, small_wal, tmp_path):
+    """Compaction writes through the log's one writer (sorted by
+    ``commit_ts``, delta-encoded ``commit_ts``/``lsn``): ``_agglog/`` does
+    not grow, and every day's recompute is unchanged."""
+    import glob as _glob
+    import os
+
+    from etl_ray.engine.aggregates import recompute_days_from_agglog
+    from etl_ray.engine.lineage import LakeLineage
+    from etl_ray.engine.maintenance import compact_agglog
+
+    def log_bytes() -> int:
+        return sum(
+            os.path.getsize(f) for f in _glob.glob(os.path.join(lake, "_agglog", "*"))
+        )
+
+    lake = str(tmp_path / "lake")
+    ReplayEngine(small_wal.wal_dir, lake, num_buckets=8, concurrency=2).replay_all(
+        segments_per_tick=1
+    )
+    before, size = _daily(lake), log_bytes()
+    assert compact_agglog(lake)["days"] > 0
+    assert log_bytes() <= size
+    for f in _glob.glob(os.path.join(lake, "_agglog", "t*.parquet")):
+        ts = _agglog_file_ts(f)
+        assert ts == sorted(ts)
+    recompute_days_from_agglog(LakeLineage(lake), set(before["lang_daily_agg"]["day"]))
+    after = _daily(lake)
+    for t in before:
+        pd.testing.assert_frame_equal(before[t], after[t], check_dtype=False)
+
+
+def _agglog_file_ts(path: str) -> list:
+    import pyarrow.parquet as pq
+
+    md = pq.ParquetFile(path).metadata
+    for rg in range(md.num_row_groups):
+        cols = {md.row_group(rg).column(i).path_in_schema: md.row_group(rg).column(i)
+                for i in range(md.num_columns)}
+        assert "DELTA_BINARY_PACKED" in cols["commit_ts"].encodings
+        assert "DELTA_BINARY_PACKED" in cols["lsn"].encodings
+    return pq.read_table(path, columns=["commit_ts"])["commit_ts"].to_pylist()
