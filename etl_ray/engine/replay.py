@@ -57,6 +57,43 @@ class DeadlineExceededError(RuntimeError):
     ``DAG_user_history.py:98-105``)."""
 
 
+def check_deadline(
+    lake_dir: str,
+    started: float,
+    deadline_s: float | None,
+    ticks_done: int,
+    callbacks=(),
+    scope: str = "run",
+) -> None:
+    """Raise between ticks once a ``scope`` ("run": one table's replay,
+    "lake": a multi-table loop) has spent its budget, after emitting ONE
+    ``deadline_exceeded`` event shape to the lake's ops trail. Every call
+    site is at a committed tick, so an abort never loses or tears work —
+    the next run resumes from the watermark."""
+    if deadline_s is None:
+        return
+    elapsed = time.monotonic() - started
+    if elapsed <= deadline_s:
+        return
+    from .alerts import emit_event
+
+    emit_event(
+        lake_dir,
+        "deadline_exceeded",
+        {
+            "deadline_s": deadline_s,
+            "elapsed_s": round(elapsed, 3),
+            "ticks_completed": ticks_done,
+        },
+        (callbacks,) if callable(callbacks) else tuple(callbacks),
+    )
+    raise DeadlineExceededError(
+        f"{scope} budget {deadline_s:.0f}s exceeded after {elapsed:.1f}s "
+        f"({ticks_done} ticks committed); every table is at its last "
+        "committed tick — rerun to resume"
+    )
+
+
 @dataclass
 class TickResult:
     tick: int
@@ -387,32 +424,6 @@ class ReplayEngine:
             )
             raise
 
-    def _check_deadline(self, started: float, ticks_done: int) -> None:
-        """Raise between ticks once the run's budget is spent. The lake is
-        at a committed tick at every call site, so an abort never loses or
-        tears work — the next run resumes from the watermark."""
-        if self.deadline_s is None:
-            return
-        elapsed = time.monotonic() - started
-        if elapsed > self.deadline_s:
-            from .alerts import emit_event
-
-            emit_event(
-                self.lake_dir,
-                "deadline_exceeded",
-                {
-                    "deadline_s": self.deadline_s,
-                    "elapsed_s": round(elapsed, 3),
-                    "ticks_completed": ticks_done,
-                },
-                self.event_callbacks,
-            )
-            raise DeadlineExceededError(
-                f"run budget {self.deadline_s:.0f}s exceeded after "
-                f"{elapsed:.1f}s ({ticks_done} ticks committed); lake is at "
-                "its last committed tick — rerun to resume"
-            )
-
     def _tick_locked(self, max_segments: int | None = None) -> TickResult | None:
         t0 = time.perf_counter()
         last = self.lineage.last_tick()
@@ -633,7 +644,9 @@ class ReplayEngine:
             # budget checked BETWEEN ticks: the first tick always runs (a
             # run does at least one unit of work, like the reference's
             # deadline sensor failing an in-flight run, deadline.py:29-38)
-            self._check_deadline(started, len(out))
+            check_deadline(
+                self.lake_dir, started, self.deadline_s, len(out), self.event_callbacks
+            )
         return out
 
     def follow(
@@ -675,7 +688,10 @@ class ReplayEngine:
                     break
                 # budget checked between ticks (first tick always runs) —
                 # a pathological backlog can't tail past the run's SLA
-                self._check_deadline(started, len(results))
+                check_deadline(
+                    self.lake_dir, started, self.deadline_s, len(results),
+                    self.event_callbacks,
+                )
             else:
                 if time.monotonic() - idle_since >= idle_timeout_s:
                     break

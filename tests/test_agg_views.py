@@ -19,9 +19,10 @@ import pytest
 from etl_ray.engine.tables import (
     MultiTableLake,
     TableSpec,
-    refresh_agg_view,
+    refresh_view,
     spec_from_config,
 )
+from etl_ray.engine.views.refresh import refresh_views
 
 LANG_AGGS = [
     {"out": "n_files", "fn": "count"},
@@ -107,10 +108,8 @@ def test_aggregate_view_incremental_and_spec_change(ray_session, small_wal, tmp_
     # no upstream advance → refresh is a no-op
     spec = lake.spec("lang_stats")
     assert (
-        refresh_agg_view(
-            {"group_by": spec.view_group_by, "aggs": spec.view_aggs},
-            lake.table_dir("repo_files"),
-            lake.table_dir("lang_stats"),
+        refresh_view(
+            spec, lake.table_dir("repo_files"), lake.table_dir("lang_stats")
         )
         is None
     )
@@ -128,9 +127,10 @@ def test_aggregate_view_incremental_and_spec_change(ray_session, small_wal, tmp_
         "group_by": ["lang"],
         "aggs": [{"out": "n_files", "fn": "count"}],
     }
-    r3 = refresh_agg_view(
-        changed, lake.table_dir("repo_files"), lake.table_dir("lang_stats")
-    )
+    r3 = refresh_views(
+        lake.table_dir("repo_files"),
+        [("aggregate", changed, lake.table_dir("lang_stats"))],
+    )[0]
     assert r3["buckets"] == total, "spec change must recompute every bucket"
     # ... and the recomputed partials carry the new (narrower) schema
     import pyarrow.parquet as pq
@@ -367,7 +367,7 @@ def test_extreme_pack_roundtrip_kernels():
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from etl_ray.engine.tables import _dec_extreme, _enc_extreme
+    from etl_ray.engine.views.encoding import _dec_extreme, _enc_extreme
 
     # negative/zero/positive float order keys sort correctly
     order = pa.array([2.5, -1.0, 0.0], pa.float64())
@@ -397,7 +397,7 @@ def test_extreme_pack_date_order_keys():
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from etl_ray.engine.tables import _dec_extreme, _enc_extreme
+    from etl_ray.engine.views.encoding import _dec_extreme, _enc_extreme
 
     d32 = pa.array([10, 3, None], pa.date32())
     vals = pa.array(["a", "b", "c"], pa.string())
@@ -449,7 +449,7 @@ def test_extreme_pack_roundtrip_every_packable_type(name, cases):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from etl_ray.engine.tables import _dec_extreme, _enc_extreme
+    from etl_ray.engine.views.encoding import _dec_extreme, _enc_extreme
 
     typ = {
         "bool": pa.bool_(), "date32": pa.date32(), "date64": pa.date64(),

@@ -112,7 +112,7 @@ def test_unstamped_lake_is_refused(ray_session, small_wal, tmp_path):
     """A tick manifest without the stamp (a lake written before the format)
     makes every entry point raise the format message instead of reading
     the lake through guesses."""
-    from etl_ray.engine.tables import refresh_repo_stats
+    from etl_ray.engine.tables import TableSpec, refresh_view
 
     lake = str(tmp_path / "lake")
     eng = ReplayEngine(small_wal.wal_dir, lake, num_buckets=8, concurrency=2)
@@ -134,7 +134,11 @@ def test_unstamped_lake_is_refused(ray_session, small_wal, tmp_path):
     with pytest.raises(ValueError, match=FORMAT_MSG):
         rebucket(lake, 4)
     with pytest.raises(ValueError, match=FORMAT_MSG):
-        refresh_repo_stats(lake, str(tmp_path / "view"))
+        refresh_view(
+            TableSpec(name="v", view="repo_stats", source="t"),
+            lake,
+            str(tmp_path / "view"),
+        )
 
 
 def test_format_1_lake_is_refused(tmp_path):

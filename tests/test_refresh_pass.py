@@ -1,7 +1,7 @@
-"""One refresh pass per source (``tables.refresh_views``): every view of a
-base table is advanced by one pass that reads each touched bucket once, in
-the union of the views' projections, while each view keeps its own touched
-set and publishes its own ``_view.json`` last."""
+"""One refresh pass per source (``views.refresh.refresh_views``): every
+view of a base table is advanced by one pass that reads each touched bucket
+once, in the union of the views' projections, while each view keeps its own
+touched set and publishes its own ``_view.json`` last."""
 
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ import pytest
 from etl_ray.engine import tables
 from etl_ray.engine.lineage import LakeLineage
 from etl_ray.engine.tables import MultiTableLake, TableSpec
+from etl_ray.engine.views import refresh
+from etl_ray.engine.views.refresh import VIEW_KINDS, view_job
 
 # DuckDB oracles of the three view kinds, shared with their own test modules
 from test_agg_views import LANG_AGGS, _assert_matches_oracle  # noqa: E402
@@ -87,7 +89,7 @@ def test_crash_between_view_publishes_heals_on_next_tick(
     lake.tick(len(tail_wal.segments) - 1)
     before = _upstream_tick(lake, "repo_stats")
 
-    real, published = tables._publish_view_manifest, []
+    real, published = refresh._publish_view_manifest, []
 
     def crash_on_second(view_dir, obj):
         if published:
@@ -95,7 +97,7 @@ def test_crash_between_view_publishes_heals_on_next_tick(
         published.append(view_dir)
         real(view_dir, obj)
 
-    monkeypatch.setattr(tables, "_publish_view_manifest", crash_on_second)
+    monkeypatch.setattr(refresh, "_publish_view_manifest", crash_on_second)
     with pytest.raises(RuntimeError, match="between two"):
         lake.tick()
     monkeypatch.undo()
@@ -182,8 +184,8 @@ def test_one_read_per_touched_bucket_per_pass(
     assert sorted(b for b, _ in reads) == list(range(BUCKETS))
     union = set()
     for s in lake.specs[1:]:
-        kind, spec, _ = tables._view_job(s, "")
-        union |= set(tables._KINDS[kind].need(spec))
+        kind, spec, _ = view_job(s, "")
+        union |= set(VIEW_KINDS[kind].need(spec))
     assert all(set(cols) == union | {"deleted"} for _, cols in reads)
     assert all(first[v]["buckets"] == BUCKETS for v in VIEWS)
 
@@ -201,10 +203,9 @@ def test_one_read_per_touched_bucket_per_pass(
     for s in lake.specs[1:]:
         solo_dir = str(tmp_path / f"solo-{s.name}")
         tables.refresh_view(s, up, solo_dir)
-        kind, spec, _ = tables._view_job(s, solo_dir)
-        read = tables.read_session_view if kind == "session" else tables.read_agg_view
+        kind, spec, _ = view_job(s, solo_dir)
         fused = _pa_table(lake.read_view(s.name))
-        solo = _pa_table(read(spec, solo_dir))
+        solo = _pa_table(VIEW_KINDS[kind].read(spec, solo_dir))
         assert fused.equals(solo), s.name
     _assert_views_match_oracle(lake, tail_wal)
 

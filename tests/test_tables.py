@@ -187,10 +187,10 @@ def test_view_refresh_touches_only_advanced_buckets(ray_session, small_wal, tmp_
     )
     eng = lake.engine("repo_files")
     eng.tick(len(small_wal.segments) - 1)
-    from etl_ray.engine.tables import refresh_repo_stats
+    from etl_ray.engine.tables import refresh_view
 
     up_dir, v_dir = lake.table_dir("repo_files"), lake.table_dir("repo_stats")
-    refresh_repo_stats(up_dir, v_dir)
+    refresh_view(lake.spec("repo_stats"), up_dir, v_dir)
     applied = json.load(open(os.path.join(v_dir, "_view.json")))["upstream_tick"]
 
     eng.tick()  # last segment
@@ -199,7 +199,7 @@ def test_view_refresh_touches_only_advanced_buckets(ray_session, small_wal, tmp_
         for m in LakeLineage(up_dir).all_bucket_manifests()
         if m["tick"] > applied
     ]
-    res = refresh_repo_stats(up_dir, v_dir)
+    res = refresh_view(lake.spec("repo_stats"), up_dir, v_dir)
     assert res["buckets"] == len(advanced) < 8 or len(advanced) == 8
     got = _view_df(lake, "repo_stats")
     exp = _oracle_repo_stats(small_wal)
@@ -897,7 +897,7 @@ def test_session_view_empty_partials_keep_schema(ray_session, tmp_path):
         }
     )
     pq.write_table(t, str(pdir / "b=00000.parquet"))
-    from etl_ray.engine.tables import read_session_view
+    from etl_ray.engine.views.session import read_session_view
 
     ds = read_session_view(
         {"key": ["repo"], "ts": "commit_ts", "gap_minutes": 30},
@@ -915,7 +915,7 @@ def test_session_gap_is_exact_not_unit_rounded():
     session splits would depend on physical bucket placement."""
     import pyarrow as pa
 
-    from etl_ray.engine.tables import _gap_in_ts_units
+    from etl_ray.engine.views.session import _gap_in_ts_units
 
     assert _gap_in_ts_units(pa.timestamp("s"), 0.025) == 1.5
     assert _gap_in_ts_units(pa.timestamp("us"), 30) == 30 * 60_000_000
@@ -929,13 +929,14 @@ def _session_view_of(tmp_path, cols: dict, num_buckets: int, gap_minutes: float)
     import pyarrow as pa
     import ray
 
-    from etl_ray.engine.tables import read_session_view, refresh_session_view
+    from etl_ray.engine.views.refresh import refresh_views
+    from etl_ray.engine.views.session import read_session_view
 
     tmp_path.mkdir(parents=True, exist_ok=True)
     up = _bootstrapped_upstream(tmp_path, cols, num_buckets)
     spec = {"key": ["repo"], "ts": "commit_ts", "gap_minutes": gap_minutes}
     vdir = str(tmp_path / "v")
-    res = refresh_session_view(spec, up, vdir)
+    res = refresh_views(up, [("session", spec, vdir)])[0]
     t = pa.concat_tables(ray.get(read_session_view(spec, vdir).to_arrow_refs()))
     return res, t.sort_by([("repo", "ascending"), ("session_start", "ascending")])
 
@@ -1057,7 +1058,7 @@ def test_session_starts_matches_python_interval_merge(frags, dups, gap):
     import numpy as np
     import pyarrow as pa
 
-    from etl_ray.engine.tables import _session_starts
+    from etl_ray.engine.views.session import _session_starts
 
     frags = frags + frags[:dups]
     t = pa.table(
@@ -1233,20 +1234,90 @@ def test_session_rider_validation():
 
 @pytest.mark.parametrize("view", ["aggregate", "session"])
 def test_view_reserved_partial_prefix_rejected(view):
-    """Rider/output names starting with '__' would collide with the partial
-    columns (__s_/__c_/__e_): a mean rider 'x' and a sum rider '__s_x'
-    write the same partial column. Both view kinds reject the prefix."""
+    """Both kinds' field lists (aggregate outputs, session riders) go
+    through one set of rules, and each rule names its kind: a bad name, the
+    reserved '__' prefix (a mean rider 'x' and a sum rider '__s_x' would
+    write the same partial column __s_x), an unknown fn, a missing col, the
+    first/last order key (aggregate: 'by' required; session: the ts column
+    is implied, another 'by' rejected), a duplicate name and a name the
+    view already outputs."""
+    import re
+
     base = dict(name="v", view=view, source="t")
     if view == "aggregate":
         base["view_group_by"] = ["repo"]
+        noun, first_ok = "output", {"by": "lsn"}
+        order_rule = (
+            [{"out": "f", "col": "path", "fn": "first"}],
+            "output 'f' (first) needs an order key ('by')",
+        )
     else:
         base.update(view_key=["repo"], view_ts="commit_ts")
-    ok = [{"out": "x", "col": "lsn", "fn": "mean"}]
+        noun, first_ok = "rider", {"by": "commit_ts"}
+        order_rule = (
+            [{"out": "f", "col": "path", "fn": "first", "by": "lsn"}],
+            "rider 'f' orders by the ts column 'commit_ts' — omit 'by'",
+        )
+    ok = [
+        {"out": "x", "col": "lsn", "fn": "mean"},
+        {"out": "f", "col": "path", "fn": "last", **first_ok},
+    ]
     TableSpec(**base, view_aggs=ok).validate()
-    with pytest.raises(ValueError, match="reserved '__'"):
-        TableSpec(
-            **base, view_aggs=[*ok, {"out": "__s_x", "col": "lsn", "fn": "sum"}]
-        ).validate()
+    cases = [
+        ([{"out": "no spaces", "fn": "count"}], f"bad {noun} name 'no spaces'"),
+        (
+            [*ok, {"out": "__s_x", "col": "lsn", "fn": "sum"}],
+            f"{noun} name '__s_x' uses the reserved '__' partial-column prefix",
+        ),
+        ([{"out": "n", "col": "lsn", "fn": "median"}], f"{noun} fn must be one of"),
+        ([{"out": "n", "fn": "sum"}], f"{noun} 'n' (sum) needs col"),
+        order_rule,
+        (
+            [{"out": "n", "fn": "count"}, {"out": "n", "col": "lsn", "fn": "sum"}],
+            f"duplicate/reserved {noun} names ['n']",
+        ),
+        ([{"out": "repo", "fn": "count"}], f"duplicate/reserved {noun} names ['repo']"),
+    ]
+    for aggs, msg in cases:
+        with pytest.raises(ValueError, match=re.escape(f"{view} view 'v': {msg}")):
+            TableSpec(**base, view_aggs=aggs).validate()
+
+
+@pytest.mark.parametrize(
+    "entry,stray",
+    [
+        (
+            {"name": "v", "view": "repo_stats", "source": "t", "group_by": ["lang"],
+             "aggs": [{"out": "n", "fn": "count"}]},
+            "repo_stats view 'v' does not take group_by, aggs",
+        ),
+        (
+            {"name": "v", "view": "aggregate", "source": "t", "group_by": ["lang"],
+             "aggs": [{"out": "n", "fn": "count"}], "key": ["repo"],
+             "ts": "commit_ts"},
+            "aggregate view 'v' does not take key, ts",
+        ),
+        (
+            {"name": "v", "view": "session", "source": "t", "key": ["repo"],
+             "ts": "commit_ts", "group_by": ["lang"]},
+            "session view 'v' does not take group_by",
+        ),
+        (
+            {"name": "t", "wal": "/w", "group_by": ["lang"], "key": ["repo"]},
+            "base table 't' does not take group_by, key",
+        ),
+    ],
+    ids=["repo_stats", "aggregate", "session", "base"],
+)
+def test_misplaced_view_keys_rejected(entry, stray):
+    """A view key the table's kind does not take is an error, not a silent
+    no-op: each of these configs used to build a different table than it
+    names (the plain repo_stats preset, an aggregate or session view that
+    ignores a key, a base table with view fields)."""
+    import re
+
+    with pytest.raises(ValueError, match=re.escape(stray)):
+        spec_from_config(entry)
 
 
 def test_session_rider_string_minmax_rejected(ray_session, small_wal, tmp_path):
@@ -1413,9 +1484,16 @@ def test_view_read_rejects_foreign_hash_groups(ray_session, small_wal, tmp_path)
         json.dump({**mf, "hash_groups": 4}, fh)
     with pytest.raises(ValueError, match="hash groups"):
         lake.read_view("repo_stats")
-    from etl_ray.engine.tables import refresh_repo_stats
+    from etl_ray.engine.tables import refresh_view
 
-    res = refresh_repo_stats(lake.table_dir("repo_files"), lake.table_dir("repo_stats"))
+    def refresh_stats():
+        return refresh_view(
+            lake.spec("repo_stats"),
+            lake.table_dir("repo_files"),
+            lake.table_dir("repo_stats"),
+        )
+
+    res = refresh_stats()
     assert res["buckets"] == 8
     pd.testing.assert_frame_equal(_view_df(lake, "repo_stats"), before)
 
@@ -1433,7 +1511,7 @@ def test_view_read_rejects_foreign_hash_groups(ray_session, small_wal, tmp_path)
         json.dump(mf, fh)
     with pytest.raises(ValueError, match="hash groups"):
         lake.read_view("repo_stats")
-    res = refresh_repo_stats(lake.table_dir("repo_files"), lake.table_dir("repo_stats"))
+    res = refresh_stats()
     assert res["buckets"] == 8
     pd.testing.assert_frame_equal(_view_df(lake, "repo_stats"), before)
 
@@ -1462,7 +1540,8 @@ def test_session_sum_rider_one_schema_across_hash_groups(ray_session, tmp_path):
     import ray
 
     from etl_ray.engine.partitioning import stable_hash64
-    from etl_ray.engine.tables import read_session_view, refresh_session_view
+    from etl_ray.engine.views.refresh import refresh_views
+    from etl_ray.engine.views.session import read_session_view
 
     nb = 8
     repos = [f"r{i:02d}" for i in range(40)]
@@ -1492,7 +1571,7 @@ def test_session_sum_rider_one_schema_across_hash_groups(ray_session, tmp_path):
         "aggs": [{"out": "total", "col": "size", "fn": "sum"}],
     }
     vdir = str(tmp_path / "v")
-    refresh_session_view(spec, up, vdir)
+    refresh_views(up, [("session", spec, vdir)])[0]
     ds = read_session_view(spec, vdir)
     blocks = ray.get(ds.to_arrow_refs())
     assert len({b.schema for b in blocks}) == 1
@@ -1510,7 +1589,8 @@ def test_session_null_key_group_keeps_string_key(ray_session, tmp_path):
     import pyarrow as pa
     import ray
 
-    from etl_ray.engine.tables import read_session_view, refresh_session_view
+    from etl_ray.engine.views.refresh import refresh_views
+    from etl_ray.engine.views.session import read_session_view
 
     n = 12
     up = _bootstrapped_upstream(
@@ -1526,7 +1606,7 @@ def test_session_null_key_group_keeps_string_key(ray_session, tmp_path):
     )
     spec = {"key": ["team"], "ts": "commit_ts", "gap_minutes": 30}
     vdir = str(tmp_path / "v")
-    refresh_session_view(spec, up, vdir)
+    refresh_views(up, [("session", spec, vdir)])[0]
     t = pa.concat_tables(ray.get(read_session_view(spec, vdir).to_arrow_refs()))
     assert t.schema.field("team").type == pa.string()
     assert t.num_rows == 1

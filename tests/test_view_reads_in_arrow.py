@@ -10,7 +10,7 @@ from __future__ import annotations
 import ast
 import pathlib
 
-TABLES = pathlib.Path(__file__).resolve().parents[1] / "etl_ray" / "engine" / "tables.py"
+VIEWS = pathlib.Path(__file__).resolve().parents[1] / "etl_ray" / "engine" / "views"
 READ_PATH = (
     "read_session_view",
     "read_agg_view",
@@ -37,10 +37,10 @@ def _pandas_uses(fn: ast.FunctionDef) -> list[str]:
 
 
 def test_view_reads_do_not_use_pandas():
-    tree = ast.parse(TABLES.read_text())
     fns = {
         n.name: n
-        for n in tree.body
+        for path in sorted(VIEWS.glob("*.py"))
+        for n in ast.parse(path.read_text()).body
         if isinstance(n, ast.FunctionDef) and n.name in READ_PATH
     }
     assert set(fns) == set(READ_PATH), f"missing: {set(READ_PATH) - set(fns)}"
