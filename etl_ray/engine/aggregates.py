@@ -45,15 +45,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data
+import ray
 
 from .lineage import LakeLineage
 from .metrics import DEFAULT_METRICS, MetricSpec
-from .partitioning import fan_out
-
-
-# the per-day counter row a recompute task returns to the driver
-_COUNTERS = pa.schema([("day", pa.string()), ("inter_rows", pa.int64())])
+from .partitioning import cpu_chunks
 
 
 def days_of_segments(segments: list[dict], tz_offset_minutes: int = 0) -> set[str]:
@@ -312,6 +308,31 @@ def _utc_days(day: str, tz_offset_minutes: int) -> set[str]:
     return days_of_segments([{"min_ts_us": lo, "max_ts_us": lo + 86_400_000_000 - 1}])
 
 
+def _recompute_chunk(
+    lineage: LakeLineage,
+    items: list[dict],
+    tz_offset_minutes: int,
+    metrics: list[MetricSpec],
+    exclude_keys,
+) -> list[dict]:
+    """One recompute task over a contiguous chunk of local days
+    (``{day, files, rgs}`` items): reads each needed (file, row group) of
+    the agg log once, keeps its own days' rows and runs the multi-day
+    kernel. Returns one counter row per day it wrote."""
+    pairs = dict.fromkeys(
+        (f, rg) for it in items for f, rg in zip(it["files"], it["rgs"])
+    )
+    log = pa.concat_tables(pq.ParquetFile(f).read_row_group(rg) for f, rg in pairs)
+    if exclude_keys:
+        log = log.filter(pc.invert(_key_mask(log, exclude_keys)))
+    day = local_day(log.column("commit_ts"), tz_offset_minutes)
+    mine = [it["day"] for it in items]
+    g = log.drop_columns(["commit_ts"]).append_column("day", day)
+    g = g.filter(pc.is_in(day, value_set=pa.array(mine))).to_pandas()
+    present = set(g["day"])
+    return _reduce_days(lineage, [d for d in mine if d in present], g, metrics)
+
+
 def recompute_days_from_agglog(
     lineage: LakeLineage,
     days: set[str],
@@ -350,41 +371,23 @@ def recompute_days_from_agglog(
                 {"day": d, "files": [f for f, _ in rgs], "rgs": [r for _, r in rgs]}
             )
 
-    def chunk_reduce(batch: pa.Table) -> pa.Table:
-        pairs = dict.fromkeys(
-            (f, rg)
-            for files, rgs in zip(batch["files"].to_pylist(), batch["rgs"].to_pylist())
-            for f, rg in zip(files, rgs)
-        )
-        log = pa.concat_tables(pq.ParquetFile(f).read_row_group(rg) for f, rg in pairs)
-        if exclude_keys:
-            log = log.filter(pc.invert(_key_mask(log, exclude_keys)))
-        day = local_day(log.column("commit_ts"), tz_offset_minutes)
-        g = log.drop_columns(["commit_ts"]).append_column("day", day)
-        g = g.filter(pc.is_in(day, value_set=batch["day"].combine_chunks())).to_pandas()
-        present = set(g["day"])
-        mine = [d for d in batch["day"].to_pylist() if d in present]
-        counters = _reduce_days(lineage, mine, g, metrics)
-        return pa.Table.from_pylist(counters, schema=_COUNTERS)
-
-    # one task per contiguous chunk of days: each writes its own days'
-    # partition files; the caller sees ONE counter row per day, never
+    # one plain task per contiguous chunk of days: each writes its own
+    # days' partition files; the driver gets ONE counter row per day, never
     # (day × lang × repo)-grain data
-    res = (
-        ray.data.from_items(items, override_num_blocks=fan_out(len(items)))
-        .map_batches(chunk_reduce, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-        if items
-        else pd.DataFrame()
-    )
-    written = set(res["day"]) if len(res) else set()
+    task = ray.remote(num_cpus=1)(_recompute_chunk)
+    refs = [
+        task.remote(lineage, chunk, tz_offset_minutes, metrics, exclude_keys)
+        for chunk in cpu_chunks(items)
+    ]
+    counters = [c for part in ray.get(refs) for c in part]
+    written = {c["day"] for c in counters}
     for d in set(days) - written:
         for name in ("lang_daily_agg", "repo_daily_agg"):
             if os.path.exists(p := lineage.agg_day_path(name, d)):
                 os.remove(p)
     if not written:
         return {"days": 0}
-    return {"days": len(res), "inter_rows": int(res["inter_rows"].sum())}
+    return {"days": len(counters), "inter_rows": sum(c["inter_rows"] for c in counters)}
 
 
 # ``perfbench/tracing.py`` spans this name by ``getattr``; the alias goes

@@ -150,16 +150,33 @@ _CONFIG_KEYS = frozenset(
 )
 
 
+#: the config keys only a base table takes; their TableSpec fields have
+#: non-None defaults, so a view entry carrying one is caught here, where
+#: set and unset still differ
+_BASE_KEYS = (
+    "wal", "buckets", "concurrency", "tz_offset_minutes", "aggregate", "folds",
+    "pseudonym_fields", "changelog", "retain_ticks", "state_mode",
+    "delta_threshold",
+)
+
+
 def spec_from_config(entry: dict) -> TableSpec:
     """One config-file entry → TableSpec. Accepted keys mirror the replay
     CLI flags; ``"folds": true`` resolves to the default fold set. Unknown
-    keys are rejected — a typo'd key must not silently build a different
-    lake than configured."""
+    keys, and base-table keys on a view, are rejected — a typo'd or
+    misplaced key must not silently build a different lake than
+    configured."""
     unknown = set(entry) - _CONFIG_KEYS
     if unknown:
         raise ValueError(
             f"unknown table-config keys {sorted(unknown)} "
             f"(accepted: {', '.join(sorted(_CONFIG_KEYS))})"
+        )
+    base = [k for k in _BASE_KEYS if k in entry]
+    if entry.get("view") is not None and base:
+        raise ValueError(
+            f"{entry['view']} view {entry.get('name')!r} does not take "
+            f"{', '.join(base)}"
         )
     conc = entry.get("concurrency")
     if isinstance(conc, list):

@@ -16,9 +16,10 @@ import dataclasses
 from .core import (
     ViewKind,
     _combine,
-    _partial_files,
-    _partial_items,
+    _read_plan,
+    _read_spans,
     _reduce_riders,
+    _run_read,
     _view_manifest,
     _write_partial,
     check_fields,
@@ -104,23 +105,26 @@ def _agg_partial_of_state(
     return _write_partial(out, group_by, num_groups, out_path)
 
 
+def _agg_read_chunk(spans, group_by, aggs, enc_types) -> "pa.Table":
+    """One read task: the final reduce of its hash groups' partial rows."""
+    return _reduce_riders(_read_spans(spans), group_by, aggs, enc_types)
+
+
 def read_agg_view(agg_spec: dict, view_dir: str):
     """The view as a Ray Dataset: final reduce over the hash-grouped
     partials (aggregate-grain rows only — the combiner half was done at
-    refresh) in one consumer pass (``partitioning.run_spilled``; a group's
-    rows all sit in one hash group): :func:`_reduce_riders` per consumer."""
+    refresh) in one round of plain read tasks (:func:`_read_plan`; a
+    group's rows all sit in one hash group): :func:`_reduce_riders` per
+    task."""
     import pyarrow as pa
-    import pyarrow.parquet as pq
     import ray.data
-
-    from ..partitioning import read_spilled, run_spilled
 
     group_by = agg_spec["group_by"]
     aggs = agg_spec["aggs"]
     mf = _view_manifest(view_dir)
     enc_types = _enc_types_load(mf.get("enc_types"))
-    files = _partial_files(view_dir)
-    if not files:
+    schema, chunks = _read_plan(view_dir, mf.get("hash_groups"))
+    if schema is None:
         # an unrefreshed view has no partials and no recorded types; surface
         # the declared shape (string keys, int64 metrics, float64 means,
         # manifest types — else string — for first/last)
@@ -133,14 +137,11 @@ def read_agg_view(agg_spec: dict, view_dir: str):
                     [], pa.float64() if a["fn"] == "mean" else pa.int64()
                 )
         return ray.data.from_arrow(pa.table(cols))
-
-    def reduce(t: pa.Table) -> pa.Table:
-        return _reduce_riders(t, group_by, aggs, enc_types)
-
-    items = _partial_items(files, mf.get("hash_groups"))
-    if not items:  # every partial empty: the typed empty reduce
-        return ray.data.from_arrow(reduce(pq.read_schema(files[0]).empty_table()))
-    return run_spilled(items, lambda b: reduce(read_spilled(b)))
+    if not chunks:  # every partial empty: the typed empty reduce
+        return ray.data.from_arrow(
+            _reduce_riders(schema.empty_table(), group_by, aggs, enc_types)
+        )
+    return _run_read(_agg_read_chunk, chunks, group_by, aggs, enc_types)
 
 
 AGGREGATE = ViewKind(

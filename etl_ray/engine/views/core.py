@@ -2,10 +2,12 @@
 both kinds' ``aggs`` lists share, partial-file I/O and the read-side
 reduce.
 
-Each partial is the engine's shuffle file (``partitioning.spill`` layout):
-rows sorted by ``hash(view key) % G`` (G = the upstream bucket count), one
-row group per hash group, the ``{group: rg}`` index in the footer — so a
-read is one pass of ``min(G, CPUs)`` consumer tasks and needs no shuffle.
+Each partial is ONE row group of rows sorted by ``hash(view key) % G`` (G =
+the upstream bucket count), with each hash group's row range in the footer.
+A read is one round of ``min(groups, CPUs)`` plain Ray tasks, each over a
+contiguous chunk of groups: a task reads every partial once, slices its
+groups' rows (one contiguous range per file) and reduces them — a view key
+lives in one hash group, so no shuffle and no Ray Data pipeline.
 """
 
 from __future__ import annotations
@@ -114,24 +116,36 @@ def _publish_view_manifest(view_dir: str, obj: dict) -> None:
 
 
 _GROUPS_META = b"etl_ray.hash_groups"
+#: the partial layout every ``_view.json`` records (``partial_layout``): a
+#: view refreshed under another layout is recomputed in full
+PARTIAL_LAYOUT = "row-ranges"
 
 
 def _write_partial(out, keys: list[str], num_groups: int, out_path: str) -> int:
-    """Write one bucket's partial as an indexed shuffle file: rows sorted
-    (stably) by ``hash(keys) % num_groups``, one row group per group, and
-    ``{"hash_groups": G, "index": {group: rg}}`` in the footer metadata.
-    Atomic (tmp + rename). Returns the row count."""
+    """Write one bucket's partial: rows sorted (stably) by ``hash(keys) %
+    num_groups`` in ONE row group, and ``{"hash_groups": G, "ranges":
+    {group: [start, rows]}}`` in the footer metadata. Atomic (tmp +
+    rename). Returns the row count."""
     import numpy as np
+    import pyarrow.parquet as pq
 
-    from ..partitioning import hash_groups, write_bucket_rgs
+    from ..partitioning import hash_groups
 
     codes = hash_groups(out, keys, num_groups)
     order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    index = {int(g): rg for rg, g in enumerate(np.unique(codes))}
-    meta = json.dumps({"hash_groups": num_groups, "index": index})
+    groups, starts, rows = np.unique(
+        codes[order], return_index=True, return_counts=True
+    )
+    ranges = {int(g): [int(s), int(n)] for g, s, n in zip(groups, starts, rows)}
+    meta = json.dumps({"hash_groups": num_groups, "ranges": ranges})
     out = out.take(order).replace_schema_metadata({_GROUPS_META: meta})
-    write_bucket_rgs(out, codes, out_path)
+    # readers slice by the footer ranges, never by value: no statistics and
+    # no dictionary pages (``partitioning.write_bucket_rgs``)
+    pq.write_table(
+        out, out_path + ".tmp", row_group_size=max(out.num_rows, 1),
+        compression="snappy", use_dictionary=False, write_statistics=False,
+    )
+    os.replace(out_path + ".tmp", out_path)
     return out.num_rows
 
 
@@ -139,19 +153,23 @@ def _partial_files(view_dir: str) -> list[str]:
     return sorted(glob.glob(os.path.join(view_dir, "partials", "b=*.parquet")))
 
 
-def _partial_items(files: list[str], num_groups: int | None) -> list[dict]:
-    """The consumer items of a view read (``partitioning.spilled_items``):
-    one per hash group present, from each partial's footer index. A
-    non-empty partial written for another group count than ``_view.json``
-    records (or before the indexed layout) raises — the view needs a
-    refresh."""
+def _read_plan(view_dir: str, num_groups: int | None):
+    """The read of a view, planned from its partial footers: ``(schema,
+    chunks)`` — the partial schema (None without partials) and one span
+    list ``[(file, start, rows)]`` per read task, over ``cpu_chunks`` of
+    the hash groups present. A contiguous chunk of groups is ONE
+    contiguous row range of each file. A non-empty partial written for
+    another group count than ``_view.json`` records, or in another layout,
+    raises — the view needs a refresh."""
     import pyarrow.parquet as pq
 
-    from ..partitioning import spilled_items
+    from ..partitioning import cpu_chunks
 
-    desc = []
-    for f in files:
+    schema, by_group = None, {}
+    for f in _partial_files(view_dir):
         md = pq.read_metadata(f)
+        if schema is None:
+            schema = md.schema.to_arrow_schema().remove_metadata()
         if md.num_rows == 0:
             continue  # nothing to read, whatever its layout
         meta = json.loads((md.metadata or {}).get(_GROUPS_META, b"{}"))
@@ -161,10 +179,49 @@ def _partial_items(files: list[str], num_groups: int | None) -> list[dict]:
                 f"view partial {f} was written for {got} hash groups but "
                 f"_view.json records {num_groups}; refresh the view"
             )
-        desc += [
-            {"bucket": int(g), "file": f, "rg": rg} for g, rg in meta["index"].items()
-        ]
-    return spilled_items(desc)
+        if "ranges" not in meta:
+            raise ValueError(
+                f"view partial {f} predates the one-row-group layout; "
+                "refresh the view"
+            )
+        for g, (start, rows) in meta["ranges"].items():
+            by_group.setdefault(int(g), []).append((f, start, rows))
+    chunks = []
+    for groups in cpu_chunks(sorted(by_group)):
+        spans: dict[str, list] = {}
+        for g in groups:
+            for f, start, rows in by_group[g]:
+                span = spans.setdefault(f, [start, 0])
+                span[1] += rows
+        chunks.append([(f, s, n) for f, (s, n) in sorted(spans.items())])
+    return schema, chunks
+
+
+def _read_spans(spans) -> "pa.Table":
+    """A read task's rows: each partial opened and read ONCE, sliced to
+    the task's span of it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    return pa.concat_tables(
+        [pq.ParquetFile(f).read().slice(s, n) for f, s, n in spans],
+        promote_options="permissive",
+    )
+
+
+def _run_read(task_fn, chunks, *args):
+    """The view as a MATERIALIZED Dataset: ``task_fn(spans, *args)`` as one
+    plain Ray task per chunk, gathered by ``ray.data.from_arrow_refs`` —
+    which waits for every task (it fetches each block's metadata) before it
+    returns. ``materialize`` records those blocks as the plan's output, so a
+    consumer's ``to_arrow_refs`` starts no streaming executor (half the
+    cost of one)."""
+    import ray
+    import ray.data
+
+    task = ray.remote(num_cpus=1)(task_fn)
+    refs = [task.remote(c, *args) for c in chunks]
+    return ray.data.from_arrow_refs(refs).materialize()
 
 
 def _partial_plan(agg_spec: dict) -> tuple[list, list[tuple[str, str | None, str]]]:

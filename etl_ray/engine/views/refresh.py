@@ -17,7 +17,7 @@ import glob
 import os
 
 from .aggregate import AGGREGATE, REPO_STATS
-from .core import _publish_view_manifest, _view_manifest, spec_hash
+from .core import PARTIAL_LAYOUT, _publish_view_manifest, _view_manifest, spec_hash
 from .session import SESSION
 
 VIEW_KINDS = {"repo_stats": REPO_STATS, "aggregate": AGGREGATE, "session": SESSION}
@@ -49,13 +49,14 @@ def refresh_views(
     touched set: every bucket whose manifest tick advanced since that
     view's last refresh (a bucket's manifest tick is its last-rewrite tick,
     so an untouched bucket costs nothing). A changed definition (spec
-    hash), upstream type drift (types hash — e.g. widening landed) or a
+    hash), upstream type drift (types hash — e.g. widening landed), a
     changed hash-group count G (the upstream bucket count, after a
-    rebucket) recomputes every bucket of THAT view only. The union of the
-    touched sets runs as ``partitioning.cpu_chunks``, one plain Ray task
-    per chunk (every result's ``tasks``): a task reads each bucket's state
-    ONCE, in the union of the projections of the views that need it, and
-    writes each of those views' partials from it.
+    rebucket) or a partial layout other than ``PARTIAL_LAYOUT`` recomputes
+    every bucket of THAT view only. The union of the touched sets runs as
+    ``partitioning.cpu_chunks``, one plain Ray task per chunk (every
+    result's ``tasks``): a task reads each bucket's state ONCE, in the
+    union of the projections of the views that need it, and writes each of
+    those views' partials from it.
 
     The pass holds each refreshed view's writer lock (taken in sorted
     order). Crash-safe per view: partials are pure functions of committed
@@ -89,6 +90,8 @@ def refresh_views(
             applied = -1  # definition changed: every bucket's partial is stale
         if mf.get("hash_groups") != num_groups:
             applied = -1  # every partial is grouped for another G
+        if mf.get("partial_layout") != PARTIAL_LAYOUT:
+            applied = -1  # every partial is laid out for another reader
         if last["tick"] > applied:
             stale[i] = [applied, mf.get("types_hash")]
 
@@ -161,6 +164,7 @@ def refresh_views(
                     "spec_hash": spec_hash(spec),
                     "types_hash": v["types_hash"],
                     "hash_groups": num_groups,
+                    "partial_layout": PARTIAL_LAYOUT,
                     **VIEW_KINDS[kind].extras(spec, col_types),
                     **profile,
                 },

@@ -18,9 +18,10 @@ from .aggregate import _agg_validate_types
 from .core import (
     ViewKind,
     _combine,
-    _partial_files,
-    _partial_items,
+    _read_plan,
+    _read_spans,
     _reduce_riders,
+    _run_read,
     _view_manifest,
     _write_partial,
     check_fields,
@@ -253,59 +254,57 @@ def _session_schema(sess_spec: dict, mf: dict, footer) -> "pa.Schema":
     return pa.schema(fields)
 
 
-def read_session_view(sess_spec: dict, view_dir: str):
-    """The session view as a Ray Dataset: per-key interval merge of the
-    per-bucket fragments, in one consumer pass over the hash-grouped
-    partials (``partitioning.run_spilled``; a key's fragments all sit in
-    one hash group). Each consumer merges ALL its keys in Arrow and numpy:
-    one sort and one running max of session_end label every fragment with
+def _session_read_chunk(spans, key, riders, enc_types, gap, schema) -> "pa.Table":
+    """One read task: merges ALL its keys' fragments in Arrow and numpy.
+    One sort and one running max of session_end label every fragment with
     its session (:func:`_session_starts`, the rule that cut the fragments),
     then one Arrow ``group_by`` on that label reduces the session bounds and
-    the riders (:func:`_reduce_riders`, shared with the aggregate view).
-    Every block, empty or not, has the one schema of
-    :func:`_session_schema`. Output grain: one row per (key, session) with
-    session_start/end, n_events, riders, session_seq."""
+    the riders (:func:`_reduce_riders`, shared with the aggregate view)."""
     import numpy as np
     import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data
 
-    from ..partitioning import read_spilled, run_spilled
-
-    key = sess_spec["key"]
-    mf = _view_manifest(view_dir)
-    files = _partial_files(view_dir)
-    schema = _session_schema(
-        sess_spec, mf, pq.read_schema(files[0]) if files else None
-    )
-    riders = _sess_rider_spec(sess_spec)["aggs"]
-    enc_types = _enc_types_load(mf.get("enc_types"))
-    items = _partial_items(files, mf.get("hash_groups"))
-    if not items:
-        # NB: Ray's to_pandas() yields zero COLUMNS for any empty dataset —
-        # pandas consumers of a possibly-empty view must rebuild their frame
-        # (schema() and write_parquet are fine)
-        return ray.data.from_arrow(schema.empty_table())
-
-    gap = _gap_in_ts_units(schema.field("session_start").type, sess_spec["gap_minutes"])
     bounds = [
         *((k, "first") for k in key),
         ("session_start", "min"),
         ("session_end", "max"),
         ("n_events", "sum"),
     ]
+    s, new, key_new = _session_starts(
+        _read_spans(spans), key, "session_start", "session_end", gap
+    )
+    sid = np.cumsum(new) - 1
+    # a session's ordinal within its key: its id minus the id the key opens with
+    seq = (sid - sid[key_new][np.cumsum(key_new) - 1] + 1)[new]
+    s = s.append_column("__sid", pa.array(sid))
+    out = _reduce_riders(s, ["__sid"], riders, enc_types, bounds)
+    out = out.append_column("session_seq", pa.array(seq))
+    return out.select(schema.names).cast(schema)
 
-    def merge(t: pa.Table) -> pa.Table:
-        s, new, key_new = _session_starts(t, key, "session_start", "session_end", gap)
-        sid = np.cumsum(new) - 1
-        # a session's ordinal within its key: its id minus the id the key opens with
-        seq = (sid - sid[key_new][np.cumsum(key_new) - 1] + 1)[new]
-        s = s.append_column("__sid", pa.array(sid))
-        out = _reduce_riders(s, ["__sid"], riders, enc_types, bounds)
-        out = out.append_column("session_seq", pa.array(seq))
-        return out.select(schema.names).cast(schema)
 
-    return run_spilled(items, lambda b: merge(read_spilled(b)))
+def read_session_view(sess_spec: dict, view_dir: str):
+    """The session view as a Ray Dataset: per-key interval merge of the
+    per-bucket fragments, in one round of plain read tasks over the
+    hash-grouped partials (:func:`_read_plan`; a key's fragments all sit
+    in one hash group), :func:`_session_read_chunk` per task. Every block,
+    empty or not, has the one schema of :func:`_session_schema`. Output
+    grain: one row per (key, session) with session_start/end, n_events,
+    riders, session_seq."""
+    import ray.data
+
+    mf = _view_manifest(view_dir)
+    footer, chunks = _read_plan(view_dir, mf.get("hash_groups"))
+    schema = _session_schema(sess_spec, mf, footer)
+    if not chunks:
+        # NB: Ray's to_pandas() yields zero COLUMNS for any empty dataset —
+        # pandas consumers of a possibly-empty view must rebuild their frame
+        # (schema() and write_parquet are fine)
+        return ray.data.from_arrow(schema.empty_table())
+    riders = _sess_rider_spec(sess_spec)["aggs"]
+    enc_types = _enc_types_load(mf.get("enc_types"))
+    gap = _gap_in_ts_units(schema.field("session_start").type, sess_spec["gap_minutes"])
+    return _run_read(
+        _session_read_chunk, chunks, sess_spec["key"], riders, enc_types, gap, schema
+    )
 
 
 SESSION = ViewKind(

@@ -160,7 +160,7 @@ def test_high_repo_cardinality_no_driver_funnel(ray_session, tmp_path, monkeypat
     funnel (day × lang × repo)-grain data through the driver — per-day tasks
     write their own partition files and the driver materializes only one
     counter row per day."""
-    import ray.data as rd
+    import ray
 
     from etl_ray.engine.aggregates import days_of_segments, recompute_days_from_agglog
     from etl_ray.oracle import expected_repo_daily
@@ -195,18 +195,20 @@ def test_high_repo_cardinality_no_driver_funnel(ray_session, tmp_path, monkeypat
         check_dtype=False,
     )
 
-    # spy: record every driver-side materialization's row count
+    # spy: record the rows every driver-side fetch of task results holds
+    # (the recompute's plain tasks each return a list of counter rows)
     seen: list[int] = []
-    orig = rd.Dataset.to_pandas
+    orig = ray.get
 
-    def spy(self, *a, **k):
-        df = orig(self, *a, **k)
-        seen.append(len(df))
-        return df
+    def spy(refs, *a, **k):
+        parts = orig(refs, *a, **k)
+        seen.append(sum(len(p) for p in parts))
+        return parts
 
-    monkeypatch.setattr(rd.Dataset, "to_pandas", spy)
     days = days_of_segments(wal.segments)
-    recompute_days_from_agglog(lin, days)
+    with monkeypatch.context() as m:
+        m.setattr(ray, "get", spy)
+        recompute_days_from_agglog(lin, days)
     assert seen, "recompute paths must have run"
     assert max(seen) <= len(days), (
         f"driver materialized {max(seen)} rows; counters only "
@@ -276,6 +278,7 @@ def test_agglog_recompute_multi_chunk(ray_session, tmp_path, monkeypatch):
     import ray
     import ray.data as rd
 
+    from etl_ray.engine import aggregates
     from etl_ray.engine.aggregates import days_of_segments, recompute_days_from_agglog
     from etl_ray.wal import WalInfo, generate_wal
 
@@ -323,20 +326,26 @@ def test_agglog_recompute_multi_chunk(ray_session, tmp_path, monkeypatch):
     # ≥ 2 days per chunk: the all-delete (last) day shares its chunk
     assert del_day in days and len(days) >= 2 * cpus
 
-    # recompute every day from the agg log alone, recording the block count
+    # recompute every day from the agg log alone, recording the task count:
+    # one plain task per chunk, no Ray Data pipeline
     for name in ("lang_daily_agg", "repo_daily_agg"):
         for p in lin.agg_day_files(name):
             os.remove(p)
-    blocks: list[int] = []
-    orig = rd.from_items
+    tasks: list[int] = []
+    orig = aggregates.cpu_chunks
 
     def spy(items, *a, **k):
-        blocks.append(k.get("override_num_blocks"))
-        return orig(items, *a, **k)
+        chunks = orig(items, *a, **k)
+        tasks.append(len(chunks))
+        return chunks
 
-    monkeypatch.setattr(rd, "from_items", spy)
+    def no_pipeline(*a, **k):
+        raise AssertionError("the recompute started a Ray Data pipeline")
+
+    monkeypatch.setattr(aggregates, "cpu_chunks", spy)
+    monkeypatch.setattr(rd, "from_items", no_pipeline)
     res = recompute_days_from_agglog(lin, days)
-    assert blocks == [cpus]
+    assert tasks == [min(len(days), cpus)]
     assert res["days"] == len(days)
     _check_aggs(lake, wal)
 

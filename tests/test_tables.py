@@ -5,6 +5,7 @@ incrementally-maintained ``repo_stats`` view vs a DuckDB oracle."""
 from __future__ import annotations
 
 import glob
+import itertools
 import json
 import os
 
@@ -1320,6 +1321,40 @@ def test_misplaced_view_keys_rejected(entry, stray):
         spec_from_config(entry)
 
 
+_BASE_ONLY = {
+    "wal": "/w", "buckets": 8, "concurrency": 2, "tz_offset_minutes": 330,
+    "aggregate": False, "folds": True, "pseudonym_fields": ["repo"],
+    "changelog": True, "retain_ticks": 4, "state_mode": "delta",
+    "delta_threshold": 2,
+}
+
+
+@pytest.mark.parametrize("key", sorted(_BASE_ONLY))
+def test_base_keys_on_view_rejected(key):
+    """A base-table key on a view entry is an error, not a silent no-op
+    (the view would ignore it): every one of them, alone, and the mixed
+    entry that used to build an 8-bucket, changelog-on view spec."""
+    import re
+
+    view = {"name": "v", "view": "repo_stats", "source": "t"}
+    spec_from_config(view)  # the bare view is fine
+    msg = f"repo_stats view 'v' does not take {key}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        spec_from_config({**view, key: _BASE_ONLY[key]})
+    mixed = {
+        **view, "buckets": 8, "folds": True, "changelog": True,
+        "retain_ticks": 4, "tz_offset_minutes": 330, "delta_threshold": 2,
+    }
+    with pytest.raises(
+        ValueError,
+        match="does not take buckets, tz_offset_minutes, folds, changelog, "
+        "retain_ticks, delta_threshold",
+    ):
+        spec_from_config(mixed)
+    # a base table still takes them all
+    spec_from_config({"name": "t", **_BASE_ONLY})
+
+
 def test_session_rider_string_minmax_rejected(ray_session, small_wal, tmp_path):
     """min/max riders over string columns are rejected at refresh —
     first/last is the supported path for string values."""
@@ -1366,7 +1401,7 @@ def test_session_view_over_delta_upstream(ray_session, small_wal, tmp_path):
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
-# --- indexed view partials: the read is one consumer pass, no shuffle -------
+# --- view partials: one row group each, read in one round of plain tasks ----
 
 
 def _partial_meta(path: str) -> tuple[dict, int]:
@@ -1377,10 +1412,12 @@ def _partial_meta(path: str) -> tuple[dict, int]:
 
 
 def test_view_read_is_one_consumer_pass(ray_session, small_wal, tmp_path, monkeypatch):
-    """Each partial is hash-grouped on the view key (one row group per group
-    present, the index in the footer), so a read is ONE pass of
-    ``min(G, CPUs)`` consumer blocks (G = the upstream bucket count) — and
-    both view kinds still match the DuckDB oracle."""
+    """Each partial is ONE row group sorted by the view key's hash group,
+    each group's row range in the footer: the ranges cover every row once
+    and each range's rows hash to its group. A read is ONE round of
+    ``min(G, CPUs)`` plain tasks (G = the upstream bucket count), gathered
+    by ``from_arrow_refs`` with no Ray Data pipeline — and both view kinds
+    still match the DuckDB oracle."""
     import pyarrow.parquet as pq
     import ray
     import ray.data as rd
@@ -1400,31 +1437,43 @@ def test_view_read_is_one_consumer_pass(ray_session, small_wal, tmp_path, monkey
         ],
     )
     lake.replay_all()
+    cpus = int(ray.cluster_resources()["CPU"])
     for name in ("repo_stats", "sessions"):
         vdir = lake.table_dir(name)
         with open(os.path.join(vdir, "_view.json")) as fh:
             assert json.load(fh)["hash_groups"] == groups
         files = glob.glob(os.path.join(vdir, "partials", "b=*.parquet"))
         assert len(files) == groups
+        present = set()
         for f in files:
             meta, n_rgs = _partial_meta(f)
             assert meta["hash_groups"] == groups
-            assert n_rgs == len(meta["index"]), f
-            pf = pq.ParquetFile(f)
-            for g, rg in meta["index"].items():
-                t = pf.read_row_group(rg)
-                assert t.num_rows > 0
-                assert set(hash_groups(t, ["repo"], groups).tolist()) == {int(g)}
+            assert n_rgs == 1, f
+            t = pq.ParquetFile(f).read()
+            spans = sorted(meta["ranges"].values())
+            assert [s for s, _ in spans] == list(
+                itertools.accumulate([0] + [n for _, n in spans[:-1]])
+            ), f
+            assert sum(n for _, n in spans) == t.num_rows, f
+            for g, (start, rows) in meta["ranges"].items():
+                assert rows > 0
+                part = t.slice(start, rows)
+                assert set(hash_groups(part, ["repo"], groups).tolist()) == {int(g)}
+                present.add(int(g))
+        assert len(present) >= cpus  # every read task has rows
 
-    cpus = int(ray.cluster_resources()["CPU"])
-    blocks: list[int] = []
-    orig = rd.from_items
+    tasks: list[int] = []
+    orig = rd.from_arrow_refs
 
-    def spy(items, *a, **k):
-        blocks.append(k.get("override_num_blocks"))
-        return orig(items, *a, **k)
+    def spy(refs, *a, **k):
+        tasks.append(len(refs))
+        return orig(refs, *a, **k)
 
-    monkeypatch.setattr(rd, "from_items", spy)
+    def no_pipeline(*a, **k):
+        raise AssertionError("a view read started a Ray Data pipeline")
+
+    monkeypatch.setattr(rd, "from_arrow_refs", spy)
+    monkeypatch.setattr(rd, "from_items", no_pipeline)
     got = _view_df(lake, "repo_stats")
     exp = _oracle_repo_stats(small_wal)
     pd.testing.assert_frame_equal(got, exp.reset_index(drop=True), check_dtype=False)
@@ -1432,7 +1481,7 @@ def test_view_read_is_one_consumer_pass(ray_session, small_wal, tmp_path, monkey
         _sessions_df(lake, "sessions"), _oracle_sessions(small_wal, gap),
         check_dtype=False,
     )
-    assert blocks == [min(groups, cpus)] * 2
+    assert tasks == [min(groups, cpus)] * 2
 
 
 def test_view_regroups_after_upstream_rebucket(ray_session, small_wal, tmp_path):
@@ -1514,6 +1563,69 @@ def test_view_read_rejects_foreign_hash_groups(ray_session, small_wal, tmp_path)
     res = refresh_stats()
     assert res["buckets"] == 8
     pd.testing.assert_frame_equal(_view_df(lake, "repo_stats"), before)
+
+
+def test_old_layout_view_heals_and_is_never_misread(ray_session, small_wal, tmp_path):
+    """Partials and ``_view.json`` in the earlier layout (one row group per
+    hash group, a ``{group: rg}`` footer index, no ``partial_layout`` in
+    the manifest): the read refuses them, the next refresh recomputes every
+    partial although the upstream has no new tick, and the healed read
+    equals the read before the rewrite."""
+    import pyarrow.parquet as pq
+
+    from etl_ray.engine.partitioning import hash_groups, write_bucket_rgs
+
+    groups, gap = 8, 45
+    lake = MultiTableLake(
+        str(tmp_path / "ml"),
+        [
+            TableSpec(name="repo_files", wal_dir=small_wal.wal_dir, num_buckets=groups),
+            TableSpec(name="repo_stats", view="repo_stats", source="repo_files"),
+            TableSpec(
+                name="sessions", view="session", source="repo_files",
+                view_key=["repo"], view_ts="commit_ts", gap_minutes=gap,
+            ),
+        ],
+    )
+    lake.replay_all()
+    views = ("repo_stats", "sessions")
+
+    def read(name):
+        t = _pa_table(lake.read_view(name))
+        return t.sort_by([(c, "ascending") for c in t.column_names])
+
+    before = {v: read(v) for v in views}
+    for v in views:
+        vdir = lake.table_dir(v)
+        for f in glob.glob(os.path.join(vdir, "partials", "b=*.parquet")):
+            t = pq.ParquetFile(f).read()
+            codes = hash_groups(t, ["repo"], groups)
+            index = {int(g): rg for rg, g in enumerate(sorted(set(codes.tolist())))}
+            meta = json.dumps({"hash_groups": groups, "index": index})
+            t = t.replace_schema_metadata({b"etl_ray.hash_groups": meta})
+            assert write_bucket_rgs(t, codes, f)[1] == list(index.values())
+        p = os.path.join(vdir, "_view.json")
+        with open(p) as fh:
+            mf = json.load(fh)
+        del mf["partial_layout"]
+        with open(p, "w") as fh:
+            json.dump(mf, fh)
+        with pytest.raises(ValueError, match="refresh the view"):
+            lake.read_view(v)
+
+    healed = lake.tick()  # no WAL left: the base idles, the views heal
+    for v in views:
+        assert healed[v]["buckets"] == groups
+        assert read(v).equals(before[v]), v
+    again = lake.tick()
+    assert all(again[v] is None for v in views)  # healed views are current
+
+
+def _pa_table(ds):
+    import pyarrow as pa
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
 
 
 def _bootstrapped_upstream(tmp_path, cols: dict, num_buckets: int = 8) -> str:
