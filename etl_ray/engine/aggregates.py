@@ -45,11 +45,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 
 from .lineage import LakeLineage
 from .metrics import DEFAULT_METRICS, MetricSpec
-from .partitioning import cpu_chunks
+from .partitioning import run_tasks
 
 
 def days_of_segments(segments: list[dict], tz_offset_minutes: int = 0) -> set[str]:
@@ -309,8 +308,8 @@ def _utc_days(day: str, tz_offset_minutes: int) -> set[str]:
 
 
 def _recompute_chunk(
-    lineage: LakeLineage,
     items: list[dict],
+    lineage: LakeLineage,
     tz_offset_minutes: int,
     metrics: list[MetricSpec],
     exclude_keys,
@@ -374,12 +373,9 @@ def recompute_days_from_agglog(
     # one plain task per contiguous chunk of days: each writes its own
     # days' partition files; the driver gets ONE counter row per day, never
     # (day × lang × repo)-grain data
-    task = ray.remote(num_cpus=1)(_recompute_chunk)
-    refs = [
-        task.remote(lineage, chunk, tz_offset_minutes, metrics, exclude_keys)
-        for chunk in cpu_chunks(items)
-    ]
-    counters = [c for part in ray.get(refs) for c in part]
+    counters = run_tasks(
+        _recompute_chunk, items, lineage, tz_offset_minutes, metrics, exclude_keys
+    )
     written = {c["day"] for c in counters}
     for d in set(days) - written:
         for name in ("lang_daily_agg", "repo_daily_agg"):

@@ -532,38 +532,33 @@ class MergeApplier:
         self.delta_threshold = resolve_delta_threshold(state_mode, delta_threshold)
         self._pf_cache: dict[str, pq.ParquetFile] = {}
 
-    def apply_spilled(self, batch: pa.Table) -> pa.Table:
-        """Input rows are spill-shuffle (bucket, files, rgs[, ffiles, frgs])
-        descriptors; each bucket's deltas (and fold rows) are read as
-        parquet row groups out of the shuffle files."""
-        outs = [MANIFEST_SCHEMA.empty_table()]
-        has_folds = "ffiles" in batch.schema.names and self.folds
-        for i, bucket in enumerate(batch["bucket"].to_pylist()):
-            deltas = read_row_groups(
-                self._pf_cache, batch["files"][i].as_py(), batch["rgs"][i].as_py()
-            )
+    def apply_spilled(self, items: list[dict]) -> list[dict]:
+        """Merge each spill-shuffle descriptor's bucket (``{bucket, files,
+        rgs[, ffiles, frgs]}``): its deltas (and fold rows) are read as
+        parquet row groups out of the shuffle files. Returns the bucket
+        manifests. ``perfbench/kernels.py`` passes the descriptors as one
+        Arrow table; that form goes once the benchmark passes dicts."""
+        if isinstance(items, pa.Table):
+            items = items.to_pylist()
+        out = []
+        for it in items:
+            deltas = read_row_groups(self._pf_cache, it["files"], it["rgs"])
             fold_rows = None
-            if has_folds:
-                fold_rows = read_row_groups(
-                    self._pf_cache, batch["ffiles"][i].as_py(), batch["frgs"][i].as_py()
-                )
-            outs.append(
-                self._apply_one(
-                    int(bucket), align_to(deltas, self.target), fold_rows
-                )
+            if self.folds and "ffiles" in it:
+                fold_rows = read_row_groups(self._pf_cache, it["ffiles"], it["frgs"])
+            out.append(
+                self._apply_one(int(it["bucket"]), align_to(deltas, self.target), fold_rows)
             )
-        return pa.concat_tables(outs)
+        return out
 
     def _apply_one(
         self, bucket: int, deltas: pa.Table, fold_rows: pa.Table | None = None
-    ) -> pa.Table:
-        """Merge one bucket's target-aligned ``deltas``."""
+    ) -> dict:
+        """Merge one bucket's target-aligned ``deltas``; returns its manifest."""
         man = self.lineage.bucket_manifest(bucket)
         state = read_bucket_state(man) if man is not None else None
-        manifest = apply_bucket(
+        return apply_bucket(
             self.lineage, bucket, self.tick, deltas, state, man, fold_rows,
             folds=self.folds, fold_lateness=self.fold_lateness,
             changelog=self.changelog, delta_threshold=self.delta_threshold,
         )
-        return pa.Table.from_pylist([manifest], schema=MANIFEST_SCHEMA)
-

@@ -23,9 +23,10 @@ lakes for exactly this reason.
 
 Pipeline: ``Ray Data parquet read of the snapshot → prep (lsn/deleted) →
 spill on the bucket (the engine's one shuffle, ``partitioning.spill``) →
-MergeApplier.apply_spilled in consumer tasks (no prior state) → publish
-manifests + tick 0`` — the engine's own apply/commit path, so two-phase
-crash safety and exactly-once re-run semantics hold unchanged.
+replay's own applier tasks (``replay._merge_chunk`` through
+``partitioning.run_tasks``; no prior state) → publish manifests + tick 0``
+— the engine's own apply/commit path, so two-phase crash safety and
+exactly-once re-run semantics hold unchanged.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ import shutil
 
 import pyarrow as pa
 
-from .apply import DELETED_COL, MergeApplier
+from .apply import DELETED_COL
 from .lineage import LakeLineage
 from .lock import writer_lock
-from .partitioning import BUCKET_COL, run_spilled, spill_buckets, spilled_items
+from .partitioning import BUCKET_COL, run_tasks, spill_buckets, spilled_items
 
 
 def bootstrap_lake(
@@ -62,7 +63,7 @@ def bootstrap_lake(
     copied lake layout (``buckets/b=*/``) must not gain a phantom column."""
     import ray.data
 
-    from .replay import target_schema_ser
+    from .replay import _merge_chunk, target_schema_ser
 
     with writer_lock(lake_dir, "bootstrap"):
         lineage = LakeLineage(lake_dir)
@@ -123,21 +124,18 @@ def bootstrap_lake(
             fields.append(pa.field(DELETED_COL, pa.bool_()))
         schema_ser = target_schema_ser(pa.schema(fields))
 
-        def apply(batch: pa.Table) -> pa.Table:
-            return MergeApplier(lake_dir, 0, schema_ser).apply_spilled(batch)
-
         cap = concurrency[1] if isinstance(concurrency, tuple) else concurrency
-        manifests = (
-            run_spilled(items, apply, max_tasks=cap).take_all() if items else []
+        manifests = run_tasks(
+            _merge_chunk, items, lake_dir, 0, schema_ser, max_tasks=cap
         )
         shutil.rmtree(spill_dir, ignore_errors=True)
 
         rows = 0
         max_lsn = int(default_lsn)
         for m in manifests:
-            lineage.publish_bucket(dict(m))
-            rows += int(m["rows"])
-            max_lsn = max(max_lsn, int(m["applied_lsn"]))
+            lineage.publish_bucket(m)
+            rows += m["rows"]
+            max_lsn = max(max_lsn, m["applied_lsn"])
         lineage.publish_tick(
             {
                 "tick": 0,

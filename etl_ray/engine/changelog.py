@@ -263,7 +263,7 @@ def _purge_file(f: str, want: pa.Array) -> int:
 def purge_keys_from_changelog(lake_dir: str, keys: list[tuple[str, str]]) -> int:
     """Remove the subjects' rows from every retained feed file (GDPR:
     history must forget too). Returns rows removed. The per-file rewrites
-    are independent → fanned out as Ray tasks over the shared FS (a
+    are independent → fanned out as ``run_tasks`` over the shared FS (a
     long-run lake holds O(ticks × buckets) parts; a serial driver loop
     would serialize that IO); small file counts stay on the driver."""
     root = os.path.join(lake_dir, "_changelog")
@@ -278,24 +278,14 @@ def purge_keys_from_changelog(lake_dir: str, keys: list[tuple[str, str]]) -> int
         return 0
     if len(files) <= 64:
         return sum(_purge_file(f, want) for f in files)
+    from .partitioning import run_tasks
 
-    import pandas as pd
-    import ray.data
+    return sum(run_tasks(_purge_files, files, want))
 
-    wl = want.to_pylist()  # ships once with the task closure
 
-    def purge_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        w = pa.array(wl)
-        return pd.DataFrame(
-            {"removed": [sum(_purge_file(f, w) for f in batch["file"])]}
-        )
-
-    res = (
-        ray.data.from_items([{"file": f} for f in files])
-        .map_batches(purge_batch, batch_format="pandas", batch_size=32)
-        .to_pandas()
-    )
-    return int(res["removed"].sum())
+def _purge_files(files: list[str], want: pa.Array) -> list[int]:
+    """Feed-purge task: rows removed from each file of the chunk."""
+    return [_purge_file(f, want) for f in files]
 
 
 def gc_changelog(lake_dir: str, *, drop_below_tick: int | None = None,
@@ -399,47 +389,6 @@ def committed_changelog_parts(
     return parts
 
 
-def parts_dataset(parts: list[dict], columns: list[str] | None = None):
-    """LAZY Ray Dataset over feed parts (``read_changelog`` streams it):
-    ``min(parts, cluster CPUs)`` blocks, each task reading its contiguous
-    chunk of parts — whole files, or a compacted run's indexed row
-    groups — aligned to the parts' unified schema (mid-stream
-    evolution)."""
-    import ray.data
-
-    from .partitioning import fan_out
-    from .schema_evo import align_to, unify_schemas
-
-    if not parts:
-        return ray.data.from_items([])
-
-    uni = unify_schemas([pq.read_schema(p["file"]) for p in parts])
-    if columns:
-        uni = pa.schema([f for f in uni if f.name in set(columns)])
-
-    def read_part(batch):
-        # one table per part, not one per chunk: Ray Data cuts the yields
-        # into blocks of its target size, so a chunk's task never holds its
-        # whole feed range at once
-        for row in batch.to_pylist():
-            pf = pq.ParquetFile(row["file"])
-            cols = (
-                [c for c in columns if c in pf.schema_arrow.names]
-                if columns
-                else None
-            )
-            if row["rgs"] is None:
-                t = pf.read(columns=cols)
-            else:
-                t = pf.read_row_groups([int(r) for r in row["rgs"]], columns=cols)
-            pf.close()
-            yield align_to(t, uni).select(uni.names)
-
-    return ray.data.from_items(parts, override_num_blocks=fan_out(len(parts))).map_batches(
-        read_part, batch_format="pyarrow", batch_size=None
-    )
-
-
 def compact_changelog(lake_dir: str) -> dict:
     """Merge all committed per-tick feed dirs into one per-bucket run
     (VERDICT r3 #8). Crash-safe: built in a ``.cstage-*`` staging dir,
@@ -453,8 +402,7 @@ def compact_changelog(lake_dir: str) -> dict:
 
     from .lineage import LakeLineage
     from .lock import writer_lock
-    from .partitioning import run_spilled
-    from .schema_evo import align_to, unify_schemas
+    from .partitioning import run_tasks
 
     with writer_lock(lake_dir, "compact-feed"):
         root = os.path.join(lake_dir, "_changelog")
@@ -487,34 +435,7 @@ def compact_changelog(lake_dir: str) -> dict:
             for name, srcs in sorted(by_name.items())
         ]
 
-        def merge_one(batch) -> pa.Table:
-            rows = []
-            for row in batch.to_pylist():
-                tabs = [pq.read_table(f) for f in row["files"]]
-                uni = unify_schemas([t.schema for t in tabs])
-                out_path = os.path.join(stage, row["name"])
-                idx: dict[str, int] = {}
-                writer = pq.ParquetWriter(out_path, uni, compression="zstd")
-                try:
-                    for rg, (t, tab) in enumerate(
-                        sorted(zip(row["ticks"], tabs), key=lambda x: x[0])
-                    ):
-                        aligned = align_to(tab, uni).select(uni.names)
-                        writer.write_table(
-                            aligned, row_group_size=max(aligned.num_rows, 1)
-                        )
-                        idx[str(t)] = rg
-                finally:
-                    writer.close()
-                with open(out_path[: -len(".parquet")] + ".json", "w") as fh:
-                    json.dump(idx, fh)
-                rows.append({"name": row["name"], "files": len(row["files"])})
-            import pandas as _pd
-
-            return pa.Table.from_pandas(_pd.DataFrame(rows))
-
-        if items:
-            run_spilled(items, merge_one)
+        run_tasks(_merge_feed_runs, items, stage)
         with open(os.path.join(stage, "range.json"), "w") as fh:
             json.dump({"from": lo, "to": hi, "ticks": sorted(ticks)}, fh)
         final = os.path.join(root, f"c{lo:06d}-{hi:06d}")
@@ -525,6 +446,37 @@ def compact_changelog(lake_dir: str) -> dict:
         return {"ticks": len(ticks), "files_merged": n_src, "run": final}
 
 
+def _merge_feed_runs(items: list[dict], stage: str) -> list[str]:
+    """Feed-compaction task: per ``{name, ticks, files}`` item, one run file
+    in ``stage`` with one row group per absorbed tick (aligned to the
+    files' unified schema) and its ``{tick: rg}`` index; returns the run
+    files written."""
+    import json
+
+    from .schema_evo import align_to, unify_schemas
+
+    out = []
+    for it in items:
+        tabs = [pq.read_table(f) for f in it["files"]]
+        uni = unify_schemas([t.schema for t in tabs])
+        out_path = os.path.join(stage, it["name"])
+        idx: dict[str, int] = {}
+        writer = pq.ParquetWriter(out_path, uni, compression="zstd")
+        try:
+            for rg, (t, tab) in enumerate(
+                sorted(zip(it["ticks"], tabs), key=lambda x: x[0])
+            ):
+                aligned = align_to(tab, uni).select(uni.names)
+                writer.write_table(aligned, row_group_size=max(aligned.num_rows, 1))
+                idx[str(t)] = rg
+        finally:
+            writer.close()
+        with open(out_path[: -len(".parquet")] + ".json", "w") as fh:
+            json.dump(idx, fh)
+        out.append(out_path)
+    return out
+
+
 def read_changelog(
     lake_dir: str, from_tick: int | None = None, to_tick: int | None = None
 ):
@@ -532,6 +484,8 @@ def read_changelog(
     (tick, lsn) — consumers fold with last-writer-wins per key, exactly like
     the engine itself). Reads compacted runs and legacy per-tick parts
     uniformly, with exact tick-range pruning at row-group grain."""
+    from .source import parts_dataset
+
     return parts_dataset(committed_changelog_parts(lake_dir, from_tick, to_tick))
 
 
@@ -589,6 +543,7 @@ def fold_feed(
     from .partitioning import (
         hash_groups, read_spilled, run_spilled, spill, spilled_items,
     )
+    from .source import parts_dataset
 
     parts = committed_changelog_parts(lake_dir, from_tick, to_tick)
     if not parts:

@@ -3,9 +3,10 @@
 The engine's scale story leans on hash partitioning by (repo, path) with
 per-batch pre-reduction absorbing hot keys (partitioning.py); this report is
 the ops-side check that the story holds for a given lake: per-bucket row
-distribution (from lineage manifests — free), hot-repo top-k (one narrow
-distributed count), and a recommendation when imbalance crosses thresholds
-(rebucket for too-few buckets, salt cells for a dominant single key).
+distribution (from lineage manifests — free), hot-repo top-k (per-bucket
+counts of one narrow column), and a recommendation when imbalance crosses
+thresholds (rebucket for too-few buckets, salt cells for a dominant single
+key).
 
 Reference analog: the reference sizes/monitors its per-app BigQuery day
 partitions by row count in ops dashboards; a bucketed lake needs the
@@ -14,20 +15,37 @@ equivalent per hash partition.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 
-from .export import final_state
 from .lineage import LakeLineage
+from .partitioning import run_tasks
+
+
+def _repo_counts(mans: list[dict]) -> list[collections.Counter]:
+    """Skew-report task: live rows per repo over the chunk's buckets."""
+    import pyarrow.compute as pc
+
+    from .apply import read_bucket_state
+
+    counts: collections.Counter = collections.Counter()
+    for man in mans:
+        t = read_bucket_state(man, columns=["repo", "deleted"])
+        vc = pc.value_counts(t.filter(pc.invert(t["deleted"]))["repo"])
+        values, n = vc.field("values").to_pylist(), vc.field("counts").to_pylist()
+        counts.update(dict(zip(values, n)))
+    return [counts]
 
 
 def skew_report(lake_dir: str, *, top_k: int = 20) -> dict:
     """Bucket-size distribution + hot-repo top-k for the live state.
 
     Bucket stats come from the committed manifests (no data read). The
-    hot-key scan is a projection-pruned distributed count over `repo` —
-    the shuffled rows are one narrow string column, and only the
-    repo-count table (|repos| rows, not |state| rows) is sorted/limited.
-    """
+    hot-key scan is ``run_tasks`` over the buckets: each task reads only
+    the ``repo``/``deleted`` columns and returns live rows per repo, so
+    the driver sums |repos|-sized counters, never |state| rows, and takes
+    the top k (ties by repo name)."""
     lineage = LakeLineage(lake_dir)
     mans = lineage.all_bucket_manifests()
     if not mans:
@@ -56,17 +74,9 @@ def skew_report(lake_dir: str, *, top_k: int = 20) -> dict:
         "hottest_bucket": int(mans[int(rows.argmax())]["bucket"]),
     }
 
-    ds = final_state(lake_dir).select_columns(["repo"])
-    top = (
-        ds.groupby("repo")
-        .count()
-        .sort("count()", descending=True)
-        .limit(top_k)
-        .to_pandas()
-    )
-    stats["top_repos"] = [
-        {"repo": r, "live_rows": int(c)} for r, c in zip(top["repo"], top["count()"])
-    ]
+    counts = sum(run_tasks(_repo_counts, mans), collections.Counter())
+    top = sorted(counts.items(), key=lambda rc: (-rc[1], rc[0]))[:top_k]
+    stats["top_repos"] = [{"repo": r, "live_rows": c} for r, c in top]
     if stats["top_repos"]:
         frac = stats["top_repos"][0]["live_rows"] / max(1, stats["live_rows"])
         stats["hottest_repo_fraction"] = round(frac, 4)

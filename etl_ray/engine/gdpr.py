@@ -131,7 +131,7 @@ def update_map_from_segments(
     distinct set ≈ the event count — it must never land on the driver
     (round-2 judge finding). The spill directory is wiped first (a crashed
     attempt's files) and removed at the end."""
-    from .partitioning import read_row_groups, run_spilled, spill, spilled_items
+    from .partitioning import run_tasks, spill, spilled_items
     from .source import read_segments_indexed
 
     cols = ["lsn", *fields]
@@ -155,22 +155,23 @@ def update_map_from_segments(
         tbl = pa.Table.from_pandas(out, schema=_PARTIAL_SCHEMA, preserve_index=False)
         return spill(tbl, b, spill_dir)
 
-    def merge_buckets(items: pa.Table) -> pd.DataFrame:
-        cache: dict = {}  # open spill files, shared by the task's buckets
-        rows = []
-        for it in items.to_pylist():
-            pairs = read_row_groups(cache, it["files"], it["rgs"]).to_pandas()
-            rows.append(_merge_bucket(lake_dir, it["bucket"], pairs))
-        return pd.DataFrame(rows, columns=["new", "updated"])
-
     items = spilled_items(ds.map_batches(partial, batch_format="pyarrow").take_all())
-    counters = (
-        run_spilled(items, merge_buckets).to_pandas()
-        if items
-        else pd.DataFrame({"new": [0], "updated": [0]})
-    )
+    counters = run_tasks(_merge_buckets, items, lake_dir)
     shutil.rmtree(spill_dir, ignore_errors=True)
-    return {"new": int(counters["new"].sum()), "updated": int(counters["updated"].sum())}
+    return {"new": sum(n for n, _ in counters), "updated": sum(u for _, u in counters)}
+
+
+def _merge_buckets(items: list[dict], lake_dir: str) -> list[tuple[int, int]]:
+    """Map-merge task: each spilled map bucket of the chunk MERGEd into its
+    map file; returns the (new, updated) counters per bucket."""
+    from .partitioning import read_row_groups
+
+    cache: dict = {}  # open spill files, shared by the task's buckets
+    out = []
+    for it in items:
+        pairs = read_row_groups(cache, it["files"], it["rgs"]).to_pandas()
+        out.append(_merge_bucket(lake_dir, it["bucket"], pairs))
+    return out
 
 
 def erase_from_map(lake_dir: str, field: str, originals: list[str]) -> int:

@@ -108,8 +108,7 @@ def _erase_keys_locked(
     for b in pc.unique(buckets).to_pylist():
         prev_man = lineage.bucket_manifest(int(b))
         part = deltas.filter(pc.equal(buckets, b))
-        man = applier._apply_one(int(b), part)
-        d = man.to_pylist()[0]
+        d = applier._apply_one(int(b), part)
         if prev_man is not None:
             # the erase mini-tick runs without folds configured; carry the
             # bucket's fold LSN-tail sidecar reference (the fold watermark
@@ -264,7 +263,7 @@ def _rebucket_locked(
     one map pass over the committed state files writes per-NEW-bucket
     parquet row groups, then each of ``min(new buckets, CPUs)`` tasks
     folds + key-sorts the state files of its contiguous chunk of new
-    buckets (both passes sized by ``partitioning.cpu_chunks``'s rule).
+    buckets (both passes are ``partitioning.run_tasks`` fan-outs).
     Fold-tail sidecars are UNIONed into every new bucket (an LSN tail hit
     always means 'this exact event already folded', so the union stays
     exact while keys move buckets).
@@ -275,9 +274,8 @@ def _rebucket_locked(
     back to the old layout. The tick manifest is the commit point, as
     everywhere else."""
     import numpy as np
-    import ray
 
-    from .schema_evo import align_to, unify_schemas
+    from .schema_evo import unify_schemas
 
     lineage = LakeLineage(lake_dir)
     lineage.recover()
@@ -286,7 +284,7 @@ def _rebucket_locked(
         raise RuntimeError("empty lake")
     tick_id = last["tick"] + 1
     old_manifests = lineage.all_bucket_manifests()
-    from .apply import bucket_files, bucket_manifest, bucket_schemas, fold_tail_path
+    from .apply import bucket_files, bucket_schemas
 
     files = [f for m in old_manifests for f in bucket_files(m)]
     target = unify_schemas(bucket_schemas(old_manifests))
@@ -298,27 +296,9 @@ def _rebucket_locked(
     shutil.rmtree(spill_dir, ignore_errors=True)
     os.makedirs(spill_dir, exist_ok=True)
 
-    from .partitioning import (
-        cpu_chunks,
-        read_row_groups,
-        run_spilled,
-        spill_buckets,
-        spilled_items,
-    )
+    from .partitioning import run_tasks, spilled_items
 
-    def rebucket_spill(batch: pa.Table) -> pa.Table:
-        # one spill file per old state file, read directly: a path-inferring
-        # reader would hive-parse the buckets/b=00017/ layout into a
-        # phantom string column `b` (the OLD bucket id) baked into every
-        # rewritten state file
-        return pa.concat_tables(
-            spill_buckets(align_to(pq.ParquetFile(f).read(), target), nb, spill_dir)
-            for f in batch["file"].to_pylist()
-        )
-
-    items = spilled_items(
-        run_spilled([{"file": f} for f in files], rebucket_spill).take_all()
-    )
+    items = spilled_items(run_tasks(_rebucket_spill, files, target, nb, spill_dir))
 
     # fold-tail union (exact: LSNs are globally unique per event); the new
     # fold watermark is the MIN over old buckets — a lower horizon only
@@ -331,39 +311,9 @@ def _rebucket_locked(
         tail_union = pa.table(
             {"lsn": pa.array(np.unique(t["lsn"].to_numpy()), pa.int64())}
         )
-
-    def write_bucket(bucket: int, fs: list[str], rgs: list[int]) -> dict:
-        from .dedup import last_writer
-
-        # fold before writing: a delta-mode source repeats touched keys
-        # across base+delta files (no-op on an already-folded rewrite lake)
-        t = last_writer(read_row_groups({}, fs, rgs)).sort_by(
-            [("repo", "ascending"), ("path", "ascending")]
-        )
-        out_path = LakeLineage(lake_dir).bucket_state_path(bucket, tick_id)
-        tmp = out_path + f".{os.getpid()}.tmp"
-        pq.write_table(t, tmp, compression="zstd")
-        os.replace(tmp, out_path)
-        fold_file = None
-        if tail_union is not None:
-            fold_file = fold_tail_path(out_path)
-            pq.write_table(tail_union, fold_file + ".tmp", compression="snappy")
-            os.replace(fold_file + ".tmp", fold_file)
-        return bucket_manifest(
-            bucket, tick_id, t, data_file=out_path, delta_files=[],
-            written=[out_path, *([fold_file] if fold_file else [])],
-            fold_file=fold_file, fold_through_lsn=fold_hi,
-        )
-
-    @ray.remote(num_cpus=1)
-    def write_buckets(chunk: list[dict]) -> list[dict]:
-        return [write_bucket(it["bucket"], it["files"], it["rgs"]) for it in chunk]
-
-    new_manifests = [
-        m
-        for ms in ray.get([write_buckets.remote(c) for c in cpu_chunks(items)])
-        for m in ms
-    ]
+    new_manifests = run_tasks(
+        _rebucket_write_chunk, items, lake_dir, tick_id, tail_union, fold_hi
+    )
 
     # rollback marker BEFORE any manifest mutation (the recovery anchor)
     _atomic_write_json(
@@ -390,6 +340,62 @@ def _rebucket_locked(
         "buckets": len(new_manifests),
         "state_rows": tick["state_rows"],
     }
+
+
+def _rebucket_spill(
+    files: list[str], target: pa.Schema, nb: int, spill_dir: str
+) -> list[dict]:
+    """Rebucket's producer task: each old state file of the chunk spilled
+    on the new bucket count; returns the spill descriptors. Files are read
+    directly: a path-inferring reader would hive-parse the buckets/b=00017/
+    layout into a phantom string column `b` (the OLD bucket id) baked into
+    every rewritten state file."""
+    from .partitioning import spill_buckets
+    from .schema_evo import align_to
+
+    return [
+        r
+        for f in files
+        for r in spill_buckets(
+            align_to(pq.ParquetFile(f).read(), target), nb, spill_dir
+        ).to_pylist()
+    ]
+
+
+def _rebucket_write_chunk(
+    items: list[dict], lake_dir: str, tick_id: int, tail_union, fold_hi: int
+) -> list[dict]:
+    """Rebucket's writer task: per new bucket of the chunk, fold its spilled
+    rows (a delta-mode source repeats touched keys across base+delta files;
+    a no-op on an already-folded rewrite lake), key-sort and write the new
+    base, plus the fold-tail union; returns the bucket manifests."""
+    from .apply import bucket_manifest, fold_tail_path
+    from .dedup import last_writer
+    from .partitioning import read_row_groups
+
+    out = []
+    for it in items:
+        bucket = it["bucket"]
+        t = last_writer(read_row_groups({}, it["files"], it["rgs"])).sort_by(
+            [("repo", "ascending"), ("path", "ascending")]
+        )
+        out_path = LakeLineage(lake_dir).bucket_state_path(bucket, tick_id)
+        tmp = out_path + f".{os.getpid()}.tmp"
+        pq.write_table(t, tmp, compression="zstd")
+        os.replace(tmp, out_path)
+        fold_file = None
+        if tail_union is not None:
+            fold_file = fold_tail_path(out_path)
+            pq.write_table(tail_union, fold_file + ".tmp", compression="snappy")
+            os.replace(fold_file + ".tmp", fold_file)
+        out.append(
+            bucket_manifest(
+                bucket, tick_id, t, data_file=out_path, delta_files=[],
+                written=[out_path, *([fold_file] if fold_file else [])],
+                fold_file=fold_file, fold_through_lsn=fold_hi,
+            )
+        )
+    return out
 
 
 def compact_agglog(lake_dir: str) -> dict:
@@ -428,10 +434,7 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
     import json
     import uuid
 
-    import pandas as pd
-
-    from .aggregates import write_agglog_file
-    from .partitioning import run_spilled
+    from .partitioning import run_tasks
 
     lineage = LakeLineage(lake_dir)
     last = lineage.last_tick()
@@ -472,27 +475,7 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
         return {"days": 0, "files_removed": 0}
     keep_parquets.update(it["out"] for it in items)
 
-    def write_day(batch: pa.Table) -> pd.DataFrame:
-        import numpy as np
-
-        outs = []
-        for row in batch.to_pylist():
-            t = pa.concat_tables(
-                pq.ParquetFile(f).read_row_group(rg)
-                for f, rg in zip(row["files"], row["rgs"])
-            )
-            lsns = t["lsn"].to_numpy()
-            _, first = np.unique(lsns, return_index=True)
-            if len(first) < len(lsns):
-                t = t.take(pa.array(np.sort(first)))
-            # the log's one writer: a UTC day's rows are one run, so the
-            # file is one row group however large, indexed {day: 0} (index
-            # last — readers discover the file through it)
-            write_agglog_file(row["out"], t)
-            outs.append({"day": row["day"], "rows": t.num_rows})
-        return pd.DataFrame(outs)
-
-    res = run_spilled(items, write_day).to_pandas()
+    rows = run_tasks(_compact_day_chunk, items)
 
     # cleanup: every day was rewritten, so every snapshot source file is now
     # redundant. Index json first (unreferences the parquet), parquet after.
@@ -507,9 +490,34 @@ def _compact_agglog_locked(lake_dir: str) -> dict:
         removed += 1
     return {
         "days": len(items),
-        "rows": int(res["rows"].sum()),
+        "rows": sum(rows),
         "files_removed": removed,
     }
+
+
+
+def _compact_day_chunk(items: list[dict]) -> list[int]:
+    """Agg-log compaction task: each day of the chunk rewritten as one
+    file without replayed duplicate LSNs; returns rows written per day."""
+    import numpy as np
+
+    from .aggregates import write_agglog_file
+
+    out = []
+    for it in items:
+        t = pa.concat_tables(
+            pq.ParquetFile(f).read_row_group(rg) for f, rg in zip(it["files"], it["rgs"])
+        )
+        lsns = t["lsn"].to_numpy()
+        _, first = np.unique(lsns, return_index=True)
+        if len(first) < len(lsns):
+            t = t.take(pa.array(np.sort(first)))
+        # the log's one writer: a UTC day's rows are one run, so the file
+        # is one row group however large, indexed {day: 0} (index last —
+        # readers discover the file through it)
+        write_agglog_file(it["out"], t)
+        out.append(t.num_rows)
+    return out
 
 
 def compact_tombstones(

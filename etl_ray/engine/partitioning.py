@@ -11,24 +11,20 @@ The same file format is the engine's ONE shuffle. A producer tags each row
 with a group (``hash(keys) % G``), sorts by group and writes one parquet
 file with one row group per group (:func:`write_bucket_rgs`), returning
 ``(bucket, file, rg)`` descriptors; ``min(groups, cluster CPUs)`` consumer
-tasks each read only their groups' row groups (:func:`run_spilled`,
-:func:`read_spilled`). Bootstrap, the GDPR map merge and the change-feed
-fold use both halves; replay, rebucket and the feed audit use the producer
-and descriptors with their own consumers. View partials keep one row group
-each, with per-group row ranges (``views.core``).
+tasks each read only their groups' row groups (:func:`read_row_groups`,
+:func:`read_spilled`). Replay, bootstrap, rebucket, the GDPR map, the feed
+audit and the change-feed fold each pair the producer with consumers of
+their own. View partials keep one row group each, with per-group row
+ranges (``views.core``).
 
 Every fan-out over buckets, files or days follows one sizing rule,
-:func:`fan_out`: ``min(items, cluster CPUs)`` tasks, each over a
-contiguous chunk (:func:`cpu_chunks`) — plain Ray tasks where the driver
-only needs counters or manifests (replay's appliers, view refresh, the
-aggregate recompute, rebucket's writers, the feed audit) or a few small
-blocks (view reads: the task refs become a Dataset through
-``ray.data.from_arrow_refs``; on a 1-core VM one aggregate-view read takes
-36-42 ms this way, against 65-77 ms through a Ray Data pipeline);
-:func:`run_spilled` for a Dataset result whose consumers take it one bucket
-at a time (export, rebucket's producer, the change feed, feed and agg-log
-compaction) — there ``from_arrow_refs`` would add one metadata task per
-yield, and an export built that way took 0.50 s against 0.39 s (1-core VM,
+:func:`fan_out` (``min(items, cluster CPUs)`` tasks, each over a contiguous
+:func:`cpu_chunks` chunk), and runs through :func:`run_tasks` or
+:func:`task_refs` (one cached plain Ray task handle per module-level
+function) when it returns counters, manifests or refs. :func:`run_spilled`
+is only for a Dataset whose consumer takes it one bucket at a time (export,
+the change-feed fold), where ``from_arrow_refs`` would add one metadata task
+per yield (an export built that way took 0.50 s against 0.39 s, 1-core VM,
 one run).
 
 Skew note: hot repos (Zipf head) are handled *before* this shuffle by the
@@ -42,6 +38,7 @@ batch-associative.
 
 from __future__ import annotations
 
+import functools
 import os
 import uuid
 
@@ -180,6 +177,34 @@ def cpu_chunks(items: list, max_tasks: int | None = None) -> list[list]:
     return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+@functools.cache
+def _task(fn):
+    """The one ``ray.remote(num_cpus=1)`` handle of ``fn``: a fresh handle
+    re-pickles and re-exports the function on every fan-out (~2 ms); a
+    cached one re-exports only when a new Ray job starts."""
+    import ray
+
+    return ray.remote(num_cpus=1)(fn)
+
+
+def task_refs(fn, chunks: list, *args) -> list:
+    """One plain Ray task ``fn(chunk, *args)`` per chunk; returns their
+    refs. ``fn`` must be a module-level function (one cached handle each)."""
+    task = _task(fn)
+    return [task.remote(c, *args) for c in chunks]
+
+
+def run_tasks(fn, items: list, *args, max_tasks: int | None = None) -> list:
+    """The engine's fan-out for counters and manifests: ``fn(chunk, *args)``
+    over the :func:`cpu_chunks` of ``items``, each returning a list; the
+    lists concatenated in item order. Empty ``items`` start no task.
+    ``ray.get`` is looked up on the ``ray`` module at call time."""
+    import ray
+
+    refs = task_refs(fn, cpu_chunks(items, max_tasks), *args)
+    return [r for part in ray.get(refs) for r in part]
+
+
 def spilled_items(descriptors) -> list[dict]:
     """Collect producer descriptor rows into one consumer item per group:
     ``{"bucket": g, "files": [...], "rgs": [...]}``, sorted by group."""
@@ -207,11 +232,11 @@ def read_spilled(items: pa.Table) -> pa.Table:
 
 
 def run_spilled(items: list[dict], fn, *, max_tasks: int | None = None):
-    """Consumer half of the shuffle, and the engine's Dataset fan-out over
-    any item list: ``fn(batch)`` over ``min(items, cluster
+    """The engine's Dataset fan-out, for consumers that take the result one
+    bucket at a time: ``fn(batch)`` over ``min(items, cluster
     CPUs[, max_tasks])`` tasks, each handed a contiguous batch of ``items``
     (read spill groups with :func:`read_spilled`, or per item); ``fn``
-    returns an Arrow table or a pandas frame. Returns the MATERIALIZED
+    returns or yields Arrow tables. Returns the MATERIALIZED
     Dataset: its schema is then known without a second execution
     (``to_arrow_refs``/``schema()`` re-run a lazy pipeline), and the spill
     files may go as soon as this returns."""

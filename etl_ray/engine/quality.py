@@ -173,8 +173,8 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
     projection per batch and spills bucket-indexed shuffle files (the
     engine's own shuffle shape, LWW on lsn is valid — per-key applied LSN
     is monotone across ticks and erase LSNs sit above the WAL); stage 2 is
-    one task per contiguous ``cpu_chunks`` chunk of buckets, each doing the
-    exact set compare of its buckets against their state. The driver sees
+    ``partitioning.run_tasks`` over the buckets, each task doing the exact
+    set compare of its buckets against their state. The driver sees
     per-bucket mismatch COUNTERS only — no whole-feed or whole-state
     materialization anywhere."""
     if ctx.segments or ctx.events:
@@ -187,11 +187,8 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
         return []
     import os
 
-    from .changelog import (
-        committed_changelog_parts,
-        feed_covers_from_start,
-        parts_dataset,
-    )
+    from .changelog import committed_changelog_parts, feed_covers_from_start
+    from .source import parts_dataset
 
     lake = ctx.lineage.lake_dir
     if not feed_covers_from_start(lake):
@@ -200,8 +197,6 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
     import shutil
 
     import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
 
     feed_parts = committed_changelog_parts(lake)
     if not feed_parts:
@@ -213,12 +208,7 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
     os.makedirs(spill_dir, exist_ok=True)
     try:
         from .dedup import last_writer
-        from .partitioning import (
-            cpu_chunks,
-            read_row_groups,
-            spill_buckets,
-            spilled_items,
-        )
+        from .partitioning import run_tasks, spill_buckets, spilled_items
 
         def feed_spill(t: pa.Table) -> pa.Table:
             t = last_writer(t.select(["repo", "path", "lsn", "change_op"]))
@@ -231,60 +221,11 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
         )
         by_bucket = {it["bucket"]: (it["files"], it["rgs"]) for it in items}
         state_mans = {m["bucket"]: dict(m) for m in ctx.new_manifests}
-
-        def compare(bucket: int, feed_files, feed_rgs, state_man) -> dict:
-            keys3 = ["repo", "path", "lsn"]
-            if feed_files:
-                # fold across fragments (max lsn per key)
-                t = last_writer(read_row_groups({}, feed_files, feed_rgs))
-                folded = t.filter(
-                    pc.invert(
-                        pc.is_in(
-                            t["change_op"], value_set=pa.array(["delete", "erase"])
-                        )
-                    )
-                ).select(keys3)
-            else:
-                folded = None
-            if state_man:
-                from .apply import read_bucket_state
-
-                s = read_bucket_state(
-                    state_man, columns=["repo", "path", "lsn", "deleted"]
-                )
-                state = s.filter(pc.invert(s["deleted"])).select(keys3)
-            else:
-                state = None
-
-            def anti(left, right) -> int:
-                # vectorized symmetric-difference side: Arrow hash anti-join
-                # on the full (repo, path, lsn) key (both sides are unique
-                # per (repo, path) after the folds above)
-                if left is None or left.num_rows == 0:
-                    return 0
-                if right is None or right.num_rows == 0:
-                    return left.num_rows
-                return left.join(
-                    right, keys=keys3, join_type="left anti"
-                ).num_rows
-
-            return {
-                "bucket": bucket,
-                "feed_only": anti(folded, state),
-                "state_only": anti(state, folded),
-            }
-
-        def compare_chunk(jobs: list[tuple]) -> list[dict]:
-            return [compare(*j) for j in jobs]
-
-        task = ray.remote(num_cpus=1)(compare_chunk)
         jobs = [
             (b, *by_bucket.get(b, ([], [])), state_mans.get(b))
             for b in sorted(set(by_bucket) | set(state_mans))
         ]
-        res = [
-            r for rs in ray.get([task.remote(c) for c in cpu_chunks(jobs)]) for r in rs
-        ]
+        res = run_tasks(_feed_compare_chunk, jobs)
     finally:
         shutil.rmtree(spill_dir, ignore_errors=True)
 
@@ -301,6 +242,50 @@ def check_feed_consistency(ctx: TickContext) -> list[dict]:
             }
         ]
     return []
+
+
+def _feed_compare_chunk(jobs: list[tuple]) -> list[dict]:
+    """One feed-audit task over ``(bucket, feed files, feed rgs, state
+    manifest)`` jobs: per bucket, the folded feed's live (repo, path, lsn)
+    rows against the state's, as symmetric-difference counters."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from .apply import read_bucket_state
+    from .dedup import last_writer
+    from .partitioning import read_row_groups
+
+    keys3 = ["repo", "path", "lsn"]
+
+    def anti(left, right) -> int:
+        # vectorized symmetric-difference side: Arrow hash anti-join on the
+        # full (repo, path, lsn) key (both sides are unique per (repo, path)
+        # after the folds below)
+        if left is None or left.num_rows == 0:
+            return 0
+        if right is None or right.num_rows == 0:
+            return left.num_rows
+        return left.join(right, keys=keys3, join_type="left anti").num_rows
+
+    out = []
+    for bucket, feed_files, feed_rgs, state_man in jobs:
+        folded = state = None
+        if feed_files:
+            # fold across fragments (max lsn per key)
+            t = last_writer(read_row_groups({}, feed_files, feed_rgs))
+            gone = pc.is_in(t["change_op"], value_set=pa.array(["delete", "erase"]))
+            folded = t.filter(pc.invert(gone)).select(keys3)
+        if state_man:
+            s = read_bucket_state(state_man, columns=["repo", "path", "lsn", "deleted"])
+            state = s.filter(pc.invert(s["deleted"])).select(keys3)
+        out.append(
+            {
+                "bucket": bucket,
+                "feed_only": anti(folded, state),
+                "state_only": anti(state, folded),
+            }
+        )
+    return out
 
 
 #: manifest-only invariants — O(buckets) dict lookups, effectively free;

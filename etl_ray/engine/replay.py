@@ -11,7 +11,7 @@ pipeline with exactly ONE shuffle:
       batch to the shuffle) → op→tombstone shaping → bucket id
   → the ONE shuffle: shared-FS spill (indexed shuffle files, one
       parquet row group per bucket)                                 [S2 shape]
-  → appliers: ``cpu_chunks`` plain tasks over the touched buckets,
+  → appliers: ``run_tasks`` plain tasks over the touched buckets,
       state read from the committed manifests: stateful LWW
       upsert/delete/evolve, ``apply.apply_bucket``                  [A5/J4/J5]
   → driver: publish bucket manifests, re-aggregate touched days,
@@ -37,16 +37,16 @@ from .apply import deltas_to_state_shape
 from .dedup import last_writer
 from .enrich import LangEnricher
 from .lineage import LakeLineage
-from .partitioning import cluster_cpus, cpu_chunks
+from .partitioning import cluster_cpus, fan_out, run_tasks
 from .source import pending_segments, read_segments_indexed, target_schema_for
 
 
-def _merge_chunk(applier_args: tuple, chunk: list[dict]) -> list[dict]:
-    """One stage-2 task: a ``MergeApplier`` over a chunk of buckets."""
+def _merge_chunk(chunk: list[dict], *applier_args) -> list[dict]:
+    """One applier task (replay's stage 2, bootstrap): a ``MergeApplier``
+    over a chunk of spill descriptors; returns their bucket manifests."""
     from .apply import MergeApplier
 
-    applier = MergeApplier(*applier_args)
-    return applier.apply_spilled(pa.Table.from_pylist(chunk)).to_pylist()
+    return MergeApplier(*applier_args).apply_spilled(chunk)
 
 
 class DeadlineExceededError(RuntimeError):
@@ -260,7 +260,7 @@ class ReplayEngine:
         batch's rows to per-bucket delta files under
         ``lake/_shuffle/tick-N/`` (the lake directory IS the shared storage
         on a real cluster — this is an external shuffle, like Spark's, with
-        parquet+zstd as the wire format); stage 2 is ``cpu_chunks`` applier
+        parquet+zstd as the wire format); stage 2 is ``run_tasks`` applier
         tasks over (bucket, files) descriptors — content bytes never transit
         the object store, and stage-2 parallelism is min(buckets, CPUs[,
         concurrency]) regardless of input block sizing. Crash-safe: the
@@ -269,8 +269,6 @@ class ReplayEngine:
         """
         import shutil
         import uuid
-
-        import ray
 
         spill_dir = os.path.join(self.lake_dir, "_shuffle", f"tick-{tick_id:06d}")
         shutil.rmtree(spill_dir, ignore_errors=True)
@@ -374,24 +372,21 @@ class ReplayEngine:
             {"bucket": b, "files": fr[0], "rgs": fr[1], "ffiles": fr[2], "frgs": fr[3]}
             for b, fr in sorted(by_bucket.items())
         ]
+        conc = self.concurrency
+        cap = conc[1] if isinstance(conc, tuple) else conc
         self.last_stage2_items = len(items)
-        self.last_stage2_tasks = 0
+        self.last_stage2_tasks = fan_out(len(items), cap)
         if not items:
             return []
         t_ap = time.perf_counter()
-        task = ray.remote(num_cpus=1)(_merge_chunk)
-        args = (
-            self.lake_dir, tick_id, schema_ser, self.folds, self.fold_lateness,
-            self.emit_changelog, self.delta_threshold,
+        out = run_tasks(
+            _merge_chunk, items, self.lake_dir, tick_id, schema_ser, self.folds,
+            self.fold_lateness, self.emit_changelog, self.delta_threshold,
+            max_tasks=cap,
         )
-        conc = self.concurrency
-        cap = conc[1] if isinstance(conc, tuple) else conc
-        chunks = cpu_chunks(items, cap)
-        self.last_stage2_tasks = len(chunks)
-        out = [m for ms in ray.get([task.remote(args, c) for c in chunks]) for m in ms]
         if os.environ.get("ETL_RAY_DEBUG"):
             print(
-                f"[etl-ray] apply ({len(items)} buckets, {len(chunks)} tasks): "
+                f"[etl-ray] apply ({len(items)} buckets, {self.last_stage2_tasks} tasks): "
                 f"{time.perf_counter() - t_ap:.2f}s",
                 flush=True,
             )

@@ -7,7 +7,9 @@ source manifests (``apps_flyer.py:209-257`` GCS sensors → here, the WAL's
 
 Segments may carry different (additively-evolving) schemas; every segment's
 row groups are promoted to the unified target schema as they are read, so
-the rest of the pipeline sees one stable schema.
+the rest of the pipeline sees one stable schema. The change feed's parts
+are read the same way (:func:`parts_dataset`). These two readers are the
+only ``from_items`` → ``map_batches`` pipelines outside ``partitioning``.
 """
 
 from __future__ import annotations
@@ -105,4 +107,43 @@ def read_segments_indexed(
 
     return ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
         read_item, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+    )
+
+
+def parts_dataset(parts: list[dict], columns: list[str] | None = None):
+    """LAZY Ray Dataset over change-feed parts (``changelog.read_changelog``
+    streams it; the feed fold and audit spill it):
+    ``min(parts, cluster CPUs)`` blocks, each task reading its contiguous
+    chunk of parts — whole files, or a compacted run's indexed row
+    groups — aligned to the parts' unified schema (mid-stream
+    evolution)."""
+    from .partitioning import fan_out
+
+    if not parts:
+        return ray.data.from_items([])
+
+    uni = unify_schemas([pq.read_schema(p["file"]) for p in parts])
+    if columns:
+        uni = pa.schema([f for f in uni if f.name in set(columns)])
+
+    def read_part(batch):
+        # one table per part, not one per chunk: Ray Data cuts the yields
+        # into blocks of its target size, so a chunk's task never holds its
+        # whole feed range at once
+        for row in batch.to_pylist():
+            pf = pq.ParquetFile(row["file"])
+            cols = (
+                [c for c in columns if c in pf.schema_arrow.names]
+                if columns
+                else None
+            )
+            if row["rgs"] is None:
+                t = pf.read(columns=cols)
+            else:
+                t = pf.read_row_groups([int(r) for r in row["rgs"]], columns=cols)
+            pf.close()
+            yield align_to(t, uni).select(uni.names)
+
+    return ray.data.from_items(parts, override_num_blocks=fan_out(len(parts))).map_batches(
+        read_part, batch_format="pyarrow", batch_size=None
     )

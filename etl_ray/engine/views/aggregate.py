@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from ..partitioning import task_refs
 from .core import (
     ViewKind,
     _combine,
@@ -141,7 +142,7 @@ def read_agg_view(agg_spec: dict, view_dir: str):
         return ray.data.from_arrow(
             _reduce_riders(schema.empty_table(), group_by, aggs, enc_types)
         )
-    return _run_read(_agg_read_chunk, chunks, group_by, aggs, enc_types)
+    return _run_read(task_refs(_agg_read_chunk, chunks, group_by, aggs, enc_types))
 
 
 AGGREGATE = ViewKind(

@@ -209,18 +209,15 @@ def _read_spans(spans) -> "pa.Table":
     )
 
 
-def _run_read(task_fn, chunks, *args):
-    """The view as a MATERIALIZED Dataset: ``task_fn(spans, *args)`` as one
-    plain Ray task per chunk, gathered by ``ray.data.from_arrow_refs`` —
-    which waits for every task (it fetches each block's metadata) before it
-    returns. ``materialize`` records those blocks as the plan's output, so a
-    consumer's ``to_arrow_refs`` starts no streaming executor (half the
-    cost of one)."""
-    import ray
+def _run_read(refs):
+    """The view as a MATERIALIZED Dataset over its read tasks' refs (one
+    ``partitioning.task_refs`` task per chunk), gathered by
+    ``ray.data.from_arrow_refs`` — which waits for every task (it fetches
+    each block's metadata) before it returns. ``materialize`` records those
+    blocks as the plan's output, so a consumer's ``to_arrow_refs`` starts
+    no streaming executor (half the cost of one)."""
     import ray.data
 
-    task = ray.remote(num_cpus=1)(task_fn)
-    refs = [task.remote(c, *args) for c in chunks]
     return ray.data.from_arrow_refs(refs).materialize()
 
 

@@ -52,8 +52,8 @@ def refresh_views(
     hash), upstream type drift (types hash — e.g. widening landed), a
     changed hash-group count G (the upstream bucket count, after a
     rebucket) or a partial layout other than ``PARTIAL_LAYOUT`` recomputes
-    every bucket of THAT view only. The union of the touched sets runs as
-    ``partitioning.cpu_chunks``, one plain Ray task per chunk (every
+    every bucket of THAT view only. The union of the touched sets runs
+    through ``partitioning.run_tasks``, one plain Ray task per chunk (every
     result's ``tasks``): a task reads each bucket's state ONCE, in the
     union of the projections of the views that need it, and writes each of
     those views' partials from it.
@@ -68,12 +68,11 @@ def refresh_views(
     from contextlib import ExitStack
 
     import pyarrow as pa
-    import ray
 
     from ..apply import bucket_schemas
     from ..lineage import LakeLineage
     from ..lock import WriterLockError, writer_lock
-    from ..partitioning import cpu_chunks
+    from ..partitioning import fan_out, run_tasks
     from ..schema_evo import unify_schemas
 
     t0 = time.perf_counter()
@@ -144,16 +143,15 @@ def refresh_views(
             (m, [j for j, v in enumerate(jobs) if m["tick"] > v["applied"]])
             for m in manifests
         ]
-        chunks = cpu_chunks([(m, js) for m, js in work if js])
-        task = ray.remote(num_cpus=1)(_partials_chunk)
-        parts = ray.get([task.remote(c, jobs, col_types, num_groups) for c in chunks])
+        work = [(m, js) for m, js in work if js]
+        parts = run_tasks(_partials_chunk, work, jobs, col_types, num_groups)
         rows = [sum(r) for r in zip([0] * len(jobs), *parts)]
         for j, v in enumerate(jobs):
             kind, spec, view_dir = views[v["view"]]
             profile = {
                 "refresh_s": round(time.perf_counter() - t0, 4),
                 "buckets": sum(1 for m in manifests if m["tick"] > v["applied"]),
-                "tasks": len(chunks),
+                "tasks": fan_out(len(work)),
                 "partial_rows": rows[j],
             }
             _publish_view_manifest(
@@ -177,7 +175,8 @@ def _partials_chunk(items, jobs, col_types, num_groups) -> list[int]:
     """One refresh task over a contiguous chunk of (bucket manifest, the
     jobs that need it): each bucket's state is read ONCE (merge-on-read in
     delta mode), in the union of those views' projections, and handed to
-    each view's ``build``. Returns partial rows written per job.
+    each view's ``build``. Returns, per bucket, the partial rows written
+    per job.
 
     ``col_types`` (column → type in the UNIFIED upstream schema) keeps the
     partials consistent across buckets: a column an old bucket predates
@@ -188,8 +187,9 @@ def _partials_chunk(items, jobs, col_types, num_groups) -> list[int]:
 
     from ..apply import read_bucket_state
 
-    rows = [0] * len(jobs)
+    out = []
     for man, js in items:
+        rows = [0] * len(jobs)
         cols = list(dict.fromkeys(c for j in js for c in jobs[j]["cols"]))
         t = read_bucket_state(man, columns=[*cols, "deleted"])
         for c in cols:
@@ -203,4 +203,5 @@ def _partials_chunk(items, jobs, col_types, num_groups) -> list[int]:
                 t.select(list(dict.fromkeys([*v["cols"], "deleted"]))),
                 v["spec"], out_path, num_groups,
             )
-    return rows
+        out.append(rows)
+    return out

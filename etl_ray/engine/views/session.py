@@ -14,6 +14,7 @@ reference's FIRST/LAST_VALUE + AVG columns inside each session row).
 
 from __future__ import annotations
 
+from ..partitioning import task_refs
 from .aggregate import _agg_validate_types
 from .core import (
     ViewKind,
@@ -303,7 +304,9 @@ def read_session_view(sess_spec: dict, view_dir: str):
     enc_types = _enc_types_load(mf.get("enc_types"))
     gap = _gap_in_ts_units(schema.field("session_start").type, sess_spec["gap_minutes"])
     return _run_read(
-        _session_read_chunk, chunks, sess_spec["key"], riders, enc_types, gap, schema
+        task_refs(
+            _session_read_chunk, chunks, sess_spec["key"], riders, enc_types, gap, schema
+        )
     )
 
 

@@ -7,19 +7,26 @@ import os
 import pytest
 
 
+def init_ray():
+    """The test session's local Ray (also used to restart it)."""
+    import ray
+
+    ray.init(
+        address="local",
+        num_cpus=4,
+        include_dashboard=False,
+        ignore_reinit_error=True,
+        logging_level="ERROR",
+    )
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray
     from ray.data import DataContext
 
     if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=4,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
+        init_ray()
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
     ctx.execution_options.verbose_progress = False

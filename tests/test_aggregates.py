@@ -278,7 +278,7 @@ def test_agglog_recompute_multi_chunk(ray_session, tmp_path, monkeypatch):
     import ray
     import ray.data as rd
 
-    from etl_ray.engine import aggregates
+    from etl_ray.engine import partitioning
     from etl_ray.engine.aggregates import days_of_segments, recompute_days_from_agglog
     from etl_ray.wal import WalInfo, generate_wal
 
@@ -332,7 +332,7 @@ def test_agglog_recompute_multi_chunk(ray_session, tmp_path, monkeypatch):
         for p in lin.agg_day_files(name):
             os.remove(p)
     tasks: list[int] = []
-    orig = aggregates.cpu_chunks
+    orig = partitioning.cpu_chunks
 
     def spy(items, *a, **k):
         chunks = orig(items, *a, **k)
@@ -342,7 +342,7 @@ def test_agglog_recompute_multi_chunk(ray_session, tmp_path, monkeypatch):
     def no_pipeline(*a, **k):
         raise AssertionError("the recompute started a Ray Data pipeline")
 
-    monkeypatch.setattr(aggregates, "cpu_chunks", spy)
+    monkeypatch.setattr(partitioning, "cpu_chunks", spy)
     monkeypatch.setattr(rd, "from_items", no_pipeline)
     res = recompute_days_from_agglog(lin, days)
     assert tasks == [min(len(days), cpus)]

@@ -1,8 +1,9 @@
 """One lake format (``engine/lineage.py`` module docstring): every writer
-emits the whole manifest — each bucket manifest carries every
-``MANIFEST_SCHEMA`` field with the schema its chain files really have, each
-tick manifest carries the ``lake_format`` stamp and the fields readers index
-without a fallback — and a lake without the stamp is refused, not read.
+emits the whole manifest — each bucket manifest carries exactly the
+``MANIFEST_SCHEMA`` fields, as JSON-native values, with the schema its
+chain files really have, each tick manifest carries the ``lake_format``
+stamp and the fields readers index without a fallback — and a lake without
+the stamp is refused, not read.
 ``delta_threshold`` is the one state knob; the engine keeps no reader of a
 pre-format layout."""
 
@@ -37,15 +38,47 @@ TICK_FIELDS = (
 FORMAT_MSG = "written before lake format"
 
 
-def _assert_whole_format(lake: str, writer: str) -> None:
+#: the exact Python types a bucket manifest field may hold when a writer
+#: hands it to ``publish_bucket`` (a numpy scalar or an extra key would
+#: otherwise reach the published JSON, or fail in ``json.dump``)
+JSON_TYPES = (int, str, list, type(None))
+
+
+@pytest.fixture
+def published(monkeypatch) -> list[dict]:
+    """Every bucket manifest a writer publishes, as the writer built it."""
+    seen: list[dict] = []
+    real = LakeLineage.publish_bucket
+
+    def spy(self, manifest):
+        seen.append(manifest)
+        return real(self, manifest)
+
+    monkeypatch.setattr(LakeLineage, "publish_bucket", spy)
+    return seen
+
+
+def _assert_whole_format(
+    lake: str, writer: str, published: list[dict], *, publishes: bool = True
+) -> None:
     from etl_ray.engine import lineage
 
+    assert bool(published) == publishes, f"{writer}: published {len(published)}"
+    for m in published:
+        assert list(m) == MANIFEST_SCHEMA.names, f"{writer}: keys {list(m)}"
+        bad = {
+            k: type(v).__name__
+            for k, v in m.items()
+            if type(v) not in JSON_TYPES
+            or isinstance(v, list) and any(type(x) is not str for x in v)
+        }
+        assert not bad, f"{writer}: bucket {m['bucket']} non-JSON values {bad}"
+    published.clear()
     lin = LakeLineage(lake)
     mans = lin.all_bucket_manifests()
     assert mans, writer
     for m in mans:
-        missing = set(MANIFEST_SCHEMA.names) - m.keys()
-        assert not missing, f"{writer}: bucket {m['bucket']} lacks {sorted(missing)}"
+        assert list(m) == MANIFEST_SCHEMA.names, f"{writer}: bucket {m['bucket']}"
         footers = unify_schemas([pq.read_schema(f) for f in bucket_files(m)])
         assert schema_from_b64(m["schema_b64"]).equals(
             footers, check_metadata=False
@@ -65,7 +98,7 @@ def _live_keys(lake: str, n: int) -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize("threshold", [0, 2])
 def test_every_writer_emits_the_whole_format(
-    ray_session, small_wal, tmp_path, threshold
+    ray_session, small_wal, tmp_path, threshold, published
 ):
     """Replay, then each maintenance writer in turn; after every step each
     manifest is complete and its recorded schema matches its files."""
@@ -76,25 +109,27 @@ def test_every_writer_emits_the_whole_format(
         small_wal.wal_dir, lake, num_buckets=8, concurrency=2,
         delta_threshold=threshold, folds=DEFAULT_FOLDS, tz_offset_minutes=330,
     ).replay_all(segments_per_tick=1)
-    _assert_whole_format(lake, f"replay delta_threshold={threshold}")
+    _assert_whole_format(lake, f"replay delta_threshold={threshold}", published)
     assert all(
         t["delta_threshold"] == threshold for t in LakeLineage(lake).all_ticks()
     )
 
     erase_keys(lake, _live_keys(lake, 3))
-    _assert_whole_format(lake, "erase_keys")
+    _assert_whole_format(lake, "erase_keys", published)
     compact_tombstones(lake, lateness_bound=0)
-    _assert_whole_format(lake, "compact_tombstones")
+    _assert_whole_format(lake, "compact_tombstones", published)
     compact_agglog(lake)
-    _assert_whole_format(lake, "compact_agglog")
+    _assert_whole_format(lake, "compact_agglog", published, publishes=False)
     rebucket(lake, 5)
-    _assert_whole_format(lake, "rebucket")
+    _assert_whole_format(lake, "rebucket", published)
     # maintenance ticks carry the lake's settings forward
     last = LakeLineage(lake).last_tick()
     assert last["num_buckets"] == 5 and last["tz_offset_minutes"] == 330
 
 
-def test_bootstrap_emits_the_whole_format(ray_session, small_wal, tmp_path):
+def test_bootstrap_emits_the_whole_format(
+    ray_session, small_wal, tmp_path, published
+):
     from etl_ray.engine.bootstrap import bootstrap_lake
     from etl_ray.oracle import expected_final_state
 
@@ -105,7 +140,7 @@ def test_bootstrap_emits_the_whole_format(ray_session, small_wal, tmp_path):
     )
     lake = str(tmp_path / "lake")
     bootstrap_lake(lake, snap_path, num_buckets=4, through_seqno=k)
-    _assert_whole_format(lake, "bootstrap")
+    _assert_whole_format(lake, "bootstrap", published)
 
 
 def test_unstamped_lake_is_refused(ray_session, small_wal, tmp_path):

@@ -1,8 +1,8 @@
 """The engine has ONE hash shuffle: the indexed spill of
 ``engine/partitioning.py`` (producers write one row group per group,
 consumers read only their groups). No engine module may fall back to a Ray
-Data shuffle — ``diagnostics.py``, a one-off report, is the only exception.
-Nor may one size a fan-out by its item count instead of the cluster."""
+Data shuffle, nor size a fan-out by its item count instead of the
+cluster."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ FORBIDDEN = ("map_groups", ".repartition(", "ShuffleStrategy", "partial_groupby"
 
 
 def test_engine_has_one_shuffle():
-    modules = sorted(p for p in ENGINE.glob("*.py") if p.name != "diagnostics.py")
+    modules = sorted(ENGINE.glob("*.py"))
     assert len(modules) > 10, "engine modules not found"
     found = [
         f"{p.name}:{i}: {tok}"

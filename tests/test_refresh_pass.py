@@ -141,15 +141,10 @@ def test_spec_change_recomputes_only_that_view(ray_session, tail_wal, tmp_path):
     _assert_views_match_oracle(lake, tail_wal)
 
 
-class _Inline:
-    """``ray.remote`` stand-in: runs the task in this process, so a spy
-    here sees the reads a refresh task makes."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def remote(self, *args):
-        return self.fn(*args)
+def _inline_task_refs(fn, chunks, *args):
+    """``partitioning.task_refs`` stand-in: runs each task in this process,
+    so a spy here sees the reads a refresh task makes."""
+    return [fn(c, *args) for c in chunks]
 
 
 def test_one_read_per_touched_bucket_per_pass(
@@ -160,7 +155,7 @@ def test_one_read_per_touched_bucket_per_pass(
     ``Table.equals`` to a view refreshed on its own."""
     import ray
 
-    from etl_ray.engine import apply
+    from etl_ray.engine import apply, partitioning
 
     lake = MultiTableLake(str(tmp_path / "ml"), _specs(tail_wal))
     eng = lake.engine("repo_files")
@@ -175,7 +170,7 @@ def test_one_read_per_touched_bucket_per_pass(
         reads.clear()
         with monkeypatch.context() as m:
             m.setattr(apply, "read_bucket_state", spy)
-            m.setattr(ray, "remote", lambda **kw: _Inline)
+            m.setattr(partitioning, "task_refs", _inline_task_refs)
             m.setattr(ray, "get", lambda refs: refs)
             return lake._refresh_views_of("repo_files")
 
