@@ -119,13 +119,13 @@ def main(argv: list[str] | None = None) -> int:
         "--changelog",
         action="store_true",
         help="emit the change data feed (per-tick insert/update/delete "
-        "after-images under lake/_changelog/) for downstream consumers",
+        "after-images) for downstream consumers",
     )
     r.add_argument(
         "--changelog-retain",
         type=int,
         default=None,
-        help="drop feed directories older than this many ticks (default: keep all)",
+        help="drop feed ticks older than this many ticks (default: keep all)",
     )
     r.add_argument(
         "--delta-threshold",
@@ -213,15 +213,14 @@ def main(argv: list[str] | None = None) -> int:
     c.add_argument(
         "--agglog",
         action="store_true",
-        help="instead: consolidate the day-indexed agg log to one file per "
-        "day (O(days) metadata)",
+        help="instead: consolidate the day-indexed agg log to one row group "
+        "per day (O(days) metadata)",
     )
     c.add_argument(
         "--feed",
         action="store_true",
         help="instead: merge the change data feed's per-(tick, bucket) "
-        "part files into per-bucket runs (one row group per tick, sidecar "
-        "tick index — ranged reads stay exact)",
+        "parts into one row group per tick (ranged reads stay exact)",
     )
 
     r.add_argument(
@@ -530,16 +529,11 @@ def main(argv: list[str] | None = None) -> int:
                 keys.append((repo, path))
             print(json.dumps(erase_keys(args.lake, keys, erase_map_fields=args.map_field)))
         elif args.cmd == "compact":
-            if args.feed:
-                from etl_ray.engine.changelog import compact_changelog
+            if args.feed or args.agglog:
+                from etl_ray.engine import ticklog
 
-                res = compact_changelog(args.lake)
-                res.pop("run", None)
-                print(json.dumps(res))
-            elif args.agglog:
-                from etl_ray.engine.maintenance import compact_agglog
-
-                print(json.dumps(compact_agglog(args.lake)))
+                log = ticklog.FEED if args.feed else ticklog.AGGLOG
+                print(json.dumps(ticklog.compact(args.lake, log)))
             else:
                 from etl_ray.engine.maintenance import compact_tombstones
 
@@ -796,10 +790,10 @@ def main(argv: list[str] | None = None) -> int:
 
             print(json.dumps(skew_report(args.lake, top_k=args.top)))
         elif args.cmd == "quarantine":
-            import glob as _g
             import re as _re
 
-            import pyarrow.parquet as _pq
+            from etl_ray.engine import ticklog
+            from etl_ray.engine.source import parts_dataset
 
             qlake = args.lake
             if args.table:
@@ -808,30 +802,15 @@ def main(argv: list[str] | None = None) -> int:
                 if not _re.fullmatch(TABLE_NAME_RE, args.table):
                     p.error(f"bad table name {args.table!r}")
                 qlake = os.path.join(args.lake, "tables", args.table)
-            pat = (
-                f"tick-{args.tick:06d}" if args.tick is not None else "tick-*"
-            )
-            files = sorted(
-                _g.glob(os.path.join(qlake, "_quarantine", pat, "*.parquet"))
+            parts = ticklog.parts(
+                qlake, ticklog.QUARANTINE, None if args.tick is None else {args.tick}
             )
             n = 0
-            if files:
-                import ray.data as _rd
-
-                from etl_ray.engine.schema_evo import align_to, unify_schemas
-
+            if parts:
                 _fresh_out_dir(p, args.out)
-                # quarantine parts are aligned to each TICK's own target
-                # schema; under mid-stream evolution the cross-tick set is
-                # heterogeneous — unify first, align every batch, so the
-                # combined read can't fail or mis-align columns
-                uni = unify_schemas([_pq.read_schema(f) for f in files])
-                ds = _rd.read_parquet(files, partitioning=None).map_batches(
-                    lambda t, _s=uni: align_to(t, _s),
-                    batch_format="pyarrow",
-                    zero_copy_batch=True,
-                )
-                ds.write_parquet(args.out)
+                # parts are aligned to each tick's own target schema; the
+                # reader unifies them (mid-stream evolution)
+                parts_dataset(parts).write_parquet(args.out)
                 n = _count_written_rows(args.out)
             print(json.dumps({"rows": n, "out": args.out}))
         elif args.cmd == "changelog":

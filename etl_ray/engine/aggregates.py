@@ -10,9 +10,10 @@ ONLY the days its segments touch. Re-aggregation is overwrite-idempotent per
 day partition, so a crash between state commit and aggregate write heals on
 the next tick.
 
-The one input is the agg log (:func:`append_agglog`): every stage-1 task
-appends its enriched, valid events as narrow rows (commit_ts, lang, repo,
-path, op, lsn, nbytes), sorted and indexed by UTC day. The log does not
+The one input is the agg log (:func:`append_agglog`), a per-tick log of
+:mod:`ticklog` keyed by UTC day: every stage-1 task appends its enriched,
+valid events as narrow rows (commit_ts, lang, repo, path, op, lsn,
+nbytes), sorted by ``commit_ts``, one row group per UTC day. The log does not
 depend on the aggregate switch or the tz offset: a local day is derived
 from ``commit_ts`` at read time (:func:`local_day`), from the row groups of
 the one or two UTC days it overlaps — re-daying under a new offset is exact
@@ -40,12 +41,14 @@ from __future__ import annotations
 
 import collections
 import os
+import re
 
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from . import ticklog
 from .lineage import LakeLineage
 from .metrics import DEFAULT_METRICS, MetricSpec
 from .partitioning import run_tasks
@@ -89,91 +92,43 @@ def local_day(ts, tz_offset_minutes: int = 0) -> pa.Array:
 
 
 def append_agglog(lineage: LakeLineage, tick: int, batch: pa.Table) -> None:
-    """Append one stage-1 task's events to the agg log: ONE file per task
-    (:func:`write_agglog_file`) — a wide-day backfill tick writes one file
-    per task, not tasks × days."""
+    """Append one stage-1 task's events to the agg log as ONE part, sorted
+    by ``commit_ts`` so each UTC day is one row group — a wide-day backfill
+    tick writes one part per task, not tasks × days."""
     import uuid
 
-    fp = lineage.agglog_part_path(tick, uuid.uuid4().hex)
-    write_agglog_file(fp, _project(batch))
-
-
-def write_agglog_file(fp: str, rows: pa.Table) -> None:
-    """THE agg-log file writer (stage-1 appends, compaction, erasure):
-    ``rows`` sorted by ``commit_ts``, one row group per UTC-day run, then
-    the sidecar {UTC day: row group} index, written LAST — readers find the
-    file through it (the indexed spill-file shape). The sorted
-    ``commit_ts`` and near-sorted ``lsn`` are DELTA_BINARY_PACKED (~1-2 B a
-    row), the other columns dictionary-encoded."""
-    from .lineage import _atomic_write_json
-
-    rows = rows.take(pc.sort_indices(rows["commit_ts"]))
-    runs = pc.run_end_encode(local_day(rows["commit_ts"]).combine_chunks())
-    ends = runs.run_ends.to_numpy().tolist()
-    index = {}
-    writer = pq.ParquetWriter(
-        fp + ".tmp", rows.schema, compression="snappy",
-        use_dictionary=["lang", "repo", "path", "op", "nbytes"],
-        column_encoding=dict.fromkeys(["commit_ts", "lsn"], "DELTA_BINARY_PACKED"),
+    rows = _project(batch).sort_by("commit_ts")
+    ticklog.write(
+        lineage.lake_dir, ticklog.AGGLOG, tick, uuid.uuid4().hex, rows,
+        local_day(rows["commit_ts"]),
     )
-    with writer:
-        for rg, (day, s, e) in enumerate(
-            zip(runs.values.to_pylist(), [0, *ends[:-1]], ends)
-        ):
-            # one row group per day run — see write_bucket_rgs
-            writer.write_table(rows.slice(s, e - s), row_group_size=e - s)
-            index[day] = rg
-    os.replace(fp + ".tmp", fp)
-    _atomic_write_json(fp[: -len(".parquet")] + ".json", index)
-
-
-def _key_mask(t: pa.Table, keys: list[tuple[str, str]]) -> pa.Array:
-    """Rows of ``t`` whose (repo, path) is one of ``keys``."""
-    pairs = pa.array([f"{r}\x00{p}" for r, p in keys], pa.string())
-    joined = pc.binary_join_element_wise(t["repo"], t["path"], "\x00")
-    return pc.fill_null(pc.is_in(joined, value_set=pairs), False)
 
 
 def erase_from_agglog(
-    lineage: LakeLineage, keys: list[tuple[str, str]], tick: int, tz_offset_minutes: int
+    lineage: LakeLineage, keys: list[tuple[str, str]], tz_offset_minutes: int
 ) -> dict:
     """GDPR erasure of the agg log: the local days (at ``tz_offset_minutes``)
     that ``keys``' log rows sit on are recomputed from the log without
-    them, then every log file holding such rows is rewritten without them
-    (:func:`write_agglog_file`, named under the committed ``tick``) and the
-    old file goes, index first. Only days that already have partitions are
+    them, then the parts holding such rows are rewritten without them
+    (:func:`ticklog.erase`). Only days that already have partitions are
     recomputed: a lake that never aggregated keeps none.
 
-    Every crash point heals by re-running the erasure: until the last old
-    file goes, the keys are still found in the log, so their days are
-    recomputed again (idempotent) and the remaining files rewritten; a
-    transient old + new double reference is absorbed by the kernel's LSN
-    dedup."""
-    import glob
-    import uuid
-
-    hits, days = [], set()
-    for idx in sorted(glob.glob(os.path.join(lineage.agglog_dir(), "t*.json"))):
-        pqf = idx[: -len(".json")] + ".parquet"
-        keys_of_file = pq.read_table(pqf, columns=["repo", "path"])
-        if not pc.any(_key_mask(keys_of_file, keys)).as_py():
-            continue
-        t = pq.read_table(pqf)
-        mask = _key_mask(t, keys)
-        hits.append((idx, pqf, t.filter(pc.invert(mask))))
-        erased_ts = t["commit_ts"].filter(mask)
-        days.update(local_day(erased_ts, tz_offset_minutes).to_pylist())
+    Every crash point heals by re-running the erasure: until the last part
+    is rewritten, the keys are still found in the log, so their days are
+    recomputed again (idempotent) and the remaining parts rewritten."""
     have = {os.path.basename(f)[4:-8] for f in lineage.agg_day_files("lang_daily_agg")}
-    recompute_days_from_agglog(
-        lineage, days & have, tz_offset_minutes=tz_offset_minutes, exclude_keys=keys
-    )
-    for idx, pqf, keep in hits:
-        if keep.num_rows:
-            fp = lineage.agglog_part_path(tick, f"e{uuid.uuid4().hex}")
-            write_agglog_file(fp, keep)
-        os.remove(idx)
-        os.remove(pqf)
-    return {"agglog_files_rewritten": len(hits), "days_recomputed": len(days & have)}
+    days: set[str] = set()
+
+    def recompute(subject: list[pa.Table]) -> None:
+        for t in subject:
+            days.update(local_day(t["commit_ts"], tz_offset_minutes).to_pylist())
+        recompute_days_from_agglog(
+            lineage, days & have, tz_offset_minutes=tz_offset_minutes,
+            exclude_keys=keys,
+        )
+
+    rows = ticklog.erase(lineage.lake_dir, ticklog.AGGLOG, keys, before=recompute)
+    return {"agglog_rows_purged": rows, "days_recomputed": len(days & have)}
 
 
 def _day_intermediate(g: pd.DataFrame, metrics: list[MetricSpec]) -> pd.DataFrame:
@@ -323,7 +278,7 @@ def _recompute_chunk(
     )
     log = pa.concat_tables(pq.ParquetFile(f).read_row_group(rg) for f, rg in pairs)
     if exclude_keys:
-        log = log.filter(pc.invert(_key_mask(log, exclude_keys)))
+        log = log.filter(pc.invert(ticklog.key_mask(log, exclude_keys)))
     day = local_day(log.column("commit_ts"), tz_offset_minutes)
     mine = [it["day"] for it in items]
     g = log.drop_columns(["commit_ts"]).append_column("day", day)
@@ -339,12 +294,14 @@ def recompute_days_from_agglog(
     tz_offset_minutes: int = 0,
     metrics: list[MetricSpec] | None = None,
     exclude_keys: list[tuple[str, str]] = (),
+    through_tick: int | None = None,
 ) -> dict:
     """Re-aggregate the given local days (at ``tz_offset_minutes``) from
-    the agg log, without the log rows of ``exclude_keys`` (an erasure's
-    (repo, path) keys); overwrite their partition files. A requested day
-    left with no log row keeps no partition, as in a lake that never saw
-    it.
+    the agg log parts of ticks up to ``through_tick`` (default: the last
+    committed tick; a tick recomputing its own days passes its id), without
+    the log rows of ``exclude_keys`` (an erasure's (repo, path) keys);
+    overwrite their partition files. A requested day left with no log row
+    keeps no partition, as in a lake that never saw it.
 
     No shuffle AT ALL: the log is indexed by UTC day, so the days are cut
     into ``min(days, cluster CPUs)`` contiguous chunks, one task each. A
@@ -354,17 +311,24 @@ def recompute_days_from_agglog(
     and runs the multi-day kernel once (:func:`_reduce_days`: drop
     replayed duplicate LSNs, one vectorized groupby over (day, lang, repo),
     write each day's partition files). A day with no log row is skipped.
-    Crash-attempt double-writes are GC'd by ``gc_agglog_tick``; identical
-    LSNs collapse in the kernel anyway."""
+    A crashed attempt's parts are wiped by the tick redo
+    (``ticklog.begin_tick``); identical LSNs collapse in the kernel anyway."""
     if not days:
         return {"days": 0}
+    for d in days:
+        if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", d):
+            raise ValueError(f"bad day partition: {d!r}")
     metrics = DEFAULT_METRICS if metrics is None else metrics
     need = {d: sorted(_utc_days(d, tz_offset_minutes)) for d in days}
-    # one index pass for all days; it also refuses a malformed requested day
-    day_rgs = lineage.agglog_days_rgs(set(days).union(*need.values()))
+    day_rgs: dict[str, list[tuple[str, int]]] = {}
+    for p in ticklog.parts(
+        lineage.lake_dir, ticklog.AGGLOG, set().union(*need.values()), through_tick
+    ):
+        for rg, u in zip(p["rgs"], p["keys"]):
+            day_rgs.setdefault(u, []).append((p["file"], rg))
     items = []
     for d in sorted(days):
-        rgs = [fr for u in need[d] for fr in day_rgs[u]]
+        rgs = [fr for u in need[d] for fr in day_rgs.get(u, ())]
         if rgs:
             items.append(
                 {"day": d, "files": [f for f, _ in rgs], "rgs": [r for _, r in rgs]}

@@ -22,12 +22,12 @@ Lake layout (lake format ``LAKE_FORMAT``)::
                                      tz_offset_minutes, retained_through_tick,
                                      row counts, kind (ticks that replay no
                                      segment), and the ``lake_format`` stamp
-      _agglog/t000005-<token>.parquet  narrow event log (commit_ts, lang, repo,
-                                       path, op, lsn, nbytes) of one stage-1
-                                       task, sorted by commit_ts: one row
-                                       group per UTC-day run, and
-      _agglog/t000005-<token>.json     its {UTC day: row group} index
       _aggs/<table>/day=YYYY-MM-DD.parquet     per-day aggregate partitions
+
+plus the per-tick logs of ``ticklog.py`` (the change feed, the agg log of
+the daily aggregates and the quarantine): flat directories of immutable
+parts named by tick, each holding one row group per index key (tick or
+UTC day) and its key index in the footer.
 
 ``applied_through_lsn`` is the highest LSN applied (an erasure tick lifts it
 above the log); ``wal_through_lsn`` is the log's own high LSN, which the
@@ -65,8 +65,9 @@ import re
 
 #: version of the lake layout above; bumped when a reader starts to rely on
 #: a field or file layout that an older writer did not produce (2: the agg
-#: log carries commit_ts and is indexed by UTC day)
-LAKE_FORMAT = 2
+#: log carries commit_ts and is indexed by UTC day; 3: the per-tick logs
+#: keep their key index in each part's footer)
+LAKE_FORMAT = 3
 
 #: fields every tick manifest carries (``publish_tick`` enforces them)
 TICK_FIELDS = frozenset(
@@ -325,53 +326,6 @@ class LakeLineage:
                     os.remove(p)
                 except FileNotFoundError:
                     continue  # an exporter's self-delete won the race
-                removed += 1
-        return removed
-
-    # -- narrow agg log (per-day projection of the event stream) --------------
-    #
-    # Layout: one parquet per stage-1 task per tick with one ROW GROUP per
-    # UTC-day run, plus a sidecar ``.json`` index {day: row_group} — the
-    # same indexed-spill-file trick as the data shuffle. A wide-day tick
-    # (full history replay / backfill) writes tasks×1 files instead of
-    # tasks×days tiny ones. Rows carry ``commit_ts``, so a reader derives
-    # any local day from the UTC days it overlaps (aggregates.local_day).
-
-    def agglog_dir(self) -> str:
-        d = os.path.join(self.lake_dir, "_agglog")
-        os.makedirs(d, exist_ok=True)
-        return d
-
-    def agglog_part_path(self, tick: int, token: str) -> str:
-        return os.path.join(self.agglog_dir(), f"t{tick:06d}-{token}.parquet")
-
-    def agglog_days_rgs(self, days: set[str]) -> dict[str, list[tuple[str, int]]]:
-        """(parquet file, row group) pairs holding each day's log rows, from
-        ONE pass over the ``t*.json`` index files for any number of days."""
-        for d in days:
-            if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", d):
-                raise ValueError(f"bad day partition: {d!r}")
-        out: dict[str, list[tuple[str, int]]] = {d: [] for d in days}
-        for idx in sorted(glob.glob(os.path.join(self.agglog_dir(), "t*.json"))):
-            with open(idx) as f:
-                file_days = json.load(f)
-            pqf = idx[: -len(".json")] + ".parquet"
-            for d, rg in file_days.items():
-                if d in out:
-                    out[d].append((pqf, rg))
-        return out
-
-    def gc_agglog_tick(self, tick: int) -> int:
-        """Remove agg-log files written by a crashed attempt of ``tick``
-        (they would otherwise double-count; re-run rewrites them)."""
-        removed = 0
-        pats = [
-            os.path.join(self.lake_dir, "_agglog", f"t{tick:06d}-*"),
-            os.path.join(self.lake_dir, "_agglog", "*.tmp"),
-        ]
-        for pat in pats:
-            for p in glob.glob(pat):
-                os.remove(p)
                 removed += 1
         return removed
 

@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from . import ticklog
 from .apply import DELETED_COL, MergeApplier
 from .lineage import LakeLineage, _atomic_write_json
 from .partitioning import bucket_of
@@ -117,19 +118,20 @@ def _erase_keys_locked(
             d["fold_file"] = prev_man["fold_file"]
         lineage.publish_bucket(d)
         applied += part.num_rows
-    # change data feed: forget the subject in retained history, then tell
-    # downstream consumers to forget too (key-only erase records — the feed
-    # must not republish the data it is erasing). A crash between the purge
-    # and the tick publish loses the erase records for consumers (the redo
-    # wipes the uncommitted dir): like any failed delete-request, erase_keys
-    # MUST be re-run to completion — it is idempotent, and the re-run
-    # re-appends the records under its own committed tick.
-    feed_purged = 0
-    if os.path.isdir(os.path.join(lake_dir, "_changelog")):
-        from .changelog import append_erase_records, purge_keys_from_changelog
+    # the per-tick logs forget the subject: the change data feed's retained
+    # history (then key-only erase records tell downstream consumers to
+    # forget too — the feed must not republish the data it is erasing) and
+    # the quarantine (a bad_op row keeps its key and content). A crash
+    # before the tick publish loses the erase records for consumers (the
+    # redo wipes the uncommitted tick's parts): like any failed
+    # delete-request, erase_keys MUST be re-run to completion — it is
+    # idempotent, and the re-run re-appends the records under its own tick.
+    feed_purged = ticklog.erase(lake_dir, ticklog.FEED, keys)
+    if ticklog.exists(lake_dir, ticklog.FEED):
+        from .changelog import append_erase_records
 
-        feed_purged = purge_keys_from_changelog(lake_dir, keys)
         append_erase_records(lake_dir, tick_id, keys, erase_lsn, target)
+    quarantine_purged = ticklog.erase(lake_dir, ticklog.QUARANTINE, keys)
     # erasure does NOT advance the WAL: only applied_through_lsn moves
     lineage.publish_maintenance_tick(
         last, "erasure", applied_through_lsn=erase_lsn, events=n,
@@ -140,7 +142,7 @@ def _erase_keys_locked(
     # interrupted erasure finishes this, like the feed purge above)
     from .aggregates import erase_from_agglog
 
-    agglog = erase_from_agglog(lineage, keys, tick_id, last["tz_offset_minutes"])
+    agglog = erase_from_agglog(lineage, keys, last["tz_offset_minutes"])
     map_removed = 0
     if erase_map_fields:
         # the GDPR delete-request also removes the subject's pseudonym-map
@@ -173,6 +175,7 @@ def _erase_keys_locked(
         "erase_lsn": erase_lsn,
         "map_rows_removed": map_removed,
         "changelog_rows_purged": feed_purged,
+        "quarantine_rows_purged": quarantine_purged,
         **agglog,
     }
 
@@ -395,128 +398,6 @@ def _rebucket_write_chunk(
                 fold_file=fold_file, fold_through_lsn=fold_hi,
             )
         )
-    return out
-
-
-def compact_agglog(lake_dir: str) -> dict:
-    from .lock import writer_lock
-
-    with writer_lock(lake_dir, "compact-agglog"):
-        return _compact_agglog_locked(lake_dir)
-
-
-def _compact_agglog_locked(lake_dir: str) -> dict:
-    """Consolidate the day-indexed agg log to one file per day.
-
-    The spill stage writes one agg-log file per (tick, stage-1 task), so a
-    long-running lake accumulates O(ticks × tasks) files and every per-day
-    recompute re-opens all of their footers. Compaction rewrites the log to
-    one file per day — O(days) metadata, one footer per day read — through
-    the SAME ``t*.json`` index layout the readers already use. Replayed
-    duplicate LSNs are dropped while rewriting (safe: the recompute kernel
-    dedups by LSN anyway — ``aggregates._day_intermediate``).
-
-    Crash-safe by construction, no marker needed: new files publish
-    parquet-first-index-last, old files are removed only afterwards
-    (index-first), and a transient old+new double-reference is harmless
-    because of the same LSN dedup — re-running compaction after a crash at
-    any point just finishes the job. New files are named under the last
-    COMMITTED tick id: the crashed-tick redo gc (``gc_agglog_tick``) only
-    ever wipes an *uncommitted* tick's files, so it can never eat them.
-
-    Offline admin op (like :func:`rebucket`): run it between ticks, not
-    concurrently with a replay. Days are independent: ``min(days, CPUs)``
-    tasks each rewrite a contiguous chunk of them; at cluster scale a hot
-    day would be sharded into several row groups by key hash — the index
-    layout already supports many (file, rg) per day.
-    """
-    import glob
-    import json
-    import uuid
-
-    from .partitioning import run_tasks
-
-    lineage = LakeLineage(lake_dir)
-    last = lineage.last_tick()
-    if last is None:
-        return {"days": 0, "files_removed": 0}
-    tick_id = last["tick"]
-    agdir = lineage.agglog_dir()
-
-    old_indexes = sorted(glob.glob(os.path.join(agdir, "t*.json")))
-    days: set[str] = set()
-    for idx in old_indexes:
-        with open(idx) as f:
-            days.update(json.load(f).keys())
-
-    items = []
-    keep_parquets: set[str] = set()
-    all_rgs = lineage.agglog_days_rgs(days)  # one index pass for all days
-    for d in sorted(days):
-        rgs = all_rgs.get(d, [])
-        if len(rgs) == 1 and rgs[0][1] == 0:
-            # already one single-day file — skip iff its index holds only
-            # this day (otherwise the file still interleaves other days)
-            with open(rgs[0][0][: -len(".parquet")] + ".json") as f:
-                if list(json.load(f).keys()) == [d]:
-                    keep_parquets.add(rgs[0][0])
-                    continue
-        items.append(
-            {
-                "day": d,
-                "files": [f for f, _ in rgs],
-                "rgs": [r for _, r in rgs],
-                "out": os.path.join(
-                    agdir, f"t{tick_id:06d}-c{uuid.uuid4().hex[:8]}-{d}.parquet"
-                ),
-            }
-        )
-    if not items:
-        return {"days": 0, "files_removed": 0}
-    keep_parquets.update(it["out"] for it in items)
-
-    rows = run_tasks(_compact_day_chunk, items)
-
-    # cleanup: every day was rewritten, so every snapshot source file is now
-    # redundant. Index json first (unreferences the parquet), parquet after.
-    removed = 0
-    for idx in old_indexes:
-        pqf = idx[: -len(".json")] + ".parquet"
-        if pqf in keep_parquets:
-            continue
-        os.remove(idx)
-        if os.path.exists(pqf):
-            os.remove(pqf)
-        removed += 1
-    return {
-        "days": len(items),
-        "rows": sum(rows),
-        "files_removed": removed,
-    }
-
-
-
-def _compact_day_chunk(items: list[dict]) -> list[int]:
-    """Agg-log compaction task: each day of the chunk rewritten as one
-    file without replayed duplicate LSNs; returns rows written per day."""
-    import numpy as np
-
-    from .aggregates import write_agglog_file
-
-    out = []
-    for it in items:
-        t = pa.concat_tables(
-            pq.ParquetFile(f).read_row_group(rg) for f, rg in zip(it["files"], it["rgs"])
-        )
-        lsns = t["lsn"].to_numpy()
-        _, first = np.unique(lsns, return_index=True)
-        if len(first) < len(lsns):
-            t = t.take(pa.array(np.sort(first)))
-        # the log's one writer: a UTC day's rows are one run, so the file
-        # is one row group however large, indexed {day: 0} (index last —
-        # readers discover the file through it)
-        write_agglog_file(it["out"], t)
-        out.append(t.num_rows)
     return out
 
 

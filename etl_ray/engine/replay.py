@@ -29,10 +29,9 @@ import time
 from dataclasses import dataclass
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..wal import WalInfo
-from . import aggregates
+from . import aggregates, ticklog
 from .apply import deltas_to_state_shape
 from .dedup import last_writer
 from .enrich import LangEnricher
@@ -280,7 +279,7 @@ class ReplayEngine:
         # self would drag along the WAL manifest
         lineage = self.lineage
         folds_active = bool(self.folds)
-        qdir = os.path.join(self.lake_dir, "_quarantine", f"tick-{tick_id:06d}")
+        lake_dir = self.lake_dir
 
         from .partitioning import spill_buckets
 
@@ -307,14 +306,12 @@ class ReplayEngine:
             from .quality import split_valid
 
             batch, bad = split_valid(batch)
-            if bad.num_rows:
-                # bad rows are ROUTED, not dropped (event_quality semantics):
-                # per-tick quarantine side table, redone atomically with the
-                # tick (the whole dir is wiped on a crash-redo)
-                os.makedirs(qdir, exist_ok=True)
-                qf = os.path.join(qdir, f"part-{uuid.uuid4().hex}.parquet")
-                pq.write_table(bad, qf + ".tmp", compression="zstd")
-                os.replace(qf + ".tmp", qf)
+            # bad rows are ROUTED, not dropped (event_quality semantics): the
+            # per-tick quarantine log, wiped with the tick on a crash-redo
+            ticklog.write(
+                lake_dir, ticklog.QUARANTINE, tick_id, uuid.uuid4().hex, bad,
+                pa.repeat(tick_id, bad.num_rows),
+            )
             if batch.num_rows == 0:
                 return empty_desc
             batch = enrich(batch)
@@ -438,25 +435,16 @@ class ReplayEngine:
         self.lineage.recover()  # roll back any crashed rebucket attempt
         self.lineage.gc(self.retain_ticks)  # drop uncommitted staging from any crashed run
 
-        self.lineage.gc_agglog_tick(tick_id)  # crashed-attempt agg-log files
-        import shutil as _shutil
-
-        # crashed-attempt quarantine files: the dir is rebuilt with the tick
-        _shutil.rmtree(
-            os.path.join(self.lake_dir, "_quarantine", f"tick-{tick_id:06d}"),
-            ignore_errors=True,
-        )
-        # crashed-attempt changelog parts: keep them iff this redo is the
-        # same attempt (a crash between bucket-manifest publications leaves
-        # some buckets' feed rows ONLY in those parts — see prepare_tick_dir)
-        from .changelog import prepare_tick_dir
-
-        prepare_tick_dir(
-            self.lake_dir,
-            tick_id,
-            segments=[s["seqno"] for s in segs],
-            num_buckets=self.num_buckets,
-            enabled=self.emit_changelog,
+        # crashed-attempt log parts: the agg log and the quarantine are
+        # rebuilt with the tick; the feed keeps them iff this redo is the
+        # same attempt (see ticklog.begin_tick)
+        ticklog.begin_tick(self.lake_dir, ticklog.AGGLOG, tick_id)
+        ticklog.begin_tick(self.lake_dir, ticklog.QUARANTINE, tick_id)
+        ticklog.begin_tick(
+            self.lake_dir, ticklog.FEED, tick_id,
+            {"segments": [s["seqno"] for s in segs], "num_buckets": self.num_buckets}
+            if self.emit_changelog
+            else None,
         )
 
         target = target_schema_for(segs)
@@ -483,23 +471,12 @@ class ReplayEngine:
             print(f"[etl-ray] tick setup: {time.perf_counter() - t0:.2f}s", flush=True)
         manifests = self._spill_apply(ds, tick_id, schema_ser)
 
-        # quarantined-row count for the tick manifest (footer metadata only)
-        import glob as _glob
-
-        quarantined = 0
-        for qf in _glob.glob(
-            os.path.join(self.lake_dir, "_quarantine", f"tick-{tick_id:06d}", "*.parquet")
-        ):
-            quarantined += pq.ParquetFile(qf).metadata.num_rows
-
-        changelog_rows = 0
-        if self.emit_changelog:
-            from .changelog import changelog_tick_dir
-
-            for cf in _glob.glob(
-                os.path.join(changelog_tick_dir(self.lake_dir, tick_id), "*.parquet")
-            ):
-                changelog_rows += pq.ParquetFile(cf).metadata.num_rows
+        quarantined = ticklog.rows(self.lake_dir, ticklog.QUARANTINE, tick_id)
+        changelog_rows = (
+            ticklog.rows(self.lake_dir, ticklog.FEED, tick_id)
+            if self.emit_changelog
+            else 0
+        )
 
         # ---- data-quality gate: runs BEFORE anything is published, so a
         # failing mandatory check leaves the previous tick fully
@@ -546,7 +523,8 @@ class ReplayEngine:
             t_ag = time.perf_counter()
             days = aggregates.days_of_segments(segs, self.tz_offset_minutes)
             aggregates.recompute_days_from_agglog(
-                self.lineage, days, tz_offset_minutes=self.tz_offset_minutes
+                self.lineage, days, tz_offset_minutes=self.tz_offset_minutes,
+                through_tick=tick_id,
             )
             if os.environ.get("ETL_RAY_DEBUG"):
                 print(
@@ -610,9 +588,7 @@ class ReplayEngine:
         )
         self.lineage.gc(self.retain_ticks)
         if self.changelog_retain is not None:
-            from .changelog import gc_changelog as _gc_cl
-
-            _gc_cl(self.lake_dir, drop_below_tick=tick_id - self.changelog_retain)
+            ticklog.drop_below(self.lake_dir, ticklog.FEED, tick_id - self.changelog_retain)
         if os.environ.get("ETL_RAY_DEBUG"):
             print(f"[etl-ray] tick total: {time.perf_counter() - t0:.2f}s", flush=True)
         import shutil

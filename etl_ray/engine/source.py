@@ -111,12 +111,11 @@ def read_segments_indexed(
 
 
 def parts_dataset(parts: list[dict], columns: list[str] | None = None):
-    """LAZY Ray Dataset over change-feed parts (``changelog.read_changelog``
-    streams it; the feed fold and audit spill it):
-    ``min(parts, cluster CPUs)`` blocks, each task reading its contiguous
-    chunk of parts — whole files, or a compacted run's indexed row
-    groups — aligned to the parts' unified schema (mid-stream
-    evolution)."""
+    """LAZY Ray Dataset over per-tick log parts (``ticklog.parts``; the
+    change feed streams it, the feed fold and audit spill it, the
+    quarantine export writes it): ``min(parts, cluster CPUs)`` blocks, each
+    task reading its contiguous chunk of parts' indexed row groups aligned
+    to the parts' unified schema (mid-stream evolution)."""
     from .partitioning import fan_out
 
     if not parts:
@@ -137,10 +136,7 @@ def parts_dataset(parts: list[dict], columns: list[str] | None = None):
                 if columns
                 else None
             )
-            if row["rgs"] is None:
-                t = pf.read(columns=cols)
-            else:
-                t = pf.read_row_groups([int(r) for r in row["rgs"]], columns=cols)
+            t = pf.read_row_groups([int(r) for r in row["rgs"]], columns=cols)
             pf.close()
             yield align_to(t, uni).select(uni.names)
 

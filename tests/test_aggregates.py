@@ -7,6 +7,7 @@ import os
 import shutil
 
 import pandas as pd
+import pytest
 
 from etl_ray.engine import ReplayEngine
 from etl_ray.engine.aggregates import read_agg
@@ -523,3 +524,25 @@ def test_recompute_aggs_cli_reads_the_log(ray_session, small_wal, tmp_path, caps
         exp[exp["day"] == day].reset_index(drop=True),
         check_dtype=False,
     )
+
+
+def test_recompute_reads_only_committed_ticks(ray_session, tmp_path):
+    """A day recompute outside a tick (``recompute-aggs``, erase) reads the
+    agg log only through the last committed tick: a crashed tick's log
+    parts do not count until its redo commits them."""
+    from etl_ray.engine.aggregates import days_of_segments, recompute_days_from_agglog
+
+    wal = _small_log(tmp_path / "wal", seed=9)
+    lake = str(tmp_path / "lake")
+    kw = dict(num_buckets=4, concurrency=2)
+    ReplayEngine(wal.wal_dir, lake, **kw).tick(len(wal.segments) - 1)
+    lin = LakeLineage(lake)
+    committed = {t: read_agg(lin, t).to_pandas() for t in ("lang_daily_agg", "repo_daily_agg")}
+
+    crashy = ReplayEngine(wal.wal_dir, lake, fail_after_buckets=0, **kw)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        crashy.tick()
+    days = days_of_segments(wal.segments[-1:])
+    recompute_days_from_agglog(lin, days)
+    for t, exp in committed.items():
+        pd.testing.assert_frame_equal(read_agg(lin, t).to_pandas(), exp)

@@ -5,14 +5,14 @@ feed; GDPR erasure purges the subject from feed history; retention GC."""
 
 from __future__ import annotations
 
-import glob
 import os
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from etl_ray.engine import ReplayEngine
+from etl_ray.engine import ReplayEngine, ticklog
 from etl_ray.engine.export import final_state
 
 
@@ -25,13 +25,8 @@ def _feed_df(lake: str, **kw) -> pd.DataFrame:
     frames = []
     for p in parts:
         pf = pq.ParquetFile(p["file"])
-        t = (
-            pf.read()
-            if p["rgs"] is None
-            else pf.read_row_groups([int(r) for r in p["rgs"]])
-        )
+        frames.append(pf.read_row_groups(p["rgs"]).to_pandas())
         pf.close()
-        frames.append(t.to_pandas())
     df = pd.concat(frames, ignore_index=True)
     return df.sort_values(["tick", "lsn", "repo", "path"]).reset_index(drop=True)
 
@@ -167,8 +162,7 @@ def test_feed_retention_gc(ray_session, small_wal, tmp_path):
     )
     res = eng.replay_all(segments_per_tick=1)
     assert len(res) >= 3
-    dirs = sorted(glob.glob(os.path.join(lake, "_changelog", "t*")))
-    kept = [int(os.path.basename(d)[1:]) for d in dirs]
+    kept = sorted({k for p in ticklog.parts(lake, ticklog.FEED) for k in p["keys"]})
     last = res[-1].tick
     assert kept and min(kept) >= last - 1, kept
 
@@ -196,11 +190,9 @@ def test_fold_feed_dataset_equals_state(feed_lake):
 
 
 def test_purge_distributed_path(ray_session, small_wal, tmp_path):
-    """The >64-files fan-out path of purge_keys_from_changelog removes the
-    same rows the serial path does (driven directly on a lake copy)."""
+    """The feed erasure (one ``run_tasks`` path for any part count) removes
+    exactly the subjects' rows that a lake copy holds, and nothing else."""
     import shutil
-
-    import etl_ray.engine.changelog as cl
 
     lake = str(tmp_path / "lake")
     ReplayEngine(
@@ -212,36 +204,15 @@ def test_purge_distributed_path(ray_session, small_wal, tmp_path):
     lake2 = str(tmp_path / "lake2")
     shutil.copytree(lake, lake2)
 
-    n_serial = cl.purge_keys_from_changelog(lake, victims)
-    files = len(
-        __import__("glob").glob(os.path.join(lake2, "_changelog", "t*", "*.parquet"))
+    removed = ticklog.erase(lake, ticklog.FEED, victims)
+    before = _feed_df(lake2)
+    hit = pd.Series(
+        [tuple(r) in set(victims) for r in before[["repo", "path"]].to_numpy()]
     )
-    assert files > 0
-    # call the internals the way the >64 branch would
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-
-    want = [f"{r}\x1f{p}" for r, p in victims]
-
-    def purge_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        w = pa.array(want)
-        return pd.DataFrame(
-            {"removed": [sum(cl._purge_file(f, w) for f in batch["file"])]}
-        )
-
-    fl = sorted(
-        __import__("glob").glob(os.path.join(lake2, "_changelog", "t*", "*.parquet"))
+    assert removed == int(hit.sum()) > 0
+    pd.testing.assert_frame_equal(
+        _feed_df(lake), before[~hit.to_numpy()].reset_index(drop=True)
     )
-    res = (
-        ray.data.from_items([{"file": f} for f in fl])
-        .map_batches(purge_batch, batch_format="pandas", batch_size=4)
-        .to_pandas()
-    )
-    assert int(res["removed"].sum()) == n_serial
-    a = _feed_df(lake).drop(columns=[]).reset_index(drop=True)
-    b = _feed_df(lake2).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
 
 
 def test_feed_tick_range_filters(feed_lake):
@@ -361,17 +332,14 @@ def test_ranged_fold_keeps_delete_markers(feed_lake):
 
 def test_compact_feed(ray_session, small_wal, tmp_path):
     """VERDICT r3 #8: `compact --feed` merges per-(tick, bucket) parts into
-    per-bucket runs (one row group per tick + sidecar index) with NO change
-    to what consumers see: full and tick-ranged reads identical, fold still
-    equals live state, retention/audit/erasure still work, re-run no-ops."""
-    import numpy as np
-
+    fewer parts (one row group per tick, indexed in the footer) with NO
+    change to what consumers see: full and tick-ranged reads identical, fold
+    still equals live state, retention/audit/erasure still work, re-run
+    no-ops."""
     from etl_ray.engine.changelog import (
-        compact_changelog,
         committed_changelog_parts,
         feed_covers_from_start,
         fold_feed,
-        gc_changelog,
     )
 
     lake = str(tmp_path / "lake")
@@ -385,12 +353,13 @@ def test_compact_feed(ray_session, small_wal, tmp_path):
 
     before = canon(_feed_df(lake))
     ranged_before = canon(_feed_df(lake, from_tick=1, to_tick=2))
-    n_small = len(glob.glob(os.path.join(lake, "_changelog", "t*", "*.parquet")))
+    n_small = len(ticklog.parts(lake, ticklog.FEED))
 
-    res = compact_changelog(lake)
-    assert res["ticks"] >= 3 and res["files_merged"] == n_small
-    assert not glob.glob(os.path.join(lake, "_changelog", "t*")), "tick dirs absorbed"
-    n_after = len(glob.glob(os.path.join(lake, "_changelog", "c*-*", "*.parquet")))
+    res = ticklog.compact(lake, ticklog.FEED)
+    assert res["keys"] >= 3 and res["parts_merged"] == n_small
+    n_after = len(ticklog.parts(lake, ticklog.FEED))
+    on_disk = os.listdir(os.path.join(lake, "_changelog"))
+    assert len(on_disk) == n_after, f"tick parts absorbed: {on_disk}"
     assert n_after < n_small, "fewer files is the point"
 
     pd.testing.assert_frame_equal(canon(_feed_df(lake)), before)
@@ -425,9 +394,7 @@ def test_compact_feed(ray_session, small_wal, tmp_path):
 
     # GDPR purge rewrites compacted groups and keeps the index exact
     subj = (str(before["repo"].iloc[0]), str(before["path"].iloc[0]))
-    from etl_ray.engine.changelog import purge_keys_from_changelog
-
-    removed = purge_keys_from_changelog(lake, [subj])
+    removed = ticklog.erase(lake, ticklog.FEED, [subj])
     assert removed > 0
     after_purge = _feed_df(lake)
     hit = (after_purge["repo"] == subj[0]) & (after_purge["path"] == subj[1])
@@ -439,10 +406,87 @@ def test_compact_feed(ray_session, small_wal, tmp_path):
         ].reset_index(drop=True),
     )
 
-    # second compact is a no-op; retention drops the run only when its
-    # whole range is below the cutoff
-    assert compact_changelog(lake)["ticks"] == 0
+    # second compact is a no-op; retention drops a compacted part only when
+    # its whole range is below the cutoff
+    assert ticklog.compact(lake, ticklog.FEED)["keys"] == 0
+    spans = {
+        p["file"]: (min(p["keys"]), max(p["keys"]))
+        for p in ticklog.parts(lake, ticklog.FEED)
+    }
+    straddler, (_, cut) = next((f, s) for f, s in spans.items() if s[0] < s[1])
+    dropped = ticklog.drop_below(lake, ticklog.FEED, cut)
+    assert dropped == sum(top < cut for _, top in spans.values())
+    assert os.path.exists(straddler)
     hi = lin.last_tick()["tick"]
-    assert gc_changelog(lake, drop_below_tick=hi) == 0
-    assert gc_changelog(lake, drop_below_tick=hi + 1) == 1
+    assert ticklog.drop_below(lake, ticklog.FEED, hi + 1) == n_after - dropped
     assert committed_changelog_parts(lake) == []
+
+
+def test_erase_heals_a_crash_mid_purge_of_a_compacted_feed(
+    ray_session, tmp_path, monkeypatch
+):
+    """A crash right after an erasure renames a rewritten compacted feed
+    part must not tear the part from its tick index: the subject is a
+    tick's only row of its bucket, so the part's row groups shift. A re-run
+    of the erasure then leaves full and ranged reads equal to an uncrashed
+    erasure's."""
+    import shutil
+
+    import ray
+
+    from etl_ray.__main__ import main
+    from etl_ray.engine import partitioning
+    from etl_ray.engine.changelog import read_changelog
+    from etl_ray.engine.maintenance import erase_keys
+    from etl_ray.engine.partitioning import bucket_of
+    from etl_ray.wal import generate_wal
+
+    # small ticks over many buckets: most buckets get a row or two a tick
+    wal = generate_wal(
+        str(tmp_path / "wal"), seed=13, n_events=1_200, n_repos=8,
+        paths_per_repo=60, segment_rows=200, content_min=16, content_max=64,
+        days_span=3,
+    )
+    lake = str(tmp_path / "lake")
+    ReplayEngine(
+        wal.wal_dir, lake, num_buckets=32, concurrency=2, emit_changelog=True
+    ).replay_all(segments_per_tick=1)
+    assert main(["compact", "--lake", lake, "--feed"]) == 0
+    feed = _feed_df(lake)
+    feed["bucket"] = bucket_of(
+        pa.array(feed["repo"]), pa.array(feed["path"]), 32
+    ).to_numpy()
+    alone = feed.groupby(["tick", "bucket"]).filter(lambda g: len(g) == 1)
+    assert len(alone), "fixture needs a tick whose bucket holds one feed row"
+    subject = (alone["repo"].iloc[0], alone["path"].iloc[0])
+
+    clean = str(tmp_path / "clean")
+    shutil.copytree(lake, clean)
+    erase_keys(clean, [subject])
+
+    # run the feed's tasks in process, and crash right after the first
+    # rename that publishes a rewritten feed part
+    monkeypatch.setattr(
+        partitioning, "task_refs",
+        lambda fn, chunks, *a: [ray.put(fn(c, *a)) for c in chunks],
+    )
+    real_replace = os.replace
+
+    def crash_after_feed_rename(src, dst, *a, **kw):
+        real_replace(src, dst, *a, **kw)
+        if os.path.join(lake, "_changelog") in str(dst) and str(dst).endswith(".parquet"):
+            raise RuntimeError("crash after the feed part rename")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", crash_after_feed_rename)
+        with pytest.raises(RuntimeError, match="crash after the feed part rename"):
+            erase_keys(lake, [subject])
+    erase_keys(lake, [subject])
+
+    def canon(df):
+        return df.sort_values(sorted(c for c in df.columns if c != "content")).reset_index(drop=True)
+
+    for rng in ((None, None), (1, 2)):
+        got = canon(read_changelog(lake, *rng).to_pandas())
+        exp = canon(read_changelog(clean, *rng).to_pandas())
+        pd.testing.assert_frame_equal(got, exp)

@@ -113,11 +113,7 @@ def test_follow_with_live_feed_consumer(ray_session, small_wal, tmp_path):
 
     feed = pd.concat(
         [
-            (
-                pq.read_table(p["file"])
-                if p["rgs"] is None
-                else pq.ParquetFile(p["file"]).read_row_groups(p["rgs"])
-            ).to_pandas()
+            pq.ParquetFile(p["file"]).read_row_groups(p["rgs"]).to_pandas()
             for p in committed_changelog_parts(lake)
         ],
         ignore_index=True,

@@ -19,16 +19,11 @@ import re
 import pyarrow.parquet as pq
 import pytest
 
-from etl_ray.engine import ReplayEngine
+from etl_ray.engine import ReplayEngine, ticklog
 from etl_ray.engine.apply import MANIFEST_SCHEMA, bucket_files, schema_from_b64
 from etl_ray.engine.export import final_state
 from etl_ray.engine.lineage import LakeLineage
-from etl_ray.engine.maintenance import (
-    compact_agglog,
-    compact_tombstones,
-    erase_keys,
-    rebucket,
-)
+from etl_ray.engine.maintenance import compact_tombstones, erase_keys, rebucket
 from etl_ray.engine.schema_evo import unify_schemas
 
 ENGINE = pathlib.Path(__file__).resolve().parents[1] / "etl_ray" / "engine"
@@ -118,8 +113,8 @@ def test_every_writer_emits_the_whole_format(
     _assert_whole_format(lake, "erase_keys", published)
     compact_tombstones(lake, lateness_bound=0)
     _assert_whole_format(lake, "compact_tombstones", published)
-    compact_agglog(lake)
-    _assert_whole_format(lake, "compact_agglog", published, publishes=False)
+    ticklog.compact(lake, ticklog.AGGLOG)
+    _assert_whole_format(lake, "ticklog.compact", published, publishes=False)
     rebucket(lake, 5)
     _assert_whole_format(lake, "rebucket", published)
     # maintenance ticks carry the lake's settings forward
@@ -176,23 +171,26 @@ def test_unstamped_lake_is_refused(ray_session, small_wal, tmp_path):
         )
 
 
-def test_format_1_lake_is_refused(tmp_path):
+@pytest.mark.parametrize("old", [1, 2])
+def test_format_1_lake_is_refused(tmp_path, old):
     """Format 2 changed the agg-log layout (commit_ts rows indexed by UTC
-    day), so a lake stamped with format 1 is refused like an unstamped one."""
+    day) and format 3 the per-tick logs (one flat directory per log, key
+    index in each part's footer), so a lake stamped with an older format
+    is refused like an unstamped one."""
     from etl_ray.engine import lineage
 
-    assert lineage.LAKE_FORMAT == 2
+    assert lineage.LAKE_FORMAT == 3
     lin = LakeLineage(str(tmp_path / "lake"))
     lin.publish_tick({**dict.fromkeys(lineage.TICK_FIELDS, 0), "segments": []})
-    assert lin.last_tick()["lake_format"] == 2
+    assert lin.last_tick()["lake_format"] == 3
     path = os.path.join(lin.ticks_dir, "tick-000000.json")
     with open(path) as f:
         tick = json.load(f)
     with open(path, "w") as f:
-        json.dump({**tick, "lake_format": 1}, f)
-    with pytest.raises(ValueError, match=f"{FORMAT_MSG} 2"):
+        json.dump({**tick, "lake_format": old}, f)
+    with pytest.raises(ValueError, match=f"{FORMAT_MSG} 3"):
         lin.last_tick()
-    with pytest.raises(ValueError, match=f"{FORMAT_MSG} 2"):
+    with pytest.raises(ValueError, match=f"{FORMAT_MSG} 3"):
         lin.all_ticks()
 
 

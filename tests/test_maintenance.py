@@ -174,17 +174,23 @@ def test_erase_map_field_validation(ray_session, small_wal, tmp_path):
     assert res["map_rows_removed"] >= 1
 
 
+def _day_slots(lake: str) -> list:
+    """Each readable (part, row group) of the agg log, as its UTC day."""
+    from etl_ray.engine import ticklog
+
+    return sorted(k for p in ticklog.parts(lake, ticklog.AGGLOG) for k in p["keys"])
+
+
 def test_compact_agglog(ray_session, small_wal, tmp_path):
-    """Agg-log compaction: one file per day, aggregates identical after,
-    crash-window double-reference harmless, and a second run is a no-op."""
-    import glob as _glob
-    import json as _json
+    """Agg-log compaction: each day in exactly one row group of one part,
+    aggregates identical after, an old part surviving its replacement
+    harmless, and a second run removes it."""
     import os
     import shutil as _shutil
 
+    from etl_ray.engine import ticklog
     from etl_ray.engine.aggregates import read_agg, recompute_days_from_agglog
     from etl_ray.engine.lineage import LakeLineage
-    from etl_ray.engine.maintenance import compact_agglog
 
     lake = str(tmp_path / "lake")
     ReplayEngine(small_wal.wal_dir, lake, num_buckets=8, concurrency=2).replay_all(
@@ -203,31 +209,30 @@ def test_compact_agglog(ray_session, small_wal, tmp_path):
 
     before = aggs()
     days = sorted(before["lang_daily_agg"]["day"].unique())
+    old = ticklog.parts(lake, ticklog.AGGLOG)[0]["file"]
+    saved = str(tmp_path / "old.parquet")
+    _shutil.copy(old, saved)
 
-    res = compact_agglog(lake)
-    assert res["days"] == len(days)
-    files = _glob.glob(os.path.join(lake, "_agglog", "t*.parquet"))
-    assert len(files) == len(days)
+    res = ticklog.compact(lake, ticklog.AGGLOG)
+    assert res["keys"] == len(days)
+    assert _day_slots(lake) == days
+    assert not os.path.exists(old)
 
     recompute_days_from_agglog(lin, set(days))
     after = aggs()
     for t in before:
         pd.testing.assert_frame_equal(before[t], after[t], check_dtype=False)
 
-    # crash window: an old file surviving next to its replacement (cleanup
-    # died mid-way) double-references rows — LSN dedup must absorb it
-    f0 = sorted(files)[0]
-    dup = f0.replace("-c", "-cdup")
-    _shutil.copy(f0, dup)
-    with open(f0[: -len(".parquet")] + ".json") as f:
-        _json_idx = _json.load(f)
-    with open(dup[: -len(".parquet")] + ".json", "w") as f:
-        _json.dump(_json_idx, f)
+    # crash window: an old part surviving next to its replacement (cleanup
+    # died mid-way) — the replacement's footer hides it from every read
+    _shutil.copy(saved, old)
+    assert _day_slots(lake) == days
     recompute_days_from_agglog(lin, set(days))
     assert aggs()["lang_daily_agg"].equals(after["lang_daily_agg"])
     # a re-run of compaction finishes the interrupted cleanup
-    compact_agglog(lake)
-    assert len(_glob.glob(os.path.join(lake, "_agglog", "t*.parquet"))) == len(days)
+    ticklog.compact(lake, ticklog.AGGLOG)
+    assert not os.path.exists(old)
+    assert _day_slots(lake) == days
     recompute_days_from_agglog(lin, set(days))
     for t in before:
         pd.testing.assert_frame_equal(before[t], aggs()[t], check_dtype=False)
@@ -241,15 +246,15 @@ def test_compact_agglog_then_continue_replay(ray_session, small_wal, tmp_path):
     import glob as _glob
     import os
 
+    from etl_ray.engine import ticklog
     from etl_ray.engine.aggregates import read_agg
     from etl_ray.engine.lineage import LakeLineage
-    from etl_ray.engine.maintenance import compact_agglog
 
     def run(lake, compact_midway):
         eng = ReplayEngine(small_wal.wal_dir, lake, num_buckets=8, concurrency=2)
         eng.replay_all(segments_per_tick=1)
         if compact_midway:
-            compact_agglog(lake)
+            ticklog.compact(lake, ticklog.AGGLOG)
         # roll the watermark back two segments → the next tick re-applies them
         last = eng.lineage.last_tick()
         eng.lineage.publish_tick(
@@ -270,43 +275,38 @@ def test_compact_agglog_then_continue_replay(ray_session, small_wal, tmp_path):
 
 
 def test_compact_agglog_day_over_one_rowgroup(ray_session, small_wal, tmp_path):
-    """ADVICE r3 (medium): a compacted day file larger than pyarrow's default
+    """ADVICE r3 (medium): a compacted day larger than pyarrow's default
     ~1M-row row-group split must still be FULLY readable through its
-    {day: 0} index — otherwise every row past the first group silently
-    vanishes from the daily aggregates after `compact --agglog`."""
-    import glob as _glob
-    import json as _json
-    import os
-
+    one-row-group index entry — otherwise every row past the first group
+    silently vanishes from the daily aggregates after `compact --agglog`."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from etl_ray.engine import ticklog
     from etl_ray.engine.lineage import LakeLineage
-    from etl_ray.engine.maintenance import compact_agglog
 
     lake = str(tmp_path / "lake")
     ReplayEngine(small_wal.wal_dir, lake, num_buckets=8, concurrency=2).replay_all()
     lin = LakeLineage(lake)
 
     # pick a real day and count its current log rows
-    some_idx = sorted(_glob.glob(os.path.join(lake, "_agglog", "t*.json")))[0]
-    with open(some_idx) as f:
-        day = sorted(_json.load(f).keys())[0]
+    day = _day_slots(lake)[0]
+    day_parts = ticklog.parts(lake, ticklog.AGGLOG, {day})
     # compaction dedups replayed duplicate LSNs — expect the UNIQUE count
     base_rows = len(
         {
             lsn
-            for f, rg in lin.agglog_days_rgs({day})[day]
-            for lsn in (
-                pq.read_table(f) if rg < 0 else pq.ParquetFile(f).read_row_group(rg)
-            )["lsn"].to_pylist()
+            for p in day_parts
+            for lsn in pq.ParquetFile(p["file"]).read_row_groups(p["rgs"])[
+                "lsn"
+            ].to_pylist()
         }
     )
 
     # synthesize a 1.2M-row single-row-group log part for that day with
     # fresh (non-duplicate) LSNs, matching the live schema
-    schema = pq.read_schema(some_idx[: -len(".json")] + ".parquet")
+    schema = pq.read_schema(day_parts[0]["file"]).remove_metadata()
     n = 1_200_000
     lsn0 = 10**9
     cols = {}
@@ -315,8 +315,6 @@ def test_compact_agglog_day_over_one_rowgroup(ray_session, small_wal, tmp_path):
             cols[fld.name] = pa.array(
                 np.arange(lsn0, lsn0 + n, dtype=np.int64)
             ).cast(fld.type)
-        elif fld.name == "day":
-            cols[fld.name] = pa.array([day] * n).cast(fld.type)
         elif pa.types.is_timestamp(fld.type):
             cols[fld.name] = pa.array(np.full(n, np.datetime64(day, "us"))).cast(fld.type)
         elif pa.types.is_integer(fld.type) or pa.types.is_floating(fld.type):
@@ -324,16 +322,14 @@ def test_compact_agglog_day_over_one_rowgroup(ray_session, small_wal, tmp_path):
         else:
             cols[fld.name] = pa.array(["x"] * n).cast(fld.type)
     big = pa.table(cols).cast(schema)
-    bigp = os.path.join(lake, "_agglog", "t000999-bigday.parquet")
-    pq.write_table(big, bigp, row_group_size=n)
-    with open(bigp[: -len(".parquet")] + ".json", "w") as f:
-        _json.dump({day: 0}, f)
+    tick = lin.last_tick()["tick"]
+    ticklog.write(lake, ticklog.AGGLOG, tick, "bigday", big, pa.repeat(day, n))
 
-    compact_agglog(lake)
+    ticklog.compact(lake, ticklog.AGGLOG)
 
-    rgs = lin.agglog_days_rgs({day})[day]
-    assert len(rgs) == 1 and rgs[0][1] == 0
-    got = pq.ParquetFile(rgs[0][0]).read_row_group(0).num_rows
+    (p,) = ticklog.parts(lake, ticklog.AGGLOG, {day})
+    assert len(p["rgs"]) == 1
+    got = pq.ParquetFile(p["file"]).metadata.row_group(p["rgs"][0]).num_rows
     assert got == base_rows + n, f"lost {base_rows + n - got} rows past rg 0"
 
 
@@ -380,7 +376,7 @@ def test_erase_scrubs_agglog_and_recomputes_days(ray_session, small_wal, tmp_pat
     assert counts["lsn_count"][0].as_py() > 1
 
     res = erase_keys(lake, victims)
-    assert res["agglog_files_rewritten"] > 0 and res["days_recomputed"] > 0
+    assert res["agglog_rows_purged"] > 0 and res["days_recomputed"] > 0
     log = _agglog(lake)
     assert not set(zip(log["repo"].to_pylist(), log["path"].to_pylist())) & set(victims)
 
@@ -393,7 +389,7 @@ def test_erase_scrubs_agglog_and_recomputes_days(ray_session, small_wal, tmp_pat
         )
     # the erasure is idempotent: a re-run finds nothing left to scrub
     again = erase_keys(lake, victims)
-    assert again["agglog_files_rewritten"] == 0
+    assert again["agglog_rows_purged"] == 0
 
 
 def test_compact_agglog_does_not_grow_the_log(ray_session, small_wal, tmp_path):
@@ -403,9 +399,9 @@ def test_compact_agglog_does_not_grow_the_log(ray_session, small_wal, tmp_path):
     import glob as _glob
     import os
 
+    from etl_ray.engine import ticklog
     from etl_ray.engine.aggregates import recompute_days_from_agglog
     from etl_ray.engine.lineage import LakeLineage
-    from etl_ray.engine.maintenance import compact_agglog
 
     def log_bytes() -> int:
         return sum(
@@ -417,7 +413,7 @@ def test_compact_agglog_does_not_grow_the_log(ray_session, small_wal, tmp_path):
         segments_per_tick=1
     )
     before, size = _daily(lake), log_bytes()
-    assert compact_agglog(lake)["days"] > 0
+    assert ticklog.compact(lake, ticklog.AGGLOG)["keys"] > 0
     assert log_bytes() <= size
     for f in _glob.glob(os.path.join(lake, "_agglog", "t*.parquet")):
         ts = _agglog_file_ts(f)

@@ -111,7 +111,6 @@ def test_audit_feed_consistency(ray_session, small_wal, tmp_path):
     """The offline audit's feed_consistency check: passes on a healthy
     feed-enabled lake, flags a forged feed divergence, and skips silently
     when the feed is absent/incomplete."""
-    import glob
     import os
 
     import pyarrow.parquet as pq
@@ -140,7 +139,9 @@ def test_audit_feed_consistency(ray_session, small_wal, tmp_path):
     assert check_feed_consistency(ctx) == []
 
     # forge a divergence: drop one feed part file entirely
-    part = sorted(glob.glob(os.path.join(lake, "_changelog", "t*", "b*.parquet")))[0]
+    from etl_ray.engine import ticklog
+
+    part = ticklog.parts(lake, ticklog.FEED)[0]["file"]
     saved = pq.read_table(part)
     os.remove(part)
     v = check_feed_consistency(ctx)

@@ -57,7 +57,7 @@ def _oracle_bad_count(wal) -> int:
 def _quarantine_rows(lake: str):
     parts = [
         pq.read_table(f)
-        for f in glob.glob(os.path.join(lake, "_quarantine", "tick-*", "*.parquet"))
+        for f in glob.glob(os.path.join(lake, "_quarantine", "*.parquet"))
     ]
     import pyarrow as pa
 
@@ -127,7 +127,7 @@ def test_quarantine_idempotent_on_redo(ray_session, malformed_wal, tmp_path):
     rolled = dict(last, tick=last["tick"] + 1, through_seqno=-1)
     eng.lineage.publish_tick(rolled)
     eng.replay_all()
-    # the redo tick re-quarantines the same rows under its OWN tick dir;
+    # the redo tick re-quarantines the same rows under its OWN tick;
     # totals per distinct source row stay complete and non-duplicated
     per_tick = {
         t["tick"]: t.get("quarantined_rows", 0) for t in eng.lineage.all_ticks()
@@ -157,3 +157,43 @@ def test_quarantine_ratio_check_flags_breakage(ray_session, tmp_path):
     last = eng.lineage.last_tick()
     assert "quarantine_ratio" in last["quality"]["checks_failed"]
     assert last["quarantined_rows"] > 0
+
+
+def test_erase_scrubs_quarantine(ray_session, tmp_path):
+    """GDPR: a ``bad_op`` row keeps its repo, path and content, so an
+    erasure of its key must scrub the quarantine too; the quarantine
+    export still works afterwards."""
+    import io
+    import json
+    from contextlib import redirect_stdout
+
+    from etl_ray.__main__ import main
+    from etl_ray.engine.maintenance import erase_keys
+
+    wal = generate_wal(
+        str(tmp_path / "wal"), seed=31, n_events=6_000, n_repos=10,
+        paths_per_repo=40, malform_rate=0.05, segment_rows=2_000,
+        content_min=32, content_max=128, days_span=3,
+    )
+    lake = str(tmp_path / "lake")
+    ReplayEngine(wal.wal_dir, lake, num_buckets=4, concurrency=2).replay_all(
+        segments_per_tick=1
+    )
+
+    def exported(out: str) -> pd.DataFrame:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert main(["quarantine", "--lake", lake, "--out", out]) == 0
+        assert json.loads(buf.getvalue().strip().splitlines()[-1])["rows"] > 0
+        return pq.read_table(out).to_pandas()
+
+    q = exported(str(tmp_path / "q1"))
+    bad = q[(q["reason"] == "bad_op") & q["repo"].notna() & q["path"].notna()]
+    assert len(bad), "fixture must quarantine a bad_op row with a key"
+    subject = (bad["repo"].iloc[0], bad["path"].iloc[0])
+
+    erase_keys(lake, [subject])
+    after = exported(str(tmp_path / "q2"))
+    held = (after["repo"] == subject[0]) & (after["path"] == subject[1])
+    assert not held.any(), "the quarantine still holds the erased key"
+    assert len(after) == len(q) - ((q["repo"] == subject[0]) & (q["path"] == subject[1])).sum()
