@@ -4,17 +4,21 @@ This is the engine's heart — the analog of the reference's daily state fold
 (yesterday's ``user_history`` LEFT JOIN today's deltas, then delete+insert of
 the partition, ``insert_user_history.sql:227-311``) and the keyed MERGE
 upsert (``update_user_map.sql:208-269``) — re-expressed as one per-bucket
-function, :func:`apply_bucket`, run by ``MergeApplier`` over the spill
-shuffle's per-bucket row groups (replay's stage-2 tasks, bootstrap) and
-per bucket for erasure:
+function run by ``MergeApplier`` over the spill shuffle's per-bucket row
+groups (replay's stage-2 tasks, bootstrap) and per bucket for erasure:
 
 - one *bucket* = all (already batch-pre-reduced) delta rows of one hash
   bucket; state for the bucket is read from the lake partition named by
   the bucket's lineage manifest (never shuffled — state stays partitioned
   on the same key across ticks, SURVEY.md §4);
-- merge = Arrow concat(state, deltas) → ``last_writer`` per (repo, path) by
-  LSN — replay duplicates and already-applied events are no-ops by
-  monotonicity (``mod_data_insert.sql:5-6`` semantics);
+- the write plan comes first (``plan_state_write``): a base write (the
+  first write, threshold 0, a compacting write, erasure) or a write with
+  folds merges the FULL state — Arrow concat(state, deltas) →
+  ``last_writer`` per (repo, path) by LSN (:func:`apply_bucket`); a plain
+  delta write merges a NARROW projection (keys, lsn, deleted and the
+  views' columns — never the payload) and appends just the delta rows that
+  won (:func:`apply_delta`). Replay duplicates and already-applied events
+  are no-ops by monotonicity (``mod_data_insert.sql:5-6`` semantics);
 - deletes become tombstones (``deleted=true``, payload null) so a late
   out-of-order update with a lower LSN than an applied delete cannot
   resurrect the row; tombstones are filtered at export and can be GC'd below
@@ -22,9 +26,11 @@ per bucket for erasure:
 - additive schema evolution: state and deltas are both promoted to the
   unified schema with null backfill before the merge
   (``insert_user_history.sql:15-42`` semantics);
-- output: the new full bucket state written via tmp + atomic rename
+- output: the new base or delta file written via tmp + atomic rename
   (two-phase commit step 1), and the bucket manifest returned to the
-  driver for the commit step.
+  driver for the commit step — with, when the engine's views asked for
+  columns, the merged state projected to them, which the tick's view
+  refresh builds from instead of reading the bucket again.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .dedup import KEYS, last_writer
+from .dedup import KEYS, ORDER, last_writer, winner_indices
 from .lineage import LakeLineage
 from .partitioning import read_row_groups
 from .schema_evo import align_to, unify_schemas
@@ -96,13 +102,15 @@ def bucket_manifest(
     fold_file: str | None = None,
     fold_through_lsn: int = 0,
     applied_lsn: int | None = None,
+    schema: pa.Schema | None = None,
 ) -> dict:
     """A bucket's commit record: every field of ``MANIFEST_SCHEMA``, the
-    only place that knows its shape. ``state`` is the bucket's full folded
-    state after the write, ``written`` the files the write produced (their
-    bytes are ``bytes_written``). ``applied_lsn`` defaults to the state's
-    highest lsn; a write that drops rows passes the previous value, since
-    a bucket's watermark never goes down."""
+    only place that knows its shape. ``state`` is the bucket's folded
+    state after the write (every row; a narrow merge passes its projection
+    and the full ``schema``), ``written`` the files the write produced
+    (their bytes are ``bytes_written``). ``applied_lsn`` defaults to the
+    state's highest lsn; a write that drops rows passes the previous value,
+    since a bucket's watermark never goes down."""
     if applied_lsn is None:
         applied_lsn = pc.max(state["lsn"]).as_py()
     return {
@@ -117,7 +125,7 @@ def bucket_manifest(
         "bytes_written": sum(os.path.getsize(f) for f in written),
         "fold_file": fold_file,
         "fold_through_lsn": int(fold_through_lsn),
-        "schema_b64": schema_b64(state.schema),
+        "schema_b64": schema_b64(schema or state.schema),
     }
 
 
@@ -173,6 +181,13 @@ def chain_cache_path(files: list[str]) -> str:
     )
 
 
+def chain_key(man: dict) -> tuple:
+    """What names one bucket's committed state exactly: its chain files and
+    the tick that published them (a state handed from stage 2 to the view
+    refresh is used only against the same key)."""
+    return (man["data_file"], tuple(man["delta_files"]), man["tick"])
+
+
 def _current_chain(man: dict) -> tuple | None:
     """The bucket's chain per its CURRENT committed manifest, re-read from
     disk (cache-publish revalidation). None if unreadable/absent.
@@ -202,8 +217,9 @@ def read_bucket_state(
     costs exactly what the old direct read did.
 
     Bounded read amplification: with ``publish_cache`` (the export path —
-    NOT applier hydration, whose chain advances the same tick and would
-    make the cache instant garbage), a full fold of a multi-file chain is
+    NOT stage 2's state read, which is narrow on a delta write and full
+    only when that very write replaces the chain, so a cache would be
+    instant garbage), a full fold of a multi-file chain is
     cached next to the base, keyed by the exact chain tuple — export pays
     the fold once and every later reader of the SAME chain (verify, audit,
     view refresh) reads one file. Any reader consumes a present cache;
@@ -248,7 +264,7 @@ def read_bucket_state(
                 pf.close()
             uni = unify_schemas([t.schema for t in tabs])
             t = pa.concat_tables([align_to(x, uni).select(uni.names) for x in tabs])
-            t = last_writer(t, keys=KEYS).sort_by([(k, "ascending") for k in KEYS])
+            t = last_writer(t, keys=KEYS)
             if publish_cache and columns is None:
                 # full fold: publish the cache (atomic; idempotent — the
                 # fold is deterministic, concurrent writers agree), then
@@ -264,14 +280,18 @@ def read_bucket_state(
                         os.remove(cpath)
                 except OSError:
                     pass  # cache is an optimization, never a failure
-    if columns is not None:
-        out = {}
-        for c in columns:
-            out[c] = (
-                t[c] if c in t.schema.names else pa.nulls(t.num_rows, pa.int64())
-            )
-        t = pa.table(out)
-    return t
+    return t if columns is None else project(t, columns)
+
+
+def project(t: pa.Table, columns: list[str]) -> pa.Table:
+    """``t``'s ``columns`` in that order; a column ``t`` lacks (schema
+    evolution) comes back as int64 nulls."""
+    return pa.table(
+        {
+            c: t[c] if c in t.schema.names else pa.nulls(t.num_rows, pa.int64())
+            for c in columns
+        }
+    )
 
 
 def apply_folds(
@@ -406,9 +426,9 @@ def plan_state_write(
 
 def touched_key_rows(merged: pa.Table, deltas: pa.Table) -> pa.Table:
     """This tick's winner rows for TOUCHED keys only (fold columns riding
-    along) — the point of a delta write: O(touched), not O(bucket). A late
-    already-applied key re-emits its (identical) current winner, which
-    merge-on-read resolves by tie-break."""
+    along) — a delta write with folds: O(touched), not O(bucket). A late
+    already-applied key re-emits its current winner with its new fold
+    values, which merge-on-read resolves by tie-break."""
     dk = pc.unique(
         pc.binary_join_element_wise(deltas["repo"], deltas["path"], "\x1f")
     )
@@ -423,6 +443,14 @@ def deltas_to_state_shape(deltas: pa.Table) -> pa.Table:
     return out.append_column(DELETED_COL, deleted)
 
 
+def _view_state(merged: pa.Table, view_columns: list[str] | None) -> pa.Table | None:
+    """The merged bucket state a view refresh reads: ``read_bucket_state``'s
+    projection to the views' columns and ``deleted``, key-sorted."""
+    if view_columns is None:
+        return None
+    return project(merged, list(dict.fromkeys([*view_columns, DELETED_COL])))
+
+
 def apply_bucket(
     lineage: LakeLineage,
     bucket: int,
@@ -431,19 +459,22 @@ def apply_bucket(
     state: pa.Table | None,
     man: dict | None,
     fold_rows: pa.Table | None,
+    plan: tuple[bool, str, str, list[str]],
     *,
     folds: list,
     fold_lateness: int,
     changelog: bool,
-    delta_threshold: int,
-) -> dict:
-    """Merge one bucket's deltas into its state and write the result.
+    view_columns: list[str] | None = None,
+) -> tuple[dict, pa.Table | None]:
+    """Merge one bucket's deltas into its FULL state and write the result.
 
     ``deltas`` are the bucket's (pre-reduced, target-aligned) delta rows,
-    ``state`` its committed state (None for a new bucket) and ``man`` its
-    committed manifest. Writes the changelog part, the fold tail and the
-    new state file (tmp + rename — two-phase commit step 1); returns the
-    bucket manifest for the driver to publish."""
+    ``state`` its committed state (None for a new bucket), ``man`` its
+    committed manifest and ``plan`` the ``plan_state_write`` outcome.
+    Writes the changelog part, the fold tail and the new state file (tmp +
+    rename — two-phase commit step 1); returns the bucket manifest for the
+    driver to publish and the merged state projected to ``view_columns``
+    (None without them)."""
     if state is not None:
         merged_schema = unify_schemas([state.schema, deltas.schema])
         # state first, deltas after → exact-LSN replay ties resolve to the
@@ -453,8 +484,7 @@ def apply_bucket(
         )
     else:
         merged = deltas
-    merged = last_writer(merged, keys=KEYS)
-    merged = merged.sort_by([(k, "ascending") for k in KEYS])
+    merged = last_writer(merged, keys=KEYS)  # key-sorted
 
     if changelog:
         # CDC-out: the rows whose winning LSN changed this tick, vs the
@@ -465,15 +495,7 @@ def apply_bucket(
             lineage.lake_dir, tick, bucket, changelog_delta(state, merged)
         )
 
-    # base+delta (S3 semantics kept, write amplification dropped): an
-    # existing bucket appends ONE file of this tick's touched-key winner
-    # rows; readers fold base+deltas with the same LWW kernel. Past the
-    # threshold (0: every write / first write) the fold lands as a fresh
-    # base and the delta chain resets.
-    write_delta, out_path, data_file, delta_files = plan_state_write(
-        lineage, bucket, tick, man, delta_threshold
-    )
-
+    write_delta, out_path, data_file, delta_files = plan
     fold_file = None
     fold_hi = man["fold_through_lsn"] if man is not None else 0
     if folds and fold_rows is not None:
@@ -493,23 +515,88 @@ def apply_bucket(
         pq.write_table(tail, ftmp, compression="snappy")
         os.replace(ftmp, fold_file)
 
+    # a delta write with folds re-emits every touched key's winner: a late
+    # event still moves its key's fold columns, so the row goes again
     out_tab = touched_key_rows(merged, deltas) if write_delta else merged
-
-    tmp = out_path + f".{os.getpid()}.tmp"
-    pq.write_table(out_tab, tmp, compression="zstd")
-    os.replace(tmp, out_path)
-    return bucket_manifest(
+    _write_state(out_tab, out_path)
+    man_out = bucket_manifest(
         bucket, tick, merged, data_file=data_file, delta_files=delta_files,
         written=[out_path, *([fold_file] if fold_file else [])],
         delta_rows=deltas.num_rows, fold_file=fold_file, fold_through_lsn=fold_hi,
     )
+    return man_out, _view_state(merged, view_columns)
+
+
+def apply_delta(
+    lineage: LakeLineage,
+    bucket: int,
+    tick: int,
+    deltas: pa.Table,
+    man: dict,
+    plan: tuple[bool, str, str, list[str]],
+    *,
+    changelog: bool,
+    view_columns: list[str] | None = None,
+) -> tuple[dict, pa.Table | None]:
+    """A delta write (no folds) that never reads the payload: the merge
+    runs on a NARROW projection of state and deltas — keys, lsn, deleted
+    and ``view_columns`` — and the file appended is the delta rows that won
+    it, key-sorted. A late event the state already beats writes nothing
+    (merge-on-read would pick the same winner either way); an exact-LSN
+    replay duplicate wins its tie and is written again, as on a full merge.
+    The changelog's changed rows are among those winners, the counts and
+    watermark come from the narrow merge, and the manifest schema is the
+    unify of the committed one and the deltas'. Same return as
+    :func:`apply_bucket`."""
+    _, out_path, data_file, delta_files = plan
+    state_schema = schema_from_b64(man["schema_b64"])
+    schema = unify_schemas([state_schema, deltas.schema])
+    cols = [
+        c
+        for c in dict.fromkeys([*KEYS, ORDER, DELETED_COL, *(view_columns or [])])
+        if c in schema.names
+    ]
+    narrow = pa.schema([schema.field(c) for c in cols])
+    state = read_bucket_state(man, columns=[c for c in cols if c in state_schema.names])
+    both = pa.concat_tables(
+        [
+            align_to(t.select([c for c in cols if c in t.schema.names]), narrow)
+            for t in (state, deltas)
+        ]
+    )
+    win = winner_indices(both)  # state first: exact-LSN ties go to the delta
+    merged = both.take(pa.array(win))
+    from_delta = win[win >= state.num_rows] - state.num_rows
+    out_tab = align_to(deltas.take(pa.array(from_delta)), schema)
+
+    if changelog:
+        from .changelog import changelog_delta, write_changelog_part
+
+        write_changelog_part(
+            lineage.lake_dir, tick, bucket, changelog_delta(state, out_tab)
+        )
+    _write_state(out_tab, out_path)
+    man_out = bucket_manifest(
+        bucket, tick, merged, data_file=data_file, delta_files=delta_files,
+        written=[out_path], delta_rows=deltas.num_rows,
+        fold_through_lsn=man["fold_through_lsn"], schema=schema,
+    )
+    return man_out, _view_state(merged, view_columns)
+
+
+def _write_state(t: pa.Table, path: str) -> None:
+    tmp = path + f".{os.getpid()}.tmp"
+    pq.write_table(t, tmp, compression="zstd")
+    os.replace(tmp, path)
 
 
 class MergeApplier:
-    """In-process :func:`apply_bucket` shell that reads each bucket's state
-    from its committed manifest: the per-bucket applier of ``erase_keys``
-    and (``apply_spilled``) the consumer over spill-shuffle descriptors of
-    replay's stage 2 and the bootstrap."""
+    """In-process bucket-merge shell that reads each bucket's state from its
+    committed manifest: the per-bucket applier of ``erase_keys`` and
+    (``apply_spilled``) the consumer over spill-shuffle descriptors of
+    replay's stage 2 and the bootstrap. ``view_columns`` (replay passes the
+    columns its lake's views read) makes every merge also return its
+    bucket's merged state projected to them."""
 
     def __init__(
         self,
@@ -520,7 +607,8 @@ class MergeApplier:
         fold_lateness: int = 0,
         changelog: bool = False,
         delta_threshold: int | None = None,  # see resolve_delta_threshold
-        state_mode: str | None = None,  # its older spelling
+        view_columns: list[str] | None = None,
+        state_mode: str | None = None,  # delta_threshold's older spelling
     ):
         # once per applier: lineage handles + deserialized target schema
         self.lineage = LakeLineage(lake_dir)
@@ -530,14 +618,16 @@ class MergeApplier:
         self.fold_lateness = fold_lateness
         self.changelog = changelog
         self.delta_threshold = resolve_delta_threshold(state_mode, delta_threshold)
+        self.view_columns = view_columns
         self._pf_cache: dict[str, pq.ParquetFile] = {}
 
-    def apply_spilled(self, items: list[dict]) -> list[dict]:
+    def apply_spilled(self, items: list[dict]) -> list[tuple[dict, pa.Table | None]]:
         """Merge each spill-shuffle descriptor's bucket (``{bucket, files,
         rgs[, ffiles, frgs]}``): its deltas (and fold rows) are read as
-        parquet row groups out of the shuffle files. Returns the bucket
-        manifests. ``perfbench/kernels.py`` passes the descriptors as one
-        Arrow table; that form goes once the benchmark passes dicts."""
+        parquet row groups out of the shuffle files. Returns (bucket
+        manifest, view state) per descriptor. ``perfbench/kernels.py``
+        passes the descriptors as one Arrow table; that form goes once the
+        benchmark passes dicts."""
         if isinstance(items, pa.Table):
             items = items.to_pylist()
         out = []
@@ -553,12 +643,22 @@ class MergeApplier:
 
     def _apply_one(
         self, bucket: int, deltas: pa.Table, fold_rows: pa.Table | None = None
-    ) -> dict:
-        """Merge one bucket's target-aligned ``deltas``; returns its manifest."""
+    ) -> tuple[dict, pa.Table | None]:
+        """Merge one bucket's target-aligned ``deltas``; returns its manifest
+        and view state. The write plan picks the merge: a delta write
+        without folds needs no payload (:func:`apply_delta`); a base write
+        folds the whole state into the new file, and with folds a late
+        event still rewrites its key's row, payload and all."""
         man = self.lineage.bucket_manifest(bucket)
+        plan = plan_state_write(self.lineage, bucket, self.tick, man, self.delta_threshold)
+        if plan[0] and not self.folds:
+            return apply_delta(
+                self.lineage, bucket, self.tick, deltas, man, plan,
+                changelog=self.changelog, view_columns=self.view_columns,
+            )
         state = read_bucket_state(man) if man is not None else None
         return apply_bucket(
-            self.lineage, bucket, self.tick, deltas, state, man, fold_rows,
+            self.lineage, bucket, self.tick, deltas, state, man, fold_rows, plan,
             folds=self.folds, fold_lateness=self.fold_lateness,
-            changelog=self.changelog, delta_threshold=self.delta_threshold,
+            changelog=self.changelog, view_columns=self.view_columns,
         )

@@ -125,9 +125,12 @@ def bootstrap_lake(
         schema_ser = target_schema_ser(pa.schema(fields))
 
         cap = concurrency[1] if isinstance(concurrency, tuple) else concurrency
-        manifests = run_tasks(
-            _merge_chunk, items, lake_dir, 0, schema_ser, max_tasks=cap
-        )
+        manifests = [
+            m
+            for m, _ in run_tasks(
+                _merge_chunk, items, lake_dir, 0, schema_ser, max_tasks=cap
+            )
+        ]
         shutil.rmtree(spill_dir, ignore_errors=True)
 
         rows = 0

@@ -1,4 +1,4 @@
-"""Last-writer-wins reduction kernels (pure Arrow, no content copies).
+"""Last-writer-wins reduction kernel (pure Arrow, no content copies).
 
 The reference's core dedup keeps rank-1 of ``ROW_NUMBER() OVER (PARTITION BY
 unique_id, event_fingerprint ORDER BY collector_tstamp, enricher_tstamp,
@@ -12,46 +12,62 @@ per-batch (pre-reduction before the shuffle — the skew/salt story, see
 ``partitioning``), then again per-bucket, then against held state, always
 yielding the same winners.
 
-Implementation: the dedup runs entirely on a NARROW projection
-``(keys, order, row-index)`` — group-max join picks the winning order value,
-a second group-max join breaks exact-order duplicate ties by last input
-position — and the winning row indices then ``take`` from the original
-table. Payload columns (``content``, nested ``meta`` structs, …) never enter
-the Acero hash join, which both keeps large strings out of the join build
-side and side-steps Acero's no-nested-payload restriction.
+Implementation: ONE stable sort of a NARROW projection ``(keys, order)``;
+the last row of each key run is the winner (max order; an exact-order tie
+goes to the last input row, because the sort is stable), and its row index
+then ``take``s from the original table. The inputs are a few short runs
+that are already key-sorted (state chain files, pre-reduced spill groups),
+so one sort beats a hash group-by plus join. Payload columns (``content``,
+nested ``meta`` structs, …) never enter the sort.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 KEYS = ["repo", "path"]
 ORDER = "lsn"
-_IDX = "__rowi"
+
+
+def winner_indices(
+    t: pa.Table, keys: list[str] | None = None, order: str = ORDER
+) -> np.ndarray:
+    """Row indices of ``t``'s last writers, in key order: one per key, the
+    max ``order`` (an exact tie goes to the last input row). Rows with a
+    null key or a null ``order`` never win."""
+    cols = [*(keys or KEYS), order]
+    narrow = t.select(cols)
+    rows = valid = None
+    for c in cols:
+        if narrow[c].null_count:
+            v = pc.is_valid(narrow[c])
+            valid = v if valid is None else pc.and_(valid, v)
+    if valid is not None:
+        rows = np.flatnonzero(valid.to_numpy(zero_copy_only=False))
+        narrow = narrow.take(rows)
+    n = narrow.num_rows
+    if n == 0:
+        return np.zeros(0, np.int64)
+    # stable: equal (keys, order) rows keep their input order
+    idx = pc.sort_indices(narrow, sort_keys=[(c, "ascending") for c in cols])
+    run_end = np.ones(n, bool)
+    if n > 1:
+        changes = np.zeros(n - 1, bool)
+        for k in cols[:-1]:
+            col = narrow[k].take(idx)
+            changes |= pc.not_equal(col[1:], col[:-1]).to_numpy(zero_copy_only=False)
+        run_end[:-1] = changes
+    win = idx.to_numpy()[run_end]
+    return win if rows is None else rows[win]
 
 
 def last_writer(
     t: pa.Table, keys: list[str] | None = None, order: str = ORDER
 ) -> pa.Table:
-    """One row per key: max ``order``; ties (replay dups) broken by last
-    physical row. Output rows in input order; column order preserved."""
-    keys = list(keys or KEYS)
+    """One row per key (see :func:`winner_indices`), in key order; column
+    order preserved."""
     if t.num_rows == 0:
         return t
-    # _IDX is stamped on the INPUT (before any join) so the exact-order-key
-    # tie-break reflects true input position — Acero join output order is not
-    # guaranteed deterministic, so indexing after the join would make "last
-    # physical row" depend on join internals.
-    narrow = t.select(keys + [order]).append_column(
-        _IDX, pa.array(np.arange(t.num_rows, dtype=np.int64))
-    )
-    winners = narrow.group_by(keys).aggregate([(order, "max")])
-    winners = winners.select(keys + [f"{order}_max"]).rename_columns(keys + [order])
-    cand = narrow.join(winners, keys=keys + [order], join_type="inner")
-    if cand.num_rows > winners.num_rows:
-        # exact-order-key duplicates: keep the last input occurrence
-        idx = cand.group_by(keys).aggregate([(_IDX, "max")])[f"{_IDX}_max"]
-    else:
-        idx = cand[_IDX]
-    return t.take(pa.array(np.sort(idx.to_numpy())))
+    return t.take(pa.array(winner_indices(t, keys, order)))

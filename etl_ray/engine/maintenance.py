@@ -25,10 +25,28 @@ from . import ticklog
 from .apply import DELETED_COL, MergeApplier
 from .lineage import LakeLineage, _atomic_write_json
 from .partitioning import bucket_of
-from .replay import target_schema_ser
+from .replay import target_schema_ser, tick_spill_dir
 
 
 ERASE_LSN_GAP = 1 << 20  # tombstone headroom over in-flight (bounded-late) events
+
+
+def _refuse_crashed_replay(lineage: LakeLineage, last: dict, op: str) -> None:
+    """Raise, before ``op`` writes anything, while a replay attempt of the
+    next tick has crashed after publishing bucket manifests: the op's
+    commit would take that tick id and with it the attempt's per-tick log
+    parts (feed, agg log, quarantine), which the redo then writes again
+    under the following id. A crashed maintenance op leaves no replay
+    shuffle, so re-running it stays allowed."""
+    tick = last["tick"] + 1
+    if os.path.isdir(tick_spill_dir(lineage.lake_dir, tick)) and any(
+        m["tick"] > last["tick"] for m in lineage.all_bucket_manifests()
+    ):
+        raise RuntimeError(
+            f"{op}: replay tick {tick} crashed after publishing bucket "
+            "manifests; run the next replay tick first (it redoes tick "
+            f"{tick}), then re-run {op}"
+        )
 
 
 def erase_keys(
@@ -68,6 +86,7 @@ def _erase_keys_locked(
     last = lineage.last_tick()
     if last is None:
         raise RuntimeError("cannot erase from an empty lake (no committed tick)")
+    _refuse_crashed_replay(lineage, last, "erase")
     tick_id = last["tick"] + 1
     # anchor the tombstone gap on the TRUE WAL high-LSN, not the (possibly
     # already erase-inflated) applied watermark — otherwise repeated erasures
@@ -109,7 +128,7 @@ def _erase_keys_locked(
     for b in pc.unique(buckets).to_pylist():
         prev_man = lineage.bucket_manifest(int(b))
         part = deltas.filter(pc.equal(buckets, b))
-        d = applier._apply_one(int(b), part)
+        d, _ = applier._apply_one(int(b), part)
         if prev_man is not None:
             # the erase mini-tick runs without folds configured; carry the
             # bucket's fold LSN-tail sidecar reference (the fold watermark
@@ -285,6 +304,7 @@ def _rebucket_locked(
     last = lineage.last_tick()
     if last is None:
         raise RuntimeError("empty lake")
+    _refuse_crashed_replay(lineage, last, "rebucket")
     tick_id = last["tick"] + 1
     old_manifests = lineage.all_bucket_manifests()
     from .apply import bucket_files, bucket_schemas
@@ -379,9 +399,7 @@ def _rebucket_write_chunk(
     out = []
     for it in items:
         bucket = it["bucket"]
-        t = last_writer(read_row_groups({}, it["files"], it["rgs"])).sort_by(
-            [("repo", "ascending"), ("path", "ascending")]
-        )
+        t = last_writer(read_row_groups({}, it["files"], it["rgs"]))  # key-sorted
         out_path = LakeLineage(lake_dir).bucket_state_path(bucket, tick_id)
         tmp = out_path + f".{os.getpid()}.tmp"
         pq.write_table(t, tmp, compression="zstd")
@@ -439,6 +457,7 @@ def _compact_tombstones_locked(
     last = lineage.last_tick()
     if last is None:
         raise RuntimeError("empty lake")
+    _refuse_crashed_replay(lineage, last, "compact")
     if keep_after_lsn is None:
         # derive from the TRUE WAL high-LSN: applied_through_lsn is inflated
         # by lsn_gap per erasure tick, which would silently zero (then turn

@@ -12,8 +12,10 @@ pipeline with exactly ONE shuffle:
   → the ONE shuffle: shared-FS spill (indexed shuffle files, one
       parquet row group per bucket)                                 [S2 shape]
   → appliers: ``run_tasks`` plain tasks over the touched buckets,
-      state read from the committed manifests: stateful LWW
-      upsert/delete/evolve, ``apply.apply_bucket``                  [A5/J4/J5]
+      state read from the committed manifests — only keys, lsn,
+      deleted and the views' columns on a delta write: stateful LWW
+      upsert/delete/evolve, ``apply.apply_bucket``/``apply_delta``;
+      each hands back its bucket's merged view columns              [A5/J4/J5]
   → driver: publish bucket manifests, re-aggregate touched days,
     publish tick manifest (the commit point), GC                   [S2/S3/ST4]
 
@@ -32,7 +34,7 @@ import pyarrow as pa
 
 from ..wal import WalInfo
 from . import aggregates, ticklog
-from .apply import deltas_to_state_shape
+from .apply import chain_key, deltas_to_state_shape
 from .dedup import last_writer
 from .enrich import LangEnricher
 from .lineage import LakeLineage
@@ -40,9 +42,10 @@ from .partitioning import cluster_cpus, fan_out, run_tasks
 from .source import pending_segments, read_segments_indexed, target_schema_for
 
 
-def _merge_chunk(chunk: list[dict], *applier_args) -> list[dict]:
+def _merge_chunk(chunk: list[dict], *applier_args) -> list[tuple]:
     """One applier task (replay's stage 2, bootstrap): a ``MergeApplier``
-    over a chunk of spill descriptors; returns their bucket manifests."""
+    over a chunk of spill descriptors; returns their (bucket manifest, view
+    state) pairs."""
     from .apply import MergeApplier
 
     return MergeApplier(*applier_args).apply_spilled(chunk)
@@ -134,6 +137,7 @@ class ReplayEngine:
         dims: list | None = None,  # named broadcast dims (enrich.DimSpec)
         delta_threshold: int | None = None,  # see apply.resolve_delta_threshold
         state_mode: str | None = None,  # its older spelling
+        view_columns: list[str] | None = None,  # see view_states
     ):
         from .apply import resolve_delta_threshold
 
@@ -187,6 +191,12 @@ class ReplayEngine:
         self.wal = WalInfo.load(wal_dir)
         self.lake_dir = lake_dir
         self.lineage = LakeLineage(lake_dir)
+        # the columns the lake's views of this table read (MultiTableLake
+        # wires them): each committed tick leaves, per bucket it merged,
+        # {bucket: (apply.chain_key, merged state projected to them and
+        # ``deleted``)} in view_states, for that tick's view refresh only
+        self.view_columns = view_columns
+        self.view_states: dict[int, tuple[tuple, pa.Table]] = {}
         self.num_buckets = num_buckets
         self.concurrency = concurrency
         self.aggregate = aggregate
@@ -263,13 +273,13 @@ class ReplayEngine:
         tasks over (bucket, files) descriptors — content bytes never transit
         the object store, and stage-2 parallelism is min(buckets, CPUs[,
         concurrency]) regardless of input block sizing. Crash-safe: the
-        spill dir is wiped and rebuilt on tick redo. Returns the bucket
-        manifest dicts.
+        spill dir is wiped and rebuilt on tick redo. Returns the (bucket
+        manifest, view state) pairs.
         """
         import shutil
         import uuid
 
-        spill_dir = os.path.join(self.lake_dir, "_shuffle", f"tick-{tick_id:06d}")
+        spill_dir = tick_spill_dir(self.lake_dir, tick_id)
         shutil.rmtree(spill_dir, ignore_errors=True)
         os.makedirs(spill_dir, exist_ok=True)
 
@@ -379,7 +389,7 @@ class ReplayEngine:
         out = run_tasks(
             _merge_chunk, items, self.lake_dir, tick_id, schema_ser, self.folds,
             self.fold_lateness, self.emit_changelog, self.delta_threshold,
-            max_tasks=cap,
+            self.view_columns, max_tasks=cap,
         )
         if os.environ.get("ETL_RAY_DEBUG"):
             print(
@@ -397,6 +407,7 @@ class ReplayEngine:
         from .lock import WriterLockError, writer_lock
         from .quality import DataQualityError
 
+        self.view_states = {}
         try:
             with writer_lock(self.lake_dir, "replay"):
                 return self._tick_locked(max_segments)
@@ -469,7 +480,8 @@ class ReplayEngine:
         schema_ser = target_schema_ser(deltas_schema(target))
         if os.environ.get("ETL_RAY_DEBUG"):
             print(f"[etl-ray] tick setup: {time.perf_counter() - t0:.2f}s", flush=True)
-        manifests = self._spill_apply(ds, tick_id, schema_ser)
+        applied = self._spill_apply(ds, tick_id, schema_ser)
+        manifests = [m for m, _ in applied]
 
         quarantined = ticklog.rows(self.lake_dir, ticklog.QUARANTINE, tick_id)
         changelog_rows = (
@@ -586,6 +598,9 @@ class ReplayEngine:
                 "dim_versions": dim_versions or None,
             }
         )
+        self.view_states = {
+            m["bucket"]: (chain_key(m), v) for m, v in applied if v is not None
+        }
         self.lineage.gc(self.retain_ticks)
         if self.changelog_retain is not None:
             ticklog.drop_below(self.lake_dir, ticklog.FEED, tick_id - self.changelog_retain)
@@ -668,6 +683,12 @@ class ReplayEngine:
                     break
                 time.sleep(poll_interval_s)
         return results
+
+
+def tick_spill_dir(lake_dir: str, tick: int) -> str:
+    """A replay tick's shuffle files: present from the tick's stage 1 until
+    it commits, so it also marks a crashed, uncommitted replay attempt."""
+    return os.path.join(lake_dir, "_shuffle", f"tick-{tick:06d}")
 
 
 def deltas_schema(envelope: pa.Schema) -> pa.Schema:

@@ -288,6 +288,12 @@ class MultiTableLake:
             s = self.spec(name)
             if s.is_view:
                 raise ValueError(f"{name!r} is a view, not a base table")
+            # the columns this table's views read: each tick's appliers hand
+            # back their merged buckets projected to them (_refresh_views_of)
+            views = [
+                view_job(v, "") for v in self.specs if v.is_view and v.source == name
+            ]
+            cols = [c for k, spec, _ in views for c in VIEW_KINDS[k].need(spec)]
             self._engines[name] = ReplayEngine(
                 s.wal_dir,
                 self.table_dir(name),
@@ -303,6 +309,7 @@ class MultiTableLake:
                 state_mode=s.state_mode,
                 delta_threshold=s.delta_threshold,
                 dims=s.dims,
+                view_columns=list(dict.fromkeys(cols)) if views else None,
             )
         return self._engines[name]
 
@@ -311,8 +318,9 @@ class MultiTableLake:
     ) -> dict:
         """One pass over all tables: each base table ticks, then ONE
         refresh pass advances every view of that source
-        (:func:`refresh_views`: each touched bucket is read once for all
-        its views, each view publishes its own ``_view.json``). Returns
+        (:func:`refresh_views`: each touched bucket's state, as the tick's
+        stage 2 handed it over or else read once, serves all its views;
+        each view publishes its own ``_view.json``). Returns
         {name: TickResult | refresh-dict | None} in spec order. With
         ``tolerate_locked`` (the live-tail mode), a table whose writer lock
         is held by a maintenance op yields None for THIS round while the
@@ -334,12 +342,16 @@ class MultiTableLake:
         return {s.name: out[s.name] for s in self.specs}
 
     def _refresh_views_of(self, source: str, *, tolerate_locked: bool = False) -> dict:
-        """{view name: refresh result} of one pass over ``source``'s views."""
+        """{view name: refresh result} of one pass over ``source``'s views,
+        built from the merged bucket states its engine's last tick handed
+        over where they are still the committed ones."""
         views = [s for s in self.specs if s.is_view and s.source == source]
+        eng = self._engines.get(source)
         res = refresh_views(
             self.table_dir(source),
             [view_job(s, self.table_dir(s.name)) for s in views],
             tolerate_locked=tolerate_locked,
+            handed=eng.view_states if eng is not None else None,
         )
         return {s.name: r for s, r in zip(views, res)}
 

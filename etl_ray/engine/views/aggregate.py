@@ -93,8 +93,9 @@ def _agg_partial_of_state(
     t: "pa.Table", agg_spec: dict, out_path: str, num_groups: int
 ) -> int:
     """One bucket's partial of a derived aggregate view from its committed
-    state ``t`` (read once per refresh pass, already cast to the unified
-    upstream types — :func:`_partials_chunk`), hash-grouped on the view key
+    state ``t`` (taken once per refresh pass — handed over by stage 2 or
+    read — and already cast to the unified upstream types:
+    :func:`_partials_chunk`), hash-grouped on the view key
     into ``num_groups`` (:func:`_write_partial`). Idempotent; atomic
     publish."""
     import pyarrow as pa

@@ -7,8 +7,9 @@ function that turns one bucket's committed state into its partial, and its
 read. ``TableSpec.validate``, ``MultiTableLake.read_view`` and
 :func:`refresh_views` dispatch through the table; no other code branches on
 a kind name. Like the reference's one fact table feeding every
-materialized table, ONE refresh pass per source reads each touched bucket
-once and writes the partials of all of that source's views from it.
+materialized table, ONE refresh pass per source builds the partials of all
+of that source's views from each touched bucket's state: the state the
+tick's stage 2 just merged and handed over, or else one read per bucket.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ def refresh_views(
     views: list[tuple[str, dict, str]],
     *,
     tolerate_locked: bool = False,
+    handed: dict | None = None,
 ) -> list[dict | None]:
     """Advance every view of ONE upstream table to its committed tick in
     one pass. ``views`` holds (kind, spec, view_dir) entries (a
@@ -54,9 +56,14 @@ def refresh_views(
     rebucket) or a partial layout other than ``PARTIAL_LAYOUT`` recomputes
     every bucket of THAT view only. The union of the touched sets runs
     through ``partitioning.run_tasks``, one plain Ray task per chunk (every
-    result's ``tasks``): a task reads each bucket's state ONCE, in the
+    result's ``tasks``): a task takes each bucket's state ONCE, in the
     union of the projections of the views that need it, and writes each of
-    those views' partials from it.
+    those views' partials from it. ``handed`` (``ReplayEngine.view_states``
+    of the tick just committed: {bucket: (chain key, merged projection)})
+    supplies that state for a bucket whose committed chain is the handed
+    one and whose projection covers the columns; any other bucket — a view
+    behind, a spec or type change, a rebucket, an erase, a first build, a
+    standalone refresh — is read with ``read_bucket_state``.
 
     The pass holds each refreshed view's writer lock (taken in sorted
     order). Crash-safe per view: partials are pure functions of committed
@@ -69,7 +76,7 @@ def refresh_views(
 
     import pyarrow as pa
 
-    from ..apply import bucket_schemas
+    from ..apply import bucket_schemas, chain_key
     from ..lineage import LakeLineage
     from ..lock import WriterLockError, writer_lock
     from ..partitioning import fan_out, run_tasks
@@ -139,11 +146,18 @@ def refresh_views(
                 {"view": i, "kind": kind, "spec": spec, "pdir": pdir, "cols": need,
                  "applied": applied, "types_hash": new_types_hash}
             )
-        work = [
-            (m, [j for j, v in enumerate(jobs) if m["tick"] > v["applied"]])
-            for m in manifests
-        ]
-        work = [(m, js) for m, js in work if js]
+        work = []
+        for m in manifests:
+            js = [j for j, v in enumerate(jobs) if m["tick"] > v["applied"]]
+            if not js:
+                continue
+            state = (handed or {}).get(m["bucket"])
+            cols = {c for j in js for c in jobs[j]["cols"]}
+            if state is not None and (
+                state[0] != chain_key(m) or not cols <= set(state[1].column_names)
+            ):
+                state = None
+            work.append((m, js, None if state is None else state[1]))
         parts = run_tasks(_partials_chunk, work, jobs, col_types, num_groups)
         rows = [sum(r) for r in zip([0] * len(jobs), *parts)]
         for j, v in enumerate(jobs):
@@ -173,8 +187,9 @@ def refresh_views(
 
 def _partials_chunk(items, jobs, col_types, num_groups) -> list[int]:
     """One refresh task over a contiguous chunk of (bucket manifest, the
-    jobs that need it): each bucket's state is read ONCE (merge-on-read in
-    delta mode), in the union of those views' projections, and handed to
+    jobs that need it, the handed state or None): each bucket's state is
+    taken ONCE — the handed projection, or else one read (merge-on-read in
+    delta mode) — in the union of those views' projections, and passed to
     each view's ``build``. Returns, per bucket, the partial rows written
     per job.
 
@@ -188,10 +203,13 @@ def _partials_chunk(items, jobs, col_types, num_groups) -> list[int]:
     from ..apply import read_bucket_state
 
     out = []
-    for man, js in items:
+    for man, js, state in items:
         rows = [0] * len(jobs)
         cols = list(dict.fromkeys(c for j in js for c in jobs[j]["cols"]))
-        t = read_bucket_state(man, columns=[*cols, "deleted"])
+        if state is None:
+            t = read_bucket_state(man, columns=[*cols, "deleted"])
+        else:
+            t = state.select([*cols, "deleted"])
         for c in cols:
             if t.schema.field(c).type != col_types[c]:
                 i = t.schema.get_field_index(c)

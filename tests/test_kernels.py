@@ -171,3 +171,67 @@ def test_schema_widening_promotion():
         unify_schemas(
             [pa.schema([("n", pa.string())]), pa.schema([("n", pa.int32())])]
         )
+
+
+# ---- property-based: the sort-based LWW kernel against the hash kernel -----
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def _hash_join_last_writer(t: pa.Table, keys=("repo", "path"), order="lsn") -> pa.Table:
+    """The earlier LWW kernel, kept as the reference: a hash ``group_by``
+    max of ``order``, an inner join back onto (keys, order), a second
+    ``group_by`` max of the row index when exact-order ties remain, then a
+    ``take`` in input order. Rows with a null key or null order never match
+    the join. Its tie check compares candidate and group counts, so a group
+    whose key or order is all null (a group the join drops) can hide an
+    exact tie elsewhere and keep both rows: it is called on inputs without
+    nulls."""
+    keys = list(keys)
+    if t.num_rows == 0:
+        return t
+    narrow = t.select(keys + [order]).append_column(
+        "__rowi", pa.array(np.arange(t.num_rows, dtype=np.int64))
+    )
+    winners = narrow.group_by(keys).aggregate([(order, "max")])
+    winners = winners.select(keys + [f"{order}_max"]).rename_columns(keys + [order])
+    cand = narrow.join(winners, keys=keys + [order], join_type="inner")
+    if cand.num_rows > winners.num_rows:
+        idx = cand.group_by(keys).aggregate([("__rowi", "max")])["__rowi_max"]
+    else:
+        idx = cand["__rowi"]
+    return t.take(pa.array(np.sort(idx.to_numpy())))
+
+
+_row = st.tuples(
+    st.sampled_from(["r0", "r1", "r2", None]),
+    st.sampled_from(["a", "b", "c", None]),
+    st.one_of(st.integers(min_value=0, max_value=6), st.none()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_row, max_size=60), st.lists(st.integers(1, 20), max_size=4))
+def test_sort_kernel_matches_hash_kernel(rows, cuts):
+    """Exact-LSN ties (the payload tells the rows apart), duplicate rows,
+    null keys, null lsn and multi-chunk inputs: the sort kernel drops the
+    rows with a null key or lsn, and its winners are the hash kernel's over
+    the rest, in key order."""
+    t = pa.table(
+        {
+            "repo": pa.array([r[0] for r in rows], pa.string()),
+            "path": pa.array([r[1] for r in rows], pa.string()),
+            "lsn": pa.array([r[2] for r in rows], pa.int64()),
+            "v": pa.array([f"v{i % 7}" for i in range(len(rows))], pa.string()),
+        }
+    )
+    bounds = sorted({0, t.num_rows, *(c for c in cuts if c < t.num_rows)})
+    chunked = pa.concat_tables([t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])] or [t])
+    valid = [all(v is not None for v in r) for r in rows]
+    want = _hash_join_last_writer(t.filter(pa.array(valid, pa.bool_()))).sort_by(
+        [("repo", "ascending"), ("path", "ascending")]
+    )
+    got = last_writer(chunked)
+    assert got.equals(want)
+    assert last_writer(t).equals(want)

@@ -434,3 +434,57 @@ def _agglog_file_ts(path: str) -> list:
         assert "DELTA_BINARY_PACKED" in cols["commit_ts"].encodings
         assert "DELTA_BINARY_PACKED" in cols["lsn"].encodings
     return pq.read_table(path, columns=["commit_ts"])["commit_ts"].to_pylist()
+
+
+def test_maintenance_refuses_a_crashed_replay_tick(ray_session, tmp_path):
+    """A replay tick that crashed after publishing some bucket manifests
+    owns the next tick id: erase, rebucket and compaction refuse to commit
+    over it (and write nothing) until the next replay tick redoes it. Then
+    the erasure runs, and the feed holds every change row once."""
+    import os
+
+    import pyarrow.parquet as pq
+    import pytest
+
+    from etl_ray.engine.changelog import committed_changelog_parts
+    from etl_ray.engine.lineage import LakeLineage
+    from etl_ray.engine.maintenance import compact_tombstones, rebucket
+    from etl_ray.wal import generate_wal
+
+    wal = generate_wal(
+        str(tmp_path / "wal"), seed=3, n_events=6_000, n_repos=10,
+        paths_per_repo=60, malform_rate=0.05, segment_rows=1_500,
+        content_min=16, content_max=64,
+    )
+    lake = str(tmp_path / "lake")
+    kw = dict(num_buckets=4, concurrency=2, emit_changelog=True)
+    ReplayEngine(wal.wal_dir, lake, **kw).tick(2)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        ReplayEngine(wal.wal_dir, lake, fail_after_buckets=2, **kw).tick(1)
+    lin = LakeLineage(lake)
+    last = lin.last_tick()["tick"]
+    assert any(m["tick"] > last for m in lin.all_bucket_manifests())
+
+    key = tuple(_live_df(lake)[["repo", "path"]].iloc[0])
+    before = sorted(os.listdir(os.path.join(lake, "_manifests")))
+    for op in (
+        lambda: erase_keys(lake, [key]),
+        lambda: rebucket(lake, 8),
+        lambda: compact_tombstones(lake),
+    ):
+        with pytest.raises(RuntimeError, match="run the next replay tick first"):
+            op()
+    assert lin.last_tick()["tick"] == last
+    assert sorted(os.listdir(os.path.join(lake, "_manifests"))) == before
+
+    ReplayEngine(wal.wal_dir, lake, **kw).tick(1)  # the redo commits
+    assert erase_keys(lake, [key])["erased"] == 1
+    ReplayEngine(wal.wal_dir, lake, **kw).replay_all()
+    feed = pd.concat(
+        pq.ParquetFile(p["file"]).read_row_groups(p["rgs"]).to_pandas()
+        for p in committed_changelog_parts(lake)
+    )
+    changes = feed[feed["change_op"] != "erase"]
+    assert not changes.duplicated(["repo", "path", "lsn"]).any()
+    live = _live_df(lake)
+    assert not ((live["repo"] == key[0]) & (live["path"] == key[1])).any()

@@ -1,6 +1,7 @@
 """One refresh pass per source (``views.refresh.refresh_views``): every
-view of a base table is advanced by one pass that reads each touched bucket
-once, in the union of the views' projections, while each view keeps its own
+view of a base table is advanced by one pass that takes each touched
+bucket's state once — as the tick's stage 2 handed it over, or else read in
+the union of the views' projections — while each view keeps its own
 touched set and publishes its own ``_view.json`` last."""
 
 from __future__ import annotations
@@ -150,12 +151,16 @@ def _inline_task_refs(fn, chunks, *args):
 def test_one_read_per_touched_bucket_per_pass(
     ray_session, tail_wal, tmp_path, monkeypatch
 ):
-    """The pass reads each touched bucket's state once, in the union of the
-    views' projections — not once per view — and every view reads back
-    ``Table.equals`` to a view refreshed on its own."""
+    """A steady-state pass reads no bucket: each touched bucket's state is
+    the one the tick's stage 2 merged and handed over. A cold pass — here a
+    view left behind under ``tolerate_locked`` — reads each bucket the
+    hand-over lacks once, in the union of the projections of the views that
+    need it. Every view reads back ``Table.equals`` to a view refreshed on
+    its own."""
     import ray
 
     from etl_ray.engine import apply, partitioning
+    from etl_ray.engine.lock import writer_lock
 
     lake = MultiTableLake(str(tmp_path / "ml"), _specs(tail_wal))
     eng = lake.engine("repo_files")
@@ -174,24 +179,27 @@ def test_one_read_per_touched_bucket_per_pass(
             m.setattr(ray, "get", lambda refs: refs)
             return lake._refresh_views_of("repo_files")
 
-    eng.tick(len(tail_wal.segments) - 1)
+    eng.tick(len(tail_wal.segments) - 2)
     first = one_pass()
-    assert sorted(b for b, _ in reads) == list(range(BUCKETS))
-    union = set()
-    for s in lake.specs[1:]:
-        kind, spec, _ = view_job(s, "")
-        union |= set(VIEW_KINDS[kind].need(spec))
-    assert all(set(cols) == union | {"deleted"} for _, cols in reads)
+    assert reads == []  # the first tick merged (and handed over) every bucket
     assert all(first[v]["buckets"] == BUCKETS for v in VIEWS)
+    assert one_pass() == dict.fromkeys(VIEWS)  # current: nothing to build
+    assert reads == []
 
+    behind = _upstream_tick(lake, "lang_stats")
+    with writer_lock(lake.table_dir("lang_stats"), "test-maintenance"):
+        assert lake.tick(1, tolerate_locked=True)["lang_stats"] is None
     applied = _upstream_tick(lake, "repo_stats")
     eng.tick()
-    again = one_pass()
     touched = _advanced(lake, applied)
-    assert sorted(b for b, _ in reads) == sorted(touched)
-    assert all(again[v]["buckets"] == len(touched) for v in VIEWS)
-    assert one_pass() == dict.fromkeys(VIEWS)  # current: no read at all
-    assert reads == []
+    assert set(eng.view_states) == touched
+    again = one_pass()
+    assert all(again[v]["buckets"] == len(touched) for v in ("repo_stats", "sessions"))
+    lagging = _advanced(lake, behind)
+    assert again["lang_stats"]["buckets"] == len(lagging) > len(touched)
+    kind, spec, _ = view_job(lake.spec("lang_stats"), "")
+    cols = (*VIEW_KINDS[kind].need(spec), "deleted")
+    assert sorted(reads) == [(b, cols) for b in sorted(lagging - touched)]
 
     # the fused pass writes what one view's own refresh writes
     up = lake.table_dir("repo_files")
