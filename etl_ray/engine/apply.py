@@ -14,11 +14,11 @@ groups (replay's stage-2 tasks, bootstrap) and per bucket for erasure:
 - the write plan comes first (``plan_state_write``): a base write (the
   first write, threshold 0, a compacting write, erasure) or a write with
   folds merges the FULL state — Arrow concat(state, deltas) →
-  ``last_writer`` per (repo, path) by LSN (:func:`apply_bucket`); a plain
-  delta write merges a NARROW projection (keys, lsn, deleted and the
-  views' columns — never the payload) and appends just the delta rows that
-  won (:func:`apply_delta`). Replay duplicates and already-applied events
-  are no-ops by monotonicity (``mod_data_insert.sql:5-6`` semantics);
+  ``last_writer`` per (repo, path) by LSN; a plain delta write merges a
+  NARROW projection (keys, lsn, deleted and the views' columns — never the
+  payload) and appends just the delta rows that won. Replay duplicates and
+  already-applied events are no-ops by monotonicity
+  (``mod_data_insert.sql:5-6`` semantics);
 - deletes become tombstones (``deleted=true``, payload null) so a late
   out-of-order update with a lower LSN than an applied delete cannot
   resurrect the row; tombstones are filtered at export and can be GC'd below
@@ -28,9 +28,9 @@ groups (replay's stage-2 tasks, bootstrap) and per bucket for erasure:
   (``insert_user_history.sql:15-42`` semantics);
 - output: the new base or delta file written via tmp + atomic rename
   (two-phase commit step 1), and the bucket manifest returned to the
-  driver for the commit step — with, when the engine's views asked for
-  columns, the merged state projected to them, which the tick's view
-  refresh builds from instead of reading the bucket again.
+  driver for the commit step — with, when the tick was asked for its
+  views' columns, the merged state projected to them, which the tick's
+  view refresh builds from instead of reading the bucket again.
 """
 
 from __future__ import annotations
@@ -456,46 +456,77 @@ def apply_bucket(
     bucket: int,
     tick: int,
     deltas: pa.Table,
-    state: pa.Table | None,
     man: dict | None,
     fold_rows: pa.Table | None,
-    plan: tuple[bool, str, str, list[str]],
     *,
     folds: list,
     fold_lateness: int,
     changelog: bool,
+    delta_threshold: int,
     view_columns: list[str] | None = None,
 ) -> tuple[dict, pa.Table | None]:
-    """Merge one bucket's deltas into its FULL state and write the result.
+    """Merge one bucket's deltas into its state and write the result.
 
-    ``deltas`` are the bucket's (pre-reduced, target-aligned) delta rows,
-    ``state`` its committed state (None for a new bucket), ``man`` its
-    committed manifest and ``plan`` the ``plan_state_write`` outcome.
+    ``deltas`` are the bucket's (pre-reduced, target-aligned) delta rows
+    and ``man`` its committed manifest (None for a new bucket), whose state
+    is read here. The write plan comes first: a plain delta write (no
+    folds) merges a NARROW projection — keys, lsn, deleted and
+    ``view_columns``, never the payload — and writes just the delta rows
+    that won it; a base write folds the whole state into the new file, and
+    with folds a late event still rewrites its key's row, payload and all.
     Writes the changelog part, the fold tail and the new state file (tmp +
     rename — two-phase commit step 1); returns the bucket manifest for the
     driver to publish and the merged state projected to ``view_columns``
     (None without them)."""
-    if state is not None:
-        merged_schema = unify_schemas([state.schema, deltas.schema])
-        # state first, deltas after → exact-LSN replay ties resolve to the
-        # (identical) delta row; deterministic either way.
-        merged = pa.concat_tables(
-            [align_to(state, merged_schema), align_to(deltas, merged_schema)]
-        )
-    else:
-        merged = deltas
-    merged = last_writer(merged, keys=KEYS)  # key-sorted
+    # base+delta (S3 semantics kept, write amplification dropped): an
+    # existing bucket appends ONE file of this tick's touched-key winner
+    # rows; readers fold base+deltas with the same LWW kernel. Past the
+    # threshold (0: every write / first write) the fold lands as a fresh
+    # base and the delta chain resets.
+    write_delta, out_path, data_file, delta_files = plan_state_write(
+        lineage, bucket, tick, man, delta_threshold
+    )
+    narrow = write_delta and not folds
+    state = None
+    schema = schema_in = deltas.schema  # of the written rows; of the merge
+    if man is not None and narrow:
+        committed = schema_from_b64(man["schema_b64"])
+        schema = unify_schemas([committed, deltas.schema])
+        cols = [*KEYS, ORDER, DELETED_COL, *(view_columns or [])]
+        cols = [c for c in dict.fromkeys(cols) if c in schema.names]
+        state = read_bucket_state(man, columns=[c for c in cols if c in committed.names])
+        schema_in = pa.schema([schema.field(c) for c in cols])
+    elif man is not None:
+        state = read_bucket_state(man)
+        schema = schema_in = unify_schemas([state.schema, deltas.schema])
+    # state first, deltas after → exact-LSN replay ties resolve to the
+    # (identical) delta row; deterministic either way.
+    both = pa.concat_tables(
+        [
+            align_to(t.select([c for c in schema_in.names if c in t.schema.names]), schema_in)
+            for t in (state, deltas)
+            if t is not None
+        ]
+    )
+    win = winner_indices(both)
+    merged = both.take(pa.array(win))  # key-sorted
+    # the winners that carry a payload: on a narrow merge the delta rows
+    # that won (a late event the state already beats writes nothing;
+    # merge-on-read would pick the same winner either way)
+    n_state = state.num_rows if state is not None else 0
+    won = (
+        align_to(deltas.take(pa.array(win[win >= n_state] - n_state)), schema)
+        if narrow
+        else merged
+    )
 
     if changelog:
         # CDC-out: the rows whose winning LSN changed this tick, vs the
         # previous COMMITTED state (deterministic on crash redo)
         from .changelog import changelog_delta, write_changelog_part
 
-        write_changelog_part(
-            lineage.lake_dir, tick, bucket, changelog_delta(state, merged)
-        )
+        write_changelog_part(lineage.lake_dir, tick, bucket, changelog_delta(state, won))
 
-    write_delta, out_path, data_file, delta_files = plan
     fold_file = None
     fold_hi = man["fold_through_lsn"] if man is not None else 0
     if folds and fold_rows is not None:
@@ -515,88 +546,31 @@ def apply_bucket(
         pq.write_table(tail, ftmp, compression="snappy")
         os.replace(ftmp, fold_file)
 
-    # a delta write with folds re-emits every touched key's winner: a late
-    # event still moves its key's fold columns, so the row goes again
-    out_tab = touched_key_rows(merged, deltas) if write_delta else merged
-    _write_state(out_tab, out_path)
+    if narrow:
+        out_tab = won
+    elif write_delta:
+        # a delta write with folds re-emits every touched key's winner: a
+        # late event still moves its key's fold columns
+        out_tab = touched_key_rows(merged, deltas)
+    else:
+        out_tab = merged
+    tmp = out_path + f".{os.getpid()}.tmp"
+    pq.write_table(out_tab, tmp, compression="zstd")
+    os.replace(tmp, out_path)
     man_out = bucket_manifest(
         bucket, tick, merged, data_file=data_file, delta_files=delta_files,
         written=[out_path, *([fold_file] if fold_file else [])],
         delta_rows=deltas.num_rows, fold_file=fold_file, fold_through_lsn=fold_hi,
+        schema=out_tab.schema,
     )
     return man_out, _view_state(merged, view_columns)
-
-
-def apply_delta(
-    lineage: LakeLineage,
-    bucket: int,
-    tick: int,
-    deltas: pa.Table,
-    man: dict,
-    plan: tuple[bool, str, str, list[str]],
-    *,
-    changelog: bool,
-    view_columns: list[str] | None = None,
-) -> tuple[dict, pa.Table | None]:
-    """A delta write (no folds) that never reads the payload: the merge
-    runs on a NARROW projection of state and deltas — keys, lsn, deleted
-    and ``view_columns`` — and the file appended is the delta rows that won
-    it, key-sorted. A late event the state already beats writes nothing
-    (merge-on-read would pick the same winner either way); an exact-LSN
-    replay duplicate wins its tie and is written again, as on a full merge.
-    The changelog's changed rows are among those winners, the counts and
-    watermark come from the narrow merge, and the manifest schema is the
-    unify of the committed one and the deltas'. Same return as
-    :func:`apply_bucket`."""
-    _, out_path, data_file, delta_files = plan
-    state_schema = schema_from_b64(man["schema_b64"])
-    schema = unify_schemas([state_schema, deltas.schema])
-    cols = [
-        c
-        for c in dict.fromkeys([*KEYS, ORDER, DELETED_COL, *(view_columns or [])])
-        if c in schema.names
-    ]
-    narrow = pa.schema([schema.field(c) for c in cols])
-    state = read_bucket_state(man, columns=[c for c in cols if c in state_schema.names])
-    both = pa.concat_tables(
-        [
-            align_to(t.select([c for c in cols if c in t.schema.names]), narrow)
-            for t in (state, deltas)
-        ]
-    )
-    win = winner_indices(both)  # state first: exact-LSN ties go to the delta
-    merged = both.take(pa.array(win))
-    from_delta = win[win >= state.num_rows] - state.num_rows
-    out_tab = align_to(deltas.take(pa.array(from_delta)), schema)
-
-    if changelog:
-        from .changelog import changelog_delta, write_changelog_part
-
-        write_changelog_part(
-            lineage.lake_dir, tick, bucket, changelog_delta(state, out_tab)
-        )
-    _write_state(out_tab, out_path)
-    man_out = bucket_manifest(
-        bucket, tick, merged, data_file=data_file, delta_files=delta_files,
-        written=[out_path], delta_rows=deltas.num_rows,
-        fold_through_lsn=man["fold_through_lsn"], schema=schema,
-    )
-    return man_out, _view_state(merged, view_columns)
-
-
-def _write_state(t: pa.Table, path: str) -> None:
-    tmp = path + f".{os.getpid()}.tmp"
-    pq.write_table(t, tmp, compression="zstd")
-    os.replace(tmp, path)
 
 
 class MergeApplier:
-    """In-process bucket-merge shell that reads each bucket's state from its
-    committed manifest: the per-bucket applier of ``erase_keys`` and
-    (``apply_spilled``) the consumer over spill-shuffle descriptors of
-    replay's stage 2 and the bootstrap. ``view_columns`` (replay passes the
-    columns its lake's views read) makes every merge also return its
-    bucket's merged state projected to them."""
+    """In-process :func:`apply_bucket` shell that reads each bucket's state
+    from its committed manifest: the per-bucket applier of ``erase_keys``
+    and (``apply_spilled``) the consumer over spill-shuffle descriptors of
+    replay's stage 2 and the bootstrap."""
 
     def __init__(
         self,
@@ -607,8 +581,7 @@ class MergeApplier:
         fold_lateness: int = 0,
         changelog: bool = False,
         delta_threshold: int | None = None,  # see resolve_delta_threshold
-        view_columns: list[str] | None = None,
-        state_mode: str | None = None,  # delta_threshold's older spelling
+        state_mode: str | None = None,  # its older spelling
     ):
         # once per applier: lineage handles + deserialized target schema
         self.lineage = LakeLineage(lake_dir)
@@ -618,16 +591,17 @@ class MergeApplier:
         self.fold_lateness = fold_lateness
         self.changelog = changelog
         self.delta_threshold = resolve_delta_threshold(state_mode, delta_threshold)
-        self.view_columns = view_columns
         self._pf_cache: dict[str, pq.ParquetFile] = {}
 
-    def apply_spilled(self, items: list[dict]) -> list[tuple[dict, pa.Table | None]]:
+    def apply_spilled(
+        self, items: list[dict], view_columns: list[str] | None = None
+    ) -> list[tuple[dict, pa.Table | None]]:
         """Merge each spill-shuffle descriptor's bucket (``{bucket, files,
         rgs[, ffiles, frgs]}``): its deltas (and fold rows) are read as
         parquet row groups out of the shuffle files. Returns (bucket
-        manifest, view state) per descriptor. ``perfbench/kernels.py``
-        passes the descriptors as one Arrow table; that form goes once the
-        benchmark passes dicts."""
+        manifest, merged state projected to ``view_columns`` or None) per
+        descriptor. ``perfbench/kernels.py`` passes the descriptors as one
+        Arrow table; that form goes once the benchmark passes dicts."""
         if isinstance(items, pa.Table):
             items = items.to_pylist()
         out = []
@@ -637,28 +611,26 @@ class MergeApplier:
             if self.folds and "ffiles" in it:
                 fold_rows = read_row_groups(self._pf_cache, it["ffiles"], it["frgs"])
             out.append(
-                self._apply_one(int(it["bucket"]), align_to(deltas, self.target), fold_rows)
+                self._apply_one(
+                    int(it["bucket"]), align_to(deltas, self.target), fold_rows,
+                    view_columns,
+                )
             )
         return out
 
     def _apply_one(
-        self, bucket: int, deltas: pa.Table, fold_rows: pa.Table | None = None
+        self,
+        bucket: int,
+        deltas: pa.Table,
+        fold_rows: pa.Table | None = None,
+        view_columns: list[str] | None = None,
     ) -> tuple[dict, pa.Table | None]:
         """Merge one bucket's target-aligned ``deltas``; returns its manifest
-        and view state. The write plan picks the merge: a delta write
-        without folds needs no payload (:func:`apply_delta`); a base write
-        folds the whole state into the new file, and with folds a late
-        event still rewrites its key's row, payload and all."""
-        man = self.lineage.bucket_manifest(bucket)
-        plan = plan_state_write(self.lineage, bucket, self.tick, man, self.delta_threshold)
-        if plan[0] and not self.folds:
-            return apply_delta(
-                self.lineage, bucket, self.tick, deltas, man, plan,
-                changelog=self.changelog, view_columns=self.view_columns,
-            )
-        state = read_bucket_state(man) if man is not None else None
+        and view state (see :func:`apply_bucket`)."""
         return apply_bucket(
-            self.lineage, bucket, self.tick, deltas, state, man, fold_rows, plan,
+            self.lineage, bucket, self.tick, deltas,
+            self.lineage.bucket_manifest(bucket), fold_rows,
             folds=self.folds, fold_lateness=self.fold_lateness,
-            changelog=self.changelog, view_columns=self.view_columns,
+            changelog=self.changelog, delta_threshold=self.delta_threshold,
+            view_columns=view_columns,
         )

@@ -128,7 +128,7 @@ def bootstrap_lake(
         manifests = [
             m
             for m, _ in run_tasks(
-                _merge_chunk, items, lake_dir, 0, schema_ser, max_tasks=cap
+                _merge_chunk, items, None, lake_dir, 0, schema_ser, max_tasks=cap
             )
         ]
         shutil.rmtree(spill_dir, ignore_errors=True)

@@ -31,22 +31,34 @@ from .replay import target_schema_ser, tick_spill_dir
 ERASE_LSN_GAP = 1 << 20  # tombstone headroom over in-flight (bounded-late) events
 
 
-def _refuse_crashed_replay(lineage: LakeLineage, last: dict, op: str) -> None:
-    """Raise, before ``op`` writes anything, while a replay attempt of the
-    next tick has crashed after publishing bucket manifests: the op's
-    commit would take that tick id and with it the attempt's per-tick log
-    parts (feed, agg log, quarantine), which the redo then writes again
-    under the following id. A crashed maintenance op leaves no replay
-    shuffle, so re-running it stays allowed."""
+def _settle_crashed_replay(lineage: LakeLineage, last: dict, op: str) -> None:
+    """Run before ``op`` writes anything. A replay attempt of the next tick
+    that crashed or was aborted — its shuffle dir (``replay.tick_spill_dir``,
+    which only a commit removes) marks it — has already written that tick's
+    log parts (feed, agg log, quarantine); ``op``'s commit under the same
+    tick id would make them committed, and the redo would write them again
+    under the next id. An attempt that published no bucket manifest (a
+    quality-gate abort, a crash before the first publish) is dropped here,
+    parts and shuffle, so ``op`` goes on; one that published some owns the
+    tick id (its parts hold the only copy of those buckets' feed rows), so
+    ``op`` raises until the next replay tick redoes it. A crashed
+    maintenance op leaves no replay shuffle, so re-running it stays
+    allowed."""
+    import shutil
+
     tick = last["tick"] + 1
-    if os.path.isdir(tick_spill_dir(lineage.lake_dir, tick)) and any(
-        m["tick"] > last["tick"] for m in lineage.all_bucket_manifests()
-    ):
+    spill = tick_spill_dir(lineage.lake_dir, tick)
+    if not os.path.isdir(spill):
+        return
+    if any(m["tick"] > last["tick"] for m in lineage.all_bucket_manifests()):
         raise RuntimeError(
             f"{op}: replay tick {tick} crashed after publishing bucket "
             "manifests; run the next replay tick first (it redoes tick "
             f"{tick}), then re-run {op}"
         )
+    for log in (ticklog.FEED, ticklog.AGGLOG, ticklog.QUARANTINE):
+        ticklog.begin_tick(lineage.lake_dir, log, tick)
+    shutil.rmtree(spill, ignore_errors=True)
 
 
 def erase_keys(
@@ -86,7 +98,7 @@ def _erase_keys_locked(
     last = lineage.last_tick()
     if last is None:
         raise RuntimeError("cannot erase from an empty lake (no committed tick)")
-    _refuse_crashed_replay(lineage, last, "erase")
+    _settle_crashed_replay(lineage, last, "erase")
     tick_id = last["tick"] + 1
     # anchor the tombstone gap on the TRUE WAL high-LSN, not the (possibly
     # already erase-inflated) applied watermark — otherwise repeated erasures
@@ -304,7 +316,7 @@ def _rebucket_locked(
     last = lineage.last_tick()
     if last is None:
         raise RuntimeError("empty lake")
-    _refuse_crashed_replay(lineage, last, "rebucket")
+    _settle_crashed_replay(lineage, last, "rebucket")
     tick_id = last["tick"] + 1
     old_manifests = lineage.all_bucket_manifests()
     from .apply import bucket_files, bucket_schemas
@@ -457,7 +469,7 @@ def _compact_tombstones_locked(
     last = lineage.last_tick()
     if last is None:
         raise RuntimeError("empty lake")
-    _refuse_crashed_replay(lineage, last, "compact")
+    _settle_crashed_replay(lineage, last, "compact")
     if keep_after_lsn is None:
         # derive from the TRUE WAL high-LSN: applied_through_lsn is inflated
         # by lsn_gap per erasure tick, which would silently zero (then turn

@@ -14,8 +14,8 @@ pipeline with exactly ONE shuffle:
   → appliers: ``run_tasks`` plain tasks over the touched buckets,
       state read from the committed manifests — only keys, lsn,
       deleted and the views' columns on a delta write: stateful LWW
-      upsert/delete/evolve, ``apply.apply_bucket``/``apply_delta``;
-      each hands back its bucket's merged view columns              [A5/J4/J5]
+      upsert/delete/evolve, ``apply.apply_bucket``; asked for view
+      columns, each hands back its bucket's merged projection       [A5/J4/J5]
   → driver: publish bucket manifests, re-aggregate touched days,
     publish tick manifest (the commit point), GC                   [S2/S3/ST4]
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pyarrow as pa
 
@@ -42,13 +42,13 @@ from .partitioning import cluster_cpus, fan_out, run_tasks
 from .source import pending_segments, read_segments_indexed, target_schema_for
 
 
-def _merge_chunk(chunk: list[dict], *applier_args) -> list[tuple]:
+def _merge_chunk(chunk: list[dict], view_columns, *applier_args) -> list[tuple]:
     """One applier task (replay's stage 2, bootstrap): a ``MergeApplier``
     over a chunk of spill descriptors; returns their (bucket manifest, view
-    state) pairs."""
+    state) pairs (``MergeApplier.apply_spilled``)."""
     from .apply import MergeApplier
 
-    return MergeApplier(*applier_args).apply_spilled(chunk)
+    return MergeApplier(*applier_args).apply_spilled(chunk, view_columns)
 
 
 class DeadlineExceededError(RuntimeError):
@@ -105,6 +105,9 @@ class TickResult:
     state_rows: int
     live_rows: int
     seconds: float
+    # asked for view columns: {bucket: (apply.chain_key, merged state
+    # projected to them and ``deleted``)} of every bucket this tick merged
+    view_states: dict | None = field(default=None, repr=False, compare=False)
 
 
 class ReplayEngine:
@@ -137,7 +140,6 @@ class ReplayEngine:
         dims: list | None = None,  # named broadcast dims (enrich.DimSpec)
         delta_threshold: int | None = None,  # see apply.resolve_delta_threshold
         state_mode: str | None = None,  # its older spelling
-        view_columns: list[str] | None = None,  # see view_states
     ):
         from .apply import resolve_delta_threshold
 
@@ -191,12 +193,6 @@ class ReplayEngine:
         self.wal = WalInfo.load(wal_dir)
         self.lake_dir = lake_dir
         self.lineage = LakeLineage(lake_dir)
-        # the columns the lake's views of this table read (MultiTableLake
-        # wires them): each committed tick leaves, per bucket it merged,
-        # {bucket: (apply.chain_key, merged state projected to them and
-        # ``deleted``)} in view_states, for that tick's view refresh only
-        self.view_columns = view_columns
-        self.view_states: dict[int, tuple[tuple, pa.Table]] = {}
         self.num_buckets = num_buckets
         self.concurrency = concurrency
         self.aggregate = aggregate
@@ -263,7 +259,9 @@ class ReplayEngine:
 
     # ------------------------------------------------------------------
 
-    def _spill_apply(self, ds, tick_id: int, schema_ser: bytes):
+    def _spill_apply(
+        self, ds, tick_id: int, schema_ser: bytes, view_columns: list[str] | None
+    ):
         """The tick's one shuffle, over shared FS (the shape a multi-node
         lake engine actually wants): stage 1 tasks append each pre-reduced
         batch's rows to per-bucket delta files under
@@ -274,7 +272,7 @@ class ReplayEngine:
         the object store, and stage-2 parallelism is min(buckets, CPUs[,
         concurrency]) regardless of input block sizing. Crash-safe: the
         spill dir is wiped and rebuilt on tick redo. Returns the (bucket
-        manifest, view state) pairs.
+        manifest, state projected to ``view_columns`` or None) pairs.
         """
         import shutil
         import uuid
@@ -387,9 +385,10 @@ class ReplayEngine:
             return []
         t_ap = time.perf_counter()
         out = run_tasks(
-            _merge_chunk, items, self.lake_dir, tick_id, schema_ser, self.folds,
+            _merge_chunk, items, view_columns, self.lake_dir, tick_id, schema_ser,
+            self.folds,
             self.fold_lateness, self.emit_changelog, self.delta_threshold,
-            self.view_columns, max_tasks=cap,
+            max_tasks=cap,
         )
         if os.environ.get("ETL_RAY_DEBUG"):
             print(
@@ -399,7 +398,14 @@ class ReplayEngine:
             )
         return out
 
-    def tick(self, max_segments: int | None = None) -> TickResult | None:
+    def tick(
+        self, max_segments: int | None = None, *, view_columns: list[str] | None = None
+    ) -> TickResult | None:
+        """Commit the next tick (up to ``max_segments`` WAL segments); None
+        when no segment is pending. With ``view_columns`` (a lake passes the
+        columns its views of this table read) the result's ``view_states``
+        holds every merged bucket's state projected to them, for that tick's
+        view refresh."""
         # single-writer guard: held per tick (re-acquired each tick, which
         # refreshes the TTL for long replays); the pending-segment check
         # below needs no lock (it only reads the WAL manifest)
@@ -407,10 +413,9 @@ class ReplayEngine:
         from .lock import WriterLockError, writer_lock
         from .quality import DataQualityError
 
-        self.view_states = {}
         try:
             with writer_lock(self.lake_dir, "replay"):
-                return self._tick_locked(max_segments)
+                return self._tick_locked(max_segments, view_columns)
         except WriterLockError:
             raise  # interleaving with maintenance, not a failure — no alert
         except DataQualityError as e:
@@ -427,7 +432,9 @@ class ReplayEngine:
             )
             raise
 
-    def _tick_locked(self, max_segments: int | None = None) -> TickResult | None:
+    def _tick_locked(
+        self, max_segments: int | None, view_columns: list[str] | None
+    ) -> TickResult | None:
         t0 = time.perf_counter()
         last = self.lineage.last_tick()
         through = last["through_seqno"] if last else -1
@@ -480,7 +487,7 @@ class ReplayEngine:
         schema_ser = target_schema_ser(deltas_schema(target))
         if os.environ.get("ETL_RAY_DEBUG"):
             print(f"[etl-ray] tick setup: {time.perf_counter() - t0:.2f}s", flush=True)
-        applied = self._spill_apply(ds, tick_id, schema_ser)
+        applied = self._spill_apply(ds, tick_id, schema_ser, view_columns)
         manifests = [m for m, _ in applied]
 
         quarantined = ticklog.rows(self.lake_dir, ticklog.QUARANTINE, tick_id)
@@ -598,9 +605,6 @@ class ReplayEngine:
                 "dim_versions": dim_versions or None,
             }
         )
-        self.view_states = {
-            m["bucket"]: (chain_key(m), v) for m, v in applied if v is not None
-        }
         self.lineage.gc(self.retain_ticks)
         if self.changelog_retain is not None:
             ticklog.drop_below(self.lake_dir, ticklog.FEED, tick_id - self.changelog_retain)
@@ -617,6 +621,11 @@ class ReplayEngine:
             state_rows=state_rows,
             live_rows=live_rows,
             seconds=time.perf_counter() - t0,
+            view_states=(
+                None
+                if view_columns is None
+                else {m["bucket"]: (chain_key(m), v) for m, v in applied}
+            ),
         )
 
     def replay_all(self, *, segments_per_tick: int | None = None) -> list[TickResult]:

@@ -288,12 +288,6 @@ class MultiTableLake:
             s = self.spec(name)
             if s.is_view:
                 raise ValueError(f"{name!r} is a view, not a base table")
-            # the columns this table's views read: each tick's appliers hand
-            # back their merged buckets projected to them (_refresh_views_of)
-            views = [
-                view_job(v, "") for v in self.specs if v.is_view and v.source == name
-            ]
-            cols = [c for k, spec, _ in views for c in VIEW_KINDS[k].need(spec)]
             self._engines[name] = ReplayEngine(
                 s.wal_dir,
                 self.table_dir(name),
@@ -309,7 +303,6 @@ class MultiTableLake:
                 state_mode=s.state_mode,
                 delta_threshold=s.delta_threshold,
                 dims=s.dims,
-                view_columns=list(dict.fromkeys(cols)) if views else None,
             )
         return self._engines[name]
 
@@ -332,26 +325,43 @@ class MultiTableLake:
         for s in self.specs:
             if s.is_view:
                 continue
+            handed = None
             try:
-                out[s.name] = self.engine(s.name).tick(max_segments)
+                r = self.engine(s.name).tick(
+                    max_segments, view_columns=self.view_columns(s.name)
+                )
             except WriterLockError:
                 if not tolerate_locked:
                     raise
-                out[s.name] = None
-            out.update(self._refresh_views_of(s.name, tolerate_locked=tolerate_locked))
+                r = None
+            if r is not None:
+                # the merged states serve this pass only: no result keeps them
+                handed, r.view_states = r.view_states, None
+            out[s.name] = r
+            out.update(
+                self._refresh_views_of(s.name, tolerate_locked=tolerate_locked, handed=handed)
+            )
         return {s.name: out[s.name] for s in self.specs}
 
-    def _refresh_views_of(self, source: str, *, tolerate_locked: bool = False) -> dict:
+    def view_columns(self, source: str) -> list[str] | None:
+        """The columns ``source``'s views read (None if it has none): a tick
+        of ``source`` hands its merged buckets over projected to them."""
+        views = [view_job(v, "") for v in self.specs if v.is_view and v.source == source]
+        cols = [c for k, spec, _ in views for c in VIEW_KINDS[k].need(spec)]
+        return list(dict.fromkeys(cols)) if views else None
+
+    def _refresh_views_of(
+        self, source: str, *, tolerate_locked: bool = False, handed: dict | None = None
+    ) -> dict:
         """{view name: refresh result} of one pass over ``source``'s views,
-        built from the merged bucket states its engine's last tick handed
-        over where they are still the committed ones."""
+        built from ``handed`` (the ``view_states`` of the tick just
+        committed) where they are still the committed states."""
         views = [s for s in self.specs if s.is_view and s.source == source]
-        eng = self._engines.get(source)
         res = refresh_views(
             self.table_dir(source),
             [view_job(s, self.table_dir(s.name)) for s in views],
             tolerate_locked=tolerate_locked,
-            handed=eng.view_states if eng is not None else None,
+            handed=handed,
         )
         return {s.name: r for s, r in zip(views, res)}
 

@@ -58,7 +58,7 @@ def refresh_views(
     through ``partitioning.run_tasks``, one plain Ray task per chunk (every
     result's ``tasks``): a task takes each bucket's state ONCE, in the
     union of the projections of the views that need it, and writes each of
-    those views' partials from it. ``handed`` (``ReplayEngine.view_states``
+    those views' partials from it. ``handed`` (``TickResult.view_states``
     of the tick just committed: {bucket: (chain key, merged projection)})
     supplies that state for a bucket whose committed chain is the handed
     one and whose projection covers the columns; any other bucket — a view

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pandas as pd
+import pytest
 
 from etl_ray.engine import ReplayEngine
 from etl_ray.engine.export import final_state
@@ -488,3 +489,70 @@ def test_maintenance_refuses_a_crashed_replay_tick(ray_session, tmp_path):
     assert not changes.duplicated(["repo", "path", "lsn"]).any()
     live = _live_df(lake)
     assert not ((live["repo"] == key[0]) & (live["path"] == key[1])).any()
+
+
+def _log_rows(lake: str, log) -> pd.DataFrame:
+    import pyarrow.parquet as pq
+
+    from etl_ray.engine import ticklog
+
+    return pd.concat(
+        pq.ParquetFile(p["file"]).read_row_groups(p["rgs"]).to_pandas()
+        for p in ticklog.parts(lake, log)
+    )
+
+
+@pytest.mark.parametrize("stop", ["crash_before_publish", "quality_gate"])
+def test_maintenance_drops_a_replay_attempt_that_published_nothing(
+    ray_session, tmp_path, stop
+):
+    """A replay attempt that stopped before its first bucket-manifest
+    publish — a crash at ``fail_after_buckets=0`` or a failing mandatory
+    quality check — has written its tick's feed, agg-log and quarantine
+    parts. Maintenance drops them and goes on (a failing check does not
+    hold up an erasure); after the redo the feed holds every change row
+    once and the quarantine every malformed row once."""
+    import os
+
+    from etl_ray.engine import ticklog
+    from etl_ray.engine.lineage import LakeLineage
+    from etl_ray.engine.maintenance import rebucket
+    from etl_ray.engine.quality import CheckSpec, DataQualityError
+    from etl_ray.engine.replay import tick_spill_dir
+    from etl_ray.wal import generate_wal
+
+    wal = generate_wal(
+        str(tmp_path / "wal"), seed=3, n_events=6_000, n_repos=10,
+        paths_per_repo=60, malform_rate=0.05, segment_rows=1_500,
+        content_min=16, content_max=64,
+    )
+    lake = str(tmp_path / "lake")
+    kw = dict(num_buckets=4, concurrency=2, emit_changelog=True)
+    ReplayEngine(wal.wal_dir, lake, **kw).tick(2)
+    if stop == "quality_gate":
+        fail = CheckSpec("always_fails", lambda ctx: [{"why": "test"}])
+        with pytest.raises(DataQualityError):
+            ReplayEngine(wal.wal_dir, lake, checks=[fail], **kw).tick(1)
+    else:
+        with pytest.raises(RuntimeError, match="injected crash"):
+            ReplayEngine(wal.wal_dir, lake, fail_after_buckets=0, **kw).tick(1)
+    lin = LakeLineage(lake)
+    last = lin.last_tick()["tick"]
+    assert os.path.isdir(tick_spill_dir(lake, last + 1))
+    assert ticklog.rows(lake, ticklog.QUARANTINE, last + 1) > 0
+
+    rebucket(lake, 8)
+    assert lin.last_tick()["tick"] == last + 1
+    assert ticklog.rows(lake, ticklog.QUARANTINE, last + 1) == 0
+    ReplayEngine(wal.wal_dir, lake, **kw).replay_all()
+
+    ref = str(tmp_path / "ref")  # the same ticks, nothing stopped
+    ReplayEngine(wal.wal_dir, ref, **kw).tick(2)
+    ReplayEngine(wal.wal_dir, ref, **kw).replay_all()
+    feed = _log_rows(lake, ticklog.FEED)
+    assert not feed.duplicated(["repo", "path", "lsn"]).any()
+    assert len(feed) == len(_log_rows(ref, ticklog.FEED))
+    assert len(_log_rows(lake, ticklog.QUARANTINE)) == len(
+        _log_rows(ref, ticklog.QUARANTINE)
+    )
+    assert _live_df(lake).equals(_live_df(ref))

@@ -171,16 +171,17 @@ def test_one_read_per_touched_bucket_per_pass(
         reads.append((man["bucket"], tuple(columns)))
         return real(man, columns=columns, **kw)
 
-    def one_pass():
+    def one_pass(handed=None):
         reads.clear()
         with monkeypatch.context() as m:
             m.setattr(apply, "read_bucket_state", spy)
             m.setattr(partitioning, "task_refs", _inline_task_refs)
             m.setattr(ray, "get", lambda refs: refs)
-            return lake._refresh_views_of("repo_files")
+            return lake._refresh_views_of("repo_files", handed=handed)
 
-    eng.tick(len(tail_wal.segments) - 2)
-    first = one_pass()
+    cols = lake.view_columns("repo_files")
+    r = eng.tick(len(tail_wal.segments) - 2, view_columns=cols)
+    first = one_pass(r.view_states)
     assert reads == []  # the first tick merged (and handed over) every bucket
     assert all(first[v]["buckets"] == BUCKETS for v in VIEWS)
     assert one_pass() == dict.fromkeys(VIEWS)  # current: nothing to build
@@ -190,10 +191,10 @@ def test_one_read_per_touched_bucket_per_pass(
     with writer_lock(lake.table_dir("lang_stats"), "test-maintenance"):
         assert lake.tick(1, tolerate_locked=True)["lang_stats"] is None
     applied = _upstream_tick(lake, "repo_stats")
-    eng.tick()
+    r = eng.tick(view_columns=cols)
     touched = _advanced(lake, applied)
-    assert set(eng.view_states) == touched
-    again = one_pass()
+    assert set(r.view_states) == touched
+    again = one_pass(r.view_states)
     assert all(again[v]["buckets"] == len(touched) for v in ("repo_stats", "sessions"))
     lagging = _advanced(lake, behind)
     assert again["lang_stats"]["buckets"] == len(lagging) > len(touched)

@@ -35,12 +35,12 @@ def evo_wal(tmp_path_factory):
     )
 
 
-def _check_handed(eng: ReplayEngine) -> None:
+def _check_handed(eng: ReplayEngine, r) -> None:
     lin = LakeLineage(eng.lake_dir)
-    tick = lin.last_tick()["tick"]
+    assert r.tick == lin.last_tick()["tick"]
     mans = {m["bucket"]: m for m in lin.all_bucket_manifests()}
-    assert set(eng.view_states) == {b for b, m in mans.items() if m["tick"] == tick}
-    for b, (key, state) in eng.view_states.items():
+    assert set(r.view_states) == {b for b, m in mans.items() if m["tick"] == r.tick}
+    for b, (key, state) in r.view_states.items():
         assert key == chain_key(mans[b])
         assert state.equals(read_bucket_state(mans[b], columns=[*VIEW_COLS, "deleted"]))
 
@@ -52,22 +52,22 @@ def test_handed_state_equals_a_read_of_the_new_chain(
     """At every tick — across both schema evolutions and a redo of a tick
     that crashed between bucket publishes — each handed state
     ``Table.equals`` a projected read of its bucket's new manifest, row
-    order included, and a crashed tick hands nothing over."""
+    order included. A tick asked for no columns hands nothing over."""
     eng = ReplayEngine(
         evo_wal.wal_dir, str(tmp_path / "lake"), num_buckets=4, concurrency=2,
-        delta_threshold=threshold, view_columns=VIEW_COLS,
+        delta_threshold=threshold,
     )
     crash_at = len(evo_wal.segments) // 2
-    for i in range(len(evo_wal.segments)):
+    for i in range(len(evo_wal.segments) - 1):
         if i == crash_at:
             eng.fail_after_buckets = 1
             with pytest.raises(RuntimeError, match="injected crash"):
-                eng.tick(1)
-            assert eng.view_states == {}
+                eng.tick(1, view_columns=VIEW_COLS)
             eng.fail_after_buckets = None
-        assert eng.tick(1) is not None
-        _check_handed(eng)
-    assert eng.tick() is None and eng.view_states == {}
+        _check_handed(eng, eng.tick(1, view_columns=VIEW_COLS))
+    r = eng.tick(1)
+    assert r.buckets_touched and r.view_states is None
+    assert eng.tick(view_columns=VIEW_COLS) is None
 
 
 def _with_late_segment(src: WalInfo, dst: str) -> WalInfo:
