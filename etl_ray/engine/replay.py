@@ -386,9 +386,8 @@ class ReplayEngine:
         t_ap = time.perf_counter()
         out = run_tasks(
             _merge_chunk, items, view_columns, self.lake_dir, tick_id, schema_ser,
-            self.folds,
-            self.fold_lateness, self.emit_changelog, self.delta_threshold,
-            max_tasks=cap,
+            self.folds, self.fold_lateness, self.emit_changelog,
+            self.delta_threshold, max_tasks=cap,
         )
         if os.environ.get("ETL_RAY_DEBUG"):
             print(
