@@ -26,7 +26,7 @@ groups (replay's stage-2 tasks, bootstrap) and per bucket for erasure:
 - additive schema evolution: state and deltas are both promoted to the
   unified schema with null backfill before the merge
   (``insert_user_history.sql:15-42`` semantics);
-- output: the new base or delta file written via tmp + atomic rename
+- output: the new base or delta file published by ``lineage.publish``
   (two-phase commit step 1), and the bucket manifest returned to the
   driver for the commit step — with, when the tick was asked for its
   views' columns, the merged state projected to them, which the tick's
@@ -43,7 +43,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .dedup import KEYS, ORDER, last_writer, winner_indices
-from .lineage import LakeLineage
+from .lineage import LakeLineage, parquet_writer, publish
 from .partitioning import read_row_groups
 from .schema_evo import align_to, unify_schemas
 
@@ -272,10 +272,9 @@ def read_bucket_state(
                 # we folded (erase/compact/next tick), delete our write —
                 # either our check sees the new manifest, or the op's
                 # trailing gc runs after its manifest publish and sweeps us
-                tmp = cpath + f".{os.getpid()}.tmp"
                 try:
-                    pq.write_table(t, tmp, compression="zstd")
-                    os.replace(tmp, cpath)
+                    write = parquet_writer(t, compression="zstd")
+                    publish(cpath, write, point="bucket.fold_cache")
                     if _current_chain(man) != tuple(files):
                         os.remove(cpath)
                 except OSError:
@@ -542,9 +541,8 @@ def apply_bucket(
         if fold_rows.num_rows:
             fold_hi = max(fold_hi, pc.max(fold_rows["lsn"]).as_py())
         fold_file = fold_tail_path(out_path)
-        ftmp = fold_file + f".{os.getpid()}.tmp"
-        pq.write_table(tail, ftmp, compression="snappy")
-        os.replace(ftmp, fold_file)
+        write = parquet_writer(tail, compression="snappy")
+        publish(fold_file, write, point="bucket.fold_tail")
 
     if narrow:
         out_tab = won
@@ -554,9 +552,7 @@ def apply_bucket(
         out_tab = touched_key_rows(merged, deltas)
     else:
         out_tab = merged
-    tmp = out_path + f".{os.getpid()}.tmp"
-    pq.write_table(out_tab, tmp, compression="zstd")
-    os.replace(tmp, out_path)
+    publish(out_path, parquet_writer(out_tab, compression="zstd"), point="bucket.state")
     man_out = bucket_manifest(
         bucket, tick, merged, data_file=data_file, delta_files=delta_files,
         written=[out_path, *([fold_file] if fold_file else [])],

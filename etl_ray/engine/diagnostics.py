@@ -5,8 +5,7 @@ per-batch pre-reduction absorbing hot keys (partitioning.py); this report is
 the ops-side check that the story holds for a given lake: per-bucket row
 distribution (from lineage manifests — free), hot-repo top-k (per-bucket
 counts of one narrow column), and a recommendation when imbalance crosses
-thresholds (rebucket for too-few buckets, salt cells for a dominant single
-key).
+2x (rebucket to a higher count).
 
 Reference analog: the reference sizes/monitors its per-app BigQuery day
 partitions by row count in ops dashboards; a bucketed lake needs the
@@ -83,15 +82,9 @@ def skew_report(lake_dir: str, *, top_k: int = 20) -> dict:
 
     recs = []
     if stats["imbalance_max_over_mean"] > 2.0:
-        if stats.get("hottest_repo_fraction", 0) > 1.0 / nb:
-            recs.append(
-                "a single repo dominates its bucket: split it with salt "
-                "cells (partitioning.salt_of) or key on (repo, path) shards"
-            )
-        else:
-            recs.append(
-                f"bucket imbalance {stats['imbalance_max_over_mean']}x: "
-                f"rebucket to a higher count (python -m etl_ray rebucket)"
-            )
+        recs.append(
+            f"bucket imbalance {stats['imbalance_max_over_mean']}x: "
+            f"rebucket to a higher count (python -m etl_ray rebucket)"
+        )
     stats["recommendations"] = recs
     return stats

@@ -39,6 +39,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .lineage import parquet_writer, publish
+
 NUM_MAP_BUCKETS = 16
 
 MAP_SCHEMA = pa.schema(
@@ -112,8 +114,7 @@ def _merge_bucket(lake_dir: str, b: int, g: pd.DataFrame) -> tuple[int, int]:
         ["field", "original"]
     )
     tbl = pa.Table.from_pandas(out.reset_index(drop=True), schema=MAP_SCHEMA)
-    pq.write_table(tbl, path + ".tmp")
-    os.replace(path + ".tmp", path)
+    publish(path, parquet_writer(tbl), point="gdpr.map")
     return int(fresh.sum()), int(matched.sum())
 
 
@@ -192,6 +193,5 @@ def erase_from_map(lake_dir: str, field: str, originals: list[str]) -> int:
             removed += int(drop.sum())
             keep = cur[~drop].reset_index(drop=True)
             tbl = pa.Table.from_pandas(keep, schema=MAP_SCHEMA)
-            pq.write_table(tbl, path + ".tmp")
-            os.replace(path + ".tmp", path)
+            publish(path, parquet_writer(tbl), point="gdpr.map")
     return removed

@@ -42,11 +42,10 @@ current format is replayed from its WAL into a new lake, not read.
 Commit protocol (crash-safe on a POSIX FS; on a real cluster this directory
 is shared storage and the driver is the single committer):
 
-1. bucket appliers write ``state-t{tick}.parquet`` via tmp + ``os.replace``
-   (atomic rename). Old tick's files are untouched.
-2. after the whole Dataset execution succeeds, the driver atomically
-   publishes each bucket manifest (tmp + rename), then
-3. publishes the tick manifest — the single commit point.
+1. bucket appliers write ``state-t{tick}.parquet`` (a new base, or a
+   ``.delta.parquet``) beside the old files, which stay untouched;
+2. after every applier task succeeds, each bucket manifest is published;
+3. then the tick manifest is published — the single commit point.
 4. files no longer referenced by any bucket manifest are GC'd on the next
    tick start.
 
@@ -54,14 +53,38 @@ A crash anywhere before (3) leaves the previous tick authoritative; re-running
 the tick re-applies the same deltas, which is a no-op by LWW monotonicity —
 exactly-once by idempotence, as in the reference's delete-partition-then-insert
 (``insert_user_history.sql:301-311``).
+
+Every file the engine writes in place is published by :func:`publish`:
+``write(tmp)`` writes ``path.{pid}.tmp`` beside the target, one rename puts
+it in place, and a failed write or rename removes the tmp file (a killed
+process leaves it to the gc sweeps of ``gc`` and ``ticklog.begin_tick``).
+Each call names its commit point, and a test crashes a run at one by name:
+
+- ``bucket.state``, ``bucket.fold_tail``: an applier's base or delta file
+  and its fold LSN-tail sidecar (``apply.apply_bucket``);
+- ``bucket.fold_cache``: a full read's delta-chain fold cache;
+- ``manifest.bucket``, ``manifest.tick``: the two manifests above;
+- ``shuffle.spill``: an indexed spill file (``partitioning``);
+- ``log.part``: a part of a per-tick log (``ticklog``);
+- ``agg.day``: a daily aggregate partition;
+- ``gdpr.map``: a pseudonym-map bucket;
+- ``rebucket.marker``, ``rebucket.state``, ``rebucket.fold_tail``: the
+  rebucket rollback marker and the new layout's bases and tails;
+- ``compact.state``: a tombstone-compacted base;
+- ``view.partial``, ``view.manifest``: a view's partials and its
+  ``_view.json``;
+- ``tables.registry``: a multi-table lake's ``_tables.json``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import json
 import os
 import re
+
+import pyarrow.parquet as pq
 
 #: version of the lake layout above; bumped when a reader starts to rely on
 #: a field or file layout that an older writer did not produce (2: the agg
@@ -80,11 +103,35 @@ TICK_FIELDS = frozenset(
 )
 
 
-def _atomic_write_json(path: str, obj: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(obj, f)
-    os.replace(tmp, path)
+def publish(path: str, write, *, point: str):
+    """Publish ``path`` atomically at the commit point ``point`` (see the
+    module docstring): ``write(tmp)`` writes the content, one rename puts
+    it in place, and if either raises the tmp file goes. Returns what
+    ``write`` returns."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        out = write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    return out
+
+
+def json_writer(obj, **dump_kw):
+    """A :func:`publish` ``write`` that dumps ``obj`` as JSON."""
+
+    def write(tmp: str) -> None:
+        with open(tmp, "w") as f:
+            json.dump(obj, f, **dump_kw)
+
+    return write
+
+
+def parquet_writer(table, **options):
+    """A :func:`publish` ``write`` that writes ``table`` as one parquet file."""
+    return lambda tmp: pq.write_table(table, tmp, **options)
 
 
 def _read_tick(path: str) -> dict:
@@ -142,7 +189,10 @@ class LakeLineage:
         return out
 
     def publish_bucket(self, manifest: dict) -> None:
-        _atomic_write_json(self._bucket_manifest_path(manifest["bucket"]), manifest)
+        publish(
+            self._bucket_manifest_path(manifest["bucket"]), json_writer(manifest),
+            point="manifest.bucket",
+        )
 
     def remove_bucket_manifest(self, bucket: int) -> None:
         p = self._bucket_manifest_path(bucket)
@@ -195,9 +245,10 @@ class LakeLineage:
         missing = TICK_FIELDS - tick.keys()
         if missing:
             raise ValueError(f"tick manifest lacks {sorted(missing)}")
-        _atomic_write_json(
+        publish(
             os.path.join(self.ticks_dir, f"tick-{tick['tick']:06d}.json"),
-            {**tick, "lake_format": LAKE_FORMAT},
+            json_writer({**tick, "lake_format": LAKE_FORMAT}),
+            point="manifest.tick",
         )
 
     def publish_maintenance_tick(self, last: dict, kind: str, **fields) -> dict:

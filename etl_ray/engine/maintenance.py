@@ -23,7 +23,7 @@ import pyarrow.parquet as pq
 
 from . import ticklog
 from .apply import DELETED_COL, MergeApplier
-from .lineage import LakeLineage, _atomic_write_json
+from .lineage import LakeLineage, json_writer, parquet_writer, publish
 from .partitioning import bucket_of
 from .replay import target_schema_ser, tick_spill_dir
 
@@ -269,26 +269,14 @@ def snapshot_derivatives(
     return out
 
 
-def rebucket(
-    lake_dir: str,
-    new_num_buckets: int,
-    *,
-    fail_after_publish: int | None = None,  # crash injection for tests
-) -> dict:
+def rebucket(lake_dir: str, new_num_buckets: int) -> dict:
     from .lock import writer_lock
 
     with writer_lock(lake_dir, "rebucket"):
-        return _rebucket_locked(
-            lake_dir, new_num_buckets, fail_after_publish=fail_after_publish
-        )
+        return _rebucket_locked(lake_dir, new_num_buckets)
 
 
-def _rebucket_locked(
-    lake_dir: str,
-    new_num_buckets: int,
-    *,
-    fail_after_publish: int | None = None,
-) -> dict:
+def _rebucket_locked(lake_dir: str, new_num_buckets: int) -> dict:
     """Change the lake's bucket count — the partition-evolution operation a
     growing lake needs (bucket count is otherwise fixed at creation; at
     100× data growth the original count under-parallelizes every stage).
@@ -351,13 +339,12 @@ def _rebucket_locked(
     )
 
     # rollback marker BEFORE any manifest mutation (the recovery anchor)
-    _atomic_write_json(
+    publish(
         lineage.rebucket_marker_path,
-        {"tick": tick_id, "old_manifests": old_manifests},
+        json_writer({"tick": tick_id, "old_manifests": old_manifests}),
+        point="rebucket.marker",
     )
-    for i, m in enumerate(new_manifests):
-        if fail_after_publish is not None and i >= fail_after_publish:
-            raise RuntimeError("injected crash mid-rebucket (test only)")
+    for m in new_manifests:
         lineage.publish_bucket(m)
     new_ids = {m["bucket"] for m in new_manifests}
     for m in old_manifests:
@@ -413,14 +400,12 @@ def _rebucket_write_chunk(
         bucket = it["bucket"]
         t = last_writer(read_row_groups({}, it["files"], it["rgs"]))  # key-sorted
         out_path = LakeLineage(lake_dir).bucket_state_path(bucket, tick_id)
-        tmp = out_path + f".{os.getpid()}.tmp"
-        pq.write_table(t, tmp, compression="zstd")
-        os.replace(tmp, out_path)
+        publish(out_path, parquet_writer(t, compression="zstd"), point="rebucket.state")
         fold_file = None
         if tail_union is not None:
             fold_file = fold_tail_path(out_path)
-            pq.write_table(tail_union, fold_file + ".tmp", compression="snappy")
-            os.replace(fold_file + ".tmp", fold_file)
+            write = parquet_writer(tail_union, compression="snappy")
+            publish(fold_file, write, point="rebucket.fold_tail")
         out.append(
             bucket_manifest(
                 bucket, tick_id, t, data_file=out_path, delta_files=[],
@@ -491,8 +476,8 @@ def _compact_tombstones_locked(
             continue
         kept = t.filter(pc.invert(dead))
         out_path = lineage.bucket_state_path(man["bucket"], tick_id)
-        pq.write_table(kept, out_path + ".tmp", compression="zstd")
-        os.replace(out_path + ".tmp", out_path)
+        write = parquet_writer(kept, compression="zstd")
+        publish(out_path, write, point="compact.state")
         # compaction always lands as a fresh BASE: the delta chain resets;
         # the watermark stays (dropping tombstones applies no event)
         lineage.publish_bucket(

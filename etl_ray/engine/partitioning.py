@@ -26,14 +26,6 @@ is only for a Dataset whose consumer takes it one bucket at a time (export,
 the change-feed fold), where ``from_arrow_refs`` would add one metadata task
 per yield (an export built that way took 0.50 s against 0.39 s, 1-core VM,
 one run).
-
-Skew note: hot repos (Zipf head) are handled *before* this shuffle by the
-per-batch last-writer pre-reduction in ``dedup.reduce_batch`` — a hot key
-contributes at most one row per input batch to the shuffle, which is the
-moral equivalent of salted sub-keys (each batch is a salt cell) followed by a
-salt-merge in the bucket applier. An explicit (bucket, salt) two-stage path
-is available via ``salt_of`` for pipelines whose reduction is not
-batch-associative.
 """
 
 from __future__ import annotations
@@ -47,6 +39,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+from .lineage import publish
 
 BUCKET_COL = "__bucket"
 
@@ -98,21 +92,21 @@ def write_bucket_rgs(data: pa.Table, codes, path: str) -> tuple[list, list, list
     bounds = np.flatnonzero(np.diff(codes)) + 1
     starts = np.concatenate([[0], bounds]) if len(codes) else []
     ends = np.concatenate([bounds, [len(codes)]])
-    buckets_out, rgs_out, rows_out = [], [], []
-    writer = pq.ParquetWriter(
-        path + ".tmp", data.schema, compression="snappy",
-        use_dictionary=False, write_statistics=False,
+
+    def write(tmp: str) -> None:
+        with pq.ParquetWriter(
+            tmp, data.schema, compression="snappy",
+            use_dictionary=False, write_statistics=False,
+        ) as writer:
+            for s, e in zip(starts, ends):
+                writer.write_table(data.slice(s, e - s), row_group_size=e - s)
+
+    publish(path, write, point="shuffle.spill")
+    return (
+        [int(codes[s]) for s in starts],
+        list(range(len(starts))),
+        [int(e - s) for s, e in zip(starts, ends)],
     )
-    try:
-        for rg, (s, e) in enumerate(zip(starts, ends)):
-            writer.write_table(data.slice(s, e - s), row_group_size=e - s)
-            buckets_out.append(int(codes[s]))
-            rgs_out.append(rg)
-            rows_out.append(int(e - s))
-    finally:
-        writer.close()
-    os.replace(path + ".tmp", path)
-    return buckets_out, rgs_out, rows_out
 
 
 def spill(table: pa.Table, codes: np.ndarray, spill_dir: str) -> pa.Table:
@@ -249,11 +243,3 @@ def run_spilled(items: list[dict], fn, *, max_tasks: int | None = None):
         .map_batches(fn, batch_format="pyarrow", batch_size=None)
         .materialize()
     )
-
-
-def salt_of(lsn: pa.ChunkedArray, n_salts: int, window: int = 1 << 16) -> pa.Array:
-    """Optional explicit salt for hot-key splitting: events of one key land in
-    ``n_salts`` sub-cells by LSN window; sub-cells are reduced independently
-    then merged (max-LSN wins) — correct because LWW is associative."""
-    v = lsn.to_numpy() if hasattr(lsn, "to_numpy") else np.asarray(lsn)
-    return pa.array(((v // window) % n_salts).astype(np.int32))

@@ -1,8 +1,9 @@
 """The replay loop: WAL segments → deduped deltas → merge appliers → commit.
 
 One *tick* = the reference's one Airflow DAG run (``DAG_user_history.py``'s
-daily chain, SURVEY.md §3.1), compressed into a single lazy Ray Data
-pipeline with exactly ONE shuffle:
+daily chain, SURVEY.md §3.1), compressed into two stages with exactly ONE
+shuffle between them — stage 1 a Ray Data pipeline over the segments,
+stage 2 plain Ray tasks over the spilled buckets:
 
   discover pending segments (lineage watermark)                    [sensor/ST4]
   → descriptor-driven segment reads, align (schema evolution)      [S1/§1.3]
@@ -126,7 +127,6 @@ class ReplayEngine:
         num_buckets: int = 32,
         concurrency: int | tuple[int, int] | None = None,
         aggregate: bool = True,  # False skips only the day recompute
-        fail_after_buckets: int | None = None,  # crash injection for tests
         checks: list | None = None,  # quality.CheckSpec list; None = defaults
         folds: list | None = None,  # folds.FoldSpec list; default: none
         pseudonym_fields: list[str] | None = None,  # gdpr map fields
@@ -196,7 +196,6 @@ class ReplayEngine:
         self.num_buckets = num_buckets
         self.concurrency = concurrency
         self.aggregate = aggregate
-        self.fail_after_buckets = fail_after_buckets
         # exact-once fold dedup window: the log's declared out-of-order
         # bound (duplicates re-emit within it), with margin
         p = self.wal.params or {}
@@ -529,9 +528,7 @@ class ReplayEngine:
 
         # ---- two-phase commit: publish bucket manifests, then the tick ----
         state_rows = live_rows = 0
-        for i, m in enumerate(manifests):
-            if self.fail_after_buckets is not None and i >= self.fail_after_buckets:
-                raise RuntimeError("injected crash mid-commit (test only)")
+        for m in manifests:
             self.lineage.publish_bucket(dict(m))
         for m in self.lineage.all_bucket_manifests():
             state_rows += m["rows"]

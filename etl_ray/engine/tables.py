@@ -24,6 +24,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .lineage import LakeLineage, json_writer, publish
 from .views.core import _partial_files, _view_manifest
 from .views.refresh import REFRESH_PROFILE, VIEW_KINDS, refresh_views, view_job
 
@@ -266,10 +267,10 @@ class MultiTableLake:
                 for s in specs
             ]
         }
-        tmp = os.path.join(lake_dir, "_tables.json.tmp")
-        with open(tmp, "w") as f:
-            json.dump(reg, f, indent=1)
-        os.replace(tmp, os.path.join(lake_dir, "_tables.json"))
+        publish(
+            os.path.join(lake_dir, "_tables.json"), json_writer(reg, indent=1),
+            point="tables.registry",
+        )
 
     def table_dir(self, name: str) -> str:
         return os.path.join(self.lake_dir, "tables", name)
@@ -488,8 +489,6 @@ class MultiTableLake:
         return out
 
     def status(self) -> dict:
-        from .lineage import LakeLineage
-
         out = {}
         for s in self.specs:
             d = self.table_dir(s.name)

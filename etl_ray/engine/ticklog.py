@@ -16,7 +16,7 @@ lists the parts it ``replaces``: for each of its keys, a reader drops that
 key's row group from every part the list names. Every operation below is
 crash-safe by that rule alone:
 
-- :func:`write` publishes a part by tmp + rename;
+- :func:`write` publishes a part (``lineage.publish``);
 - :func:`begin_tick` is the tick-redo gc (a crashed attempt's parts go, or
   are kept for a same-attempt feed redo, see there);
 - :func:`parts` lists the row groups of the committed parts (named at or
@@ -40,6 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .lineage import LakeLineage, publish
 from .partitioning import read_row_groups, run_tasks
 from .schema_evo import align_to, unify_schemas
 
@@ -102,14 +103,14 @@ def _write_part(
     os.makedirs(os.path.dirname(path), exist_ok=True)
     # readers pick row groups by key, never by value: no statistics (they
     # cost more footer bytes than the key index adds)
-    with pq.ParquetWriter(
-        path + ".tmp", schema, write_statistics=False, **log.options
-    ) as writer:
-        for _, t in groups:
-            # a key's rows are ONE row group however large: pyarrow splits
-            # at ~1M rows by default, which would strand the tail unindexed
-            writer.write_table(t, row_group_size=max(t.num_rows, 1))
-    os.replace(path + ".tmp", path)
+    def write(tmp: str) -> None:
+        with pq.ParquetWriter(tmp, schema, write_statistics=False, **log.options) as w:
+            for _, t in groups:
+                # a key's rows are ONE row group however large: pyarrow splits
+                # at ~1M rows by default, which would strand the tail unindexed
+                w.write_table(t, row_group_size=max(t.num_rows, 1))
+
+    publish(path, write, point="log.part")
 
 
 def write(lake_dir: str, log: Log, tick: int, name: str, rows: pa.Table, keys) -> int:
@@ -192,8 +193,6 @@ def _visible(listing: list[tuple[str, dict]]) -> dict[str, list[tuple[int, objec
 
 def _last_tick(lake_dir: str) -> int:
     """The last committed tick (-1: none, so no part is committed)."""
-    from .lineage import LakeLineage
-
     last = LakeLineage(lake_dir).last_tick()
     return -1 if last is None else last["tick"]
 

@@ -17,6 +17,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from ..lineage import json_writer, parquet_writer, publish
 from .encoding import _dec_extreme, _enc_extreme, _extremal_fields
 
 # supported aggregate functions of both view kinds; sum/count/min/max are
@@ -109,10 +110,9 @@ def _view_manifest(view_dir: str) -> dict:
 
 
 def _publish_view_manifest(view_dir: str, obj: dict) -> None:
-    p = os.path.join(view_dir, "_view.json")
-    with open(p + ".tmp", "w") as f:
-        json.dump(obj, f)
-    os.replace(p + ".tmp", p)
+    publish(
+        os.path.join(view_dir, "_view.json"), json_writer(obj), point="view.manifest"
+    )
 
 
 _GROUPS_META = b"etl_ray.hash_groups"
@@ -124,10 +124,9 @@ PARTIAL_LAYOUT = "row-ranges"
 def _write_partial(out, keys: list[str], num_groups: int, out_path: str) -> int:
     """Write one bucket's partial: rows sorted (stably) by ``hash(keys) %
     num_groups`` in ONE row group, and ``{"hash_groups": G, "ranges":
-    {group: [start, rows]}}`` in the footer metadata. Atomic (tmp +
-    rename). Returns the row count."""
+    {group: [start, rows]}}`` in the footer metadata. Atomic
+    (``lineage.publish``). Returns the row count."""
     import numpy as np
-    import pyarrow.parquet as pq
 
     from ..partitioning import hash_groups
 
@@ -141,11 +140,11 @@ def _write_partial(out, keys: list[str], num_groups: int, out_path: str) -> int:
     out = out.take(order).replace_schema_metadata({_GROUPS_META: meta})
     # readers slice by the footer ranges, never by value: no statistics and
     # no dictionary pages (``partitioning.write_bucket_rgs``)
-    pq.write_table(
-        out, out_path + ".tmp", row_group_size=max(out.num_rows, 1),
-        compression="snappy", use_dictionary=False, write_statistics=False,
+    write = parquet_writer(
+        out, row_group_size=max(out.num_rows, 1), compression="snappy",
+        use_dictionary=False, write_statistics=False,
     )
-    os.replace(out_path + ".tmp", out_path)
+    publish(out_path, write, point="view.partial")
     return out.num_rows
 
 

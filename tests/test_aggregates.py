@@ -526,7 +526,9 @@ def test_recompute_aggs_cli_reads_the_log(ray_session, small_wal, tmp_path, caps
     )
 
 
-def test_recompute_reads_only_committed_ticks(ray_session, tmp_path):
+def test_recompute_reads_only_committed_ticks(
+    ray_session, tmp_path, crash_at
+):
     """A day recompute outside a tick (``recompute-aggs``, erase) reads the
     agg log only through the last committed tick: a crashed tick's log
     parts do not count until its redo commits them."""
@@ -539,9 +541,9 @@ def test_recompute_reads_only_committed_ticks(ray_session, tmp_path):
     lin = LakeLineage(lake)
     committed = {t: read_agg(lin, t).to_pandas() for t in ("lang_daily_agg", "repo_daily_agg")}
 
-    crashy = ReplayEngine(wal.wal_dir, lake, fail_after_buckets=0, **kw)
-    with pytest.raises(RuntimeError, match="injected crash"):
-        crashy.tick()
+    with crash_at("manifest.bucket"):
+        with pytest.raises(RuntimeError, match="injected crash"):
+            ReplayEngine(wal.wal_dir, lake, **kw).tick()
     days = days_of_segments(wal.segments[-1:])
     recompute_days_from_agglog(lin, days)
     for t, exp in committed.items():

@@ -106,7 +106,7 @@ def test_incremental_consumer_view(feed_lake):
     pd.testing.assert_series_equal(got, exp)
 
 
-def test_crash_redo_feed_identical(ray_session, small_wal, tmp_path):
+def test_crash_redo_feed_identical(ray_session, small_wal, tmp_path, crash_at):
     clean = str(tmp_path / "clean")
     ReplayEngine(
         small_wal.wal_dir, clean, num_buckets=8, concurrency=2, emit_changelog=True
@@ -114,11 +114,11 @@ def test_crash_redo_feed_identical(ray_session, small_wal, tmp_path):
 
     crashy = str(tmp_path / "crashy")
     eng = ReplayEngine(
-        small_wal.wal_dir, crashy, num_buckets=8, concurrency=2,
-        emit_changelog=True, fail_after_buckets=3,
+        small_wal.wal_dir, crashy, num_buckets=8, concurrency=2, emit_changelog=True
     )
-    with pytest.raises(RuntimeError, match="injected crash"):
-        eng.replay_all(segments_per_tick=2)
+    with crash_at("manifest.bucket", after=3):
+        with pytest.raises(RuntimeError, match="injected crash"):
+            eng.replay_all(segments_per_tick=2)
     # resume with a fresh engine: the crashed tick redoes (wiping its
     # half-written feed dir) and the final feed is byte-identical
     ReplayEngine(

@@ -71,7 +71,7 @@ def test_quality_failure_emits_event(ray_session, small_wal, tmp_path):
 
 
 def test_tick_failure_emits_event_and_callback_errors_are_swallowed(
-    ray_session, small_wal, tmp_path
+    ray_session, small_wal, tmp_path, crash_at
 ):
     def bad_callback(rec):
         raise RuntimeError("pager is down")
@@ -79,10 +79,11 @@ def test_tick_failure_emits_event_and_callback_errors_are_swallowed(
     lake = str(tmp_path / "lake")
     eng = ReplayEngine(
         small_wal.wal_dir, lake, num_buckets=8, concurrency=2,
-        fail_after_buckets=0, on_event=bad_callback,
+        on_event=bad_callback,
     )
-    with pytest.raises(RuntimeError, match="injected crash"):
-        eng.tick()
+    with crash_at("manifest.bucket"):
+        with pytest.raises(RuntimeError, match="injected crash"):
+            eng.tick()
     evs = read_events(lake)
     assert evs[-1]["kind"] == "tick_failure"
     assert "injected crash" in evs[-1]["payload"]["error"]

@@ -48,17 +48,19 @@ def test_delta_mode_matches_oracle_and_appends(ray_session, small_wal, tmp_path)
     _assert_oracle(lake, small_wal)
 
 
-def test_delta_mode_crash_mid_commit_then_resume(ray_session, small_wal, tmp_path):
+def test_delta_mode_crash_mid_commit_then_resume(
+    ray_session, small_wal, tmp_path, crash_at
+):
     lake = str(tmp_path / "lake")
     ReplayEngine(
         small_wal.wal_dir, lake, num_buckets=8, concurrency=2, state_mode="delta"
     ).tick(max_segments=2)
     bad = ReplayEngine(
-        small_wal.wal_dir, lake, num_buckets=8, concurrency=2,
-        state_mode="delta", fail_after_buckets=3,
+        small_wal.wal_dir, lake, num_buckets=8, concurrency=2, state_mode="delta"
     )
-    with pytest.raises(RuntimeError, match="injected crash"):
-        bad.tick()
+    with crash_at("manifest.bucket", after=3):
+        with pytest.raises(RuntimeError, match="injected crash"):
+            bad.tick()
     res = ReplayEngine(
         small_wal.wal_dir, lake, num_buckets=8, concurrency=2, state_mode="delta"
     ).replay_all()

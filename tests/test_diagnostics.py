@@ -28,8 +28,8 @@ def test_skew_report_matches_state(ray_session, small_wal, tmp_path):
 
 
 def test_skew_recommendations_fire_on_hot_key(ray_session, tmp_path):
-    """A single dominant key produces bucket imbalance > 2x and a salt-cell
-    recommendation (the dominant-repo branch)."""
+    """A single dominant key produces bucket imbalance > 2x and the
+    rebucket recommendation."""
     from etl_ray.wal import generate_wal
 
     wal = generate_wal(
@@ -47,5 +47,5 @@ def test_skew_recommendations_fire_on_hot_key(ray_session, tmp_path):
     rep = skew_report(lake, top_k=1)
     assert rep["imbalance_max_over_mean"] > 2.0
     assert rep["hottest_repo_fraction"] == 1.0
-    assert rep["recommendations"], "expected a salt/rebucket recommendation"
-    assert "salt" in rep["recommendations"][0]
+    assert rep["recommendations"], "expected a rebucket recommendation"
+    assert "rebucket" in rep["recommendations"][0]

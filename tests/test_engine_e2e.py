@@ -86,17 +86,16 @@ def test_replay_twice_is_noop(ray_session, small_wal, tmp_path):
     _assert_matches_oracle(lake, small_wal)
 
 
-def test_crash_mid_commit_then_resume(ray_session, small_wal, tmp_path):
+def test_crash_mid_commit_then_resume(ray_session, small_wal, tmp_path, crash_at):
     lake = str(tmp_path / "lake")
     eng = ReplayEngine(small_wal.wal_dir, lake, num_buckets=8, concurrency=2)
     eng.tick(max_segments=2)
 
     # crash after publishing only 3 bucket manifests of the next tick
-    bad = ReplayEngine(
-        small_wal.wal_dir, lake, num_buckets=8, concurrency=2, fail_after_buckets=3
-    )
-    with pytest.raises(RuntimeError, match="injected crash"):
-        bad.tick()
+    bad = ReplayEngine(small_wal.wal_dir, lake, num_buckets=8, concurrency=2)
+    with crash_at("manifest.bucket", after=3):
+        with pytest.raises(RuntimeError, match="injected crash"):
+            bad.tick()
     # previous tick still authoritative; resume with a fresh engine
     eng3 = ReplayEngine(small_wal.wal_dir, lake, num_buckets=8, concurrency=2)
     res = eng3.replay_all()

@@ -106,7 +106,7 @@ def test_fold_replay_is_noop(ray_session, small_wal, tmp_path):
     pd.testing.assert_frame_equal(before, _fold_df(lake))
 
 
-def test_fold_crash_mid_commit_then_resume(ray_session, small_wal, tmp_path):
+def test_fold_crash_mid_commit_then_resume(ray_session, small_wal, tmp_path, crash_at):
     """Crash after SOME bucket manifests publish, before the tick commit:
     the re-run re-applies the same deltas — the fold tail (pruned only to
     the previous COMMITTED watermark) must make the re-fold a no-op for
@@ -121,10 +121,11 @@ def test_fold_crash_mid_commit_then_resume(ray_session, small_wal, tmp_path):
 
     crash = ReplayEngine(
         small_wal.wal_dir, lake, num_buckets=8, concurrency=2,
-        folds=DEFAULT_FOLDS, aggregate=False, fail_after_buckets=3,
+        folds=DEFAULT_FOLDS, aggregate=False,
     )
-    with pytest.raises(RuntimeError, match="injected crash"):
-        crash.tick()
+    with crash_at("manifest.bucket", after=3):
+        with pytest.raises(RuntimeError, match="injected crash"):
+            crash.tick()
 
     heal = ReplayEngine(
         small_wal.wal_dir, lake, num_buckets=8, concurrency=2,

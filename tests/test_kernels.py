@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 
 from etl_ray.engine.dedup import last_writer
-from etl_ray.engine.partitioning import bucket_of, salt_of, stable_hash64
+from etl_ray.engine.partitioning import bucket_of, stable_hash64
 from etl_ray.engine.schema_evo import align_to, unify_schemas
 
 
@@ -96,22 +96,16 @@ class TestPartitioning:
         h2 = stable_hash64(pa.array(["a"]), pa.array(["bc"]))
         assert h1[0] != h2[0]
 
-    def test_salt(self):
-        lsn = pa.array(np.arange(0, 1 << 18, 1 << 12), pa.int64())
-        s = salt_of(lsn, 4).to_pylist()
-        assert set(s) <= {0, 1, 2, 3} and len(set(s)) == 4
-
 
 def test_salt_cells_merge_to_same_winners():
     """SURVEY §7.4 salt-merge correctness: splitting one hot key's events
     into LSN-window salt cells, reducing each cell independently, then
     re-merging (max-LSN wins) must equal the unsalted reduction — the
-    associativity that makes explicit hot-key salting safe."""
+    associativity stage 1's per-batch pre-reduce relies on."""
     import numpy as np
     import pyarrow as pa
 
     from etl_ray.engine.dedup import last_writer
-    from etl_ray.engine.partitioning import salt_of
 
     rng = np.random.RandomState(3)
     n = 5000
@@ -124,7 +118,7 @@ def test_salt_cells_merge_to_same_winners():
             "content": pa.array([f"c{v}" for v in lsns]),
         }
     )
-    salts = salt_of(t["lsn"], n_salts=4, window=256)
+    salts = pa.array((lsns // 256) % 4)
     cells = [
         last_writer(t.filter(pa.compute.equal(salts, s)))
         for s in range(4)

@@ -68,13 +68,12 @@ def test_remote_holder_respects_ttl(ray_session, small_wal, tmp_path):
     assert eng.tick() is not None
 
 
-def test_crash_releases_lock(ray_session, small_wal, tmp_path):
+def test_crash_releases_lock(ray_session, small_wal, tmp_path, crash_at):
     lake = str(tmp_path / "lake")
-    eng = ReplayEngine(
-        small_wal.wal_dir, lake, num_buckets=8, concurrency=2, fail_after_buckets=2
-    )
-    with pytest.raises(RuntimeError, match="injected crash"):
-        eng.tick()
+    eng = ReplayEngine(small_wal.wal_dir, lake, num_buckets=8, concurrency=2)
+    with crash_at("manifest.bucket", after=2):
+        with pytest.raises(RuntimeError, match="injected crash"):
+            eng.tick()
     assert not os.path.exists(os.path.join(lake, "_lock.json"))
 
 

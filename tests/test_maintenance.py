@@ -437,7 +437,7 @@ def _agglog_file_ts(path: str) -> list:
     return pq.read_table(path, columns=["commit_ts"])["commit_ts"].to_pylist()
 
 
-def test_maintenance_refuses_a_crashed_replay_tick(ray_session, tmp_path):
+def test_maintenance_refuses_a_crashed_replay_tick(ray_session, tmp_path, crash_at):
     """A replay tick that crashed after publishing some bucket manifests
     owns the next tick id: erase, rebucket and compaction refuse to commit
     over it (and write nothing) until the next replay tick redoes it. Then
@@ -460,8 +460,9 @@ def test_maintenance_refuses_a_crashed_replay_tick(ray_session, tmp_path):
     lake = str(tmp_path / "lake")
     kw = dict(num_buckets=4, concurrency=2, emit_changelog=True)
     ReplayEngine(wal.wal_dir, lake, **kw).tick(2)
-    with pytest.raises(RuntimeError, match="injected crash"):
-        ReplayEngine(wal.wal_dir, lake, fail_after_buckets=2, **kw).tick(1)
+    with crash_at("manifest.bucket", after=2):
+        with pytest.raises(RuntimeError, match="injected crash"):
+            ReplayEngine(wal.wal_dir, lake, **kw).tick(1)
     lin = LakeLineage(lake)
     last = lin.last_tick()["tick"]
     assert any(m["tick"] > last for m in lin.all_bucket_manifests())
@@ -504,10 +505,10 @@ def _log_rows(lake: str, log) -> pd.DataFrame:
 
 @pytest.mark.parametrize("stop", ["crash_before_publish", "quality_gate"])
 def test_maintenance_drops_a_replay_attempt_that_published_nothing(
-    ray_session, tmp_path, stop
+    ray_session, tmp_path, stop, crash_at
 ):
     """A replay attempt that stopped before its first bucket-manifest
-    publish — a crash at ``fail_after_buckets=0`` or a failing mandatory
+    publish — a crash at its first ``manifest.bucket`` or a failing mandatory
     quality check — has written its tick's feed, agg-log and quarantine
     parts. Maintenance drops them and goes on (a failing check does not
     hold up an erasure); after the redo the feed holds every change row
@@ -534,8 +535,9 @@ def test_maintenance_drops_a_replay_attempt_that_published_nothing(
         with pytest.raises(DataQualityError):
             ReplayEngine(wal.wal_dir, lake, checks=[fail], **kw).tick(1)
     else:
-        with pytest.raises(RuntimeError, match="injected crash"):
-            ReplayEngine(wal.wal_dir, lake, fail_after_buckets=0, **kw).tick(1)
+        with crash_at("manifest.bucket"):
+            with pytest.raises(RuntimeError, match="injected crash"):
+                ReplayEngine(wal.wal_dir, lake, **kw).tick(1)
     lin = LakeLineage(lake)
     last = lin.last_tick()["tick"]
     assert os.path.isdir(tick_spill_dir(lake, last + 1))

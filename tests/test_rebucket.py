@@ -48,15 +48,16 @@ def test_rebucket_preserves_state_and_replay_continues(
     )
 
 
-def test_rebucket_crash_rolls_back(ray_session, small_wal, tmp_path):
+def test_rebucket_crash_rolls_back(ray_session, small_wal, tmp_path, crash_at):
     lake = str(tmp_path / "lake")
     eng = ReplayEngine(small_wal.wal_dir, lake, num_buckets=8, concurrency=2)
     eng.replay_all()
     before = _live_df(lake)
     tick_before = eng.lineage.last_tick()
 
-    with pytest.raises(RuntimeError, match="injected crash"):
-        rebucket(lake, 16, fail_after_publish=3)  # half-published layout
+    with crash_at("manifest.bucket", after=3):  # half-published layout
+        with pytest.raises(RuntimeError, match="injected crash"):
+            rebucket(lake, 16)
 
     # recovery (run by any maintenance op / tick start) restores the old
     # layout exactly; a subsequent clean rebucket then succeeds

@@ -18,6 +18,8 @@ from etl_ray.engine.tables import MultiTableLake, TableSpec
 from etl_ray.engine.views import refresh
 from etl_ray.engine.views.refresh import VIEW_KINDS, view_job
 
+from conftest import inline_task_refs  # noqa: E402
+
 # DuckDB oracles of the three view kinds, shared with their own test modules
 from test_agg_views import LANG_AGGS, _assert_matches_oracle  # noqa: E402
 from test_fan_out_sizing import BUCKETS, _tail_wal  # noqa: E402
@@ -142,12 +144,6 @@ def test_spec_change_recomputes_only_that_view(ray_session, tail_wal, tmp_path):
     _assert_views_match_oracle(lake, tail_wal)
 
 
-def _inline_task_refs(fn, chunks, *args):
-    """``partitioning.task_refs`` stand-in: runs each task in this process,
-    so a spy here sees the reads a refresh task makes."""
-    return [fn(c, *args) for c in chunks]
-
-
 def test_one_read_per_touched_bucket_per_pass(
     ray_session, tail_wal, tmp_path, monkeypatch
 ):
@@ -157,8 +153,6 @@ def test_one_read_per_touched_bucket_per_pass(
     hand-over lacks once, in the union of the projections of the views that
     need it. Every view reads back ``Table.equals`` to a view refreshed on
     its own."""
-    import ray
-
     from etl_ray.engine import apply, partitioning
     from etl_ray.engine.lock import writer_lock
 
@@ -175,8 +169,8 @@ def test_one_read_per_touched_bucket_per_pass(
         reads.clear()
         with monkeypatch.context() as m:
             m.setattr(apply, "read_bucket_state", spy)
-            m.setattr(partitioning, "task_refs", _inline_task_refs)
-            m.setattr(ray, "get", lambda refs: refs)
+            # tasks run in this process, so the spy sees their reads
+            m.setattr(partitioning, "task_refs", inline_task_refs)
             return lake._refresh_views_of("repo_files", handed=handed)
 
     cols = lake.view_columns("repo_files")

@@ -47,7 +47,7 @@ def _check_handed(eng: ReplayEngine, r) -> None:
 
 @pytest.mark.parametrize("threshold", [0, 2, 8])
 def test_handed_state_equals_a_read_of_the_new_chain(
-    ray_session, evo_wal, tmp_path, threshold
+    ray_session, evo_wal, tmp_path, threshold, crash_at
 ):
     """At every tick — across both schema evolutions and a redo of a tick
     that crashed between bucket publishes — each handed state
@@ -57,13 +57,12 @@ def test_handed_state_equals_a_read_of_the_new_chain(
         evo_wal.wal_dir, str(tmp_path / "lake"), num_buckets=4, concurrency=2,
         delta_threshold=threshold,
     )
-    crash_at = len(evo_wal.segments) // 2
+    crash_tick = len(evo_wal.segments) // 2
     for i in range(len(evo_wal.segments) - 1):
-        if i == crash_at:
-            eng.fail_after_buckets = 1
-            with pytest.raises(RuntimeError, match="injected crash"):
-                eng.tick(1, view_columns=VIEW_COLS)
-            eng.fail_after_buckets = None
+        if i == crash_tick:
+            with crash_at("manifest.bucket", after=1):
+                with pytest.raises(RuntimeError, match="injected crash"):
+                    eng.tick(1, view_columns=VIEW_COLS)
         _check_handed(eng, eng.tick(1, view_columns=VIEW_COLS))
     r = eng.tick(1)
     assert r.buckets_touched and r.view_states is None

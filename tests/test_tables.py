@@ -207,7 +207,9 @@ def test_view_refresh_touches_only_advanced_buckets(ray_session, small_wal, tmp_
     pd.testing.assert_frame_equal(got, exp.reset_index(drop=True), check_dtype=False)
 
 
-def test_crash_commits_table_a_not_b_then_resume(ray_session, small_wal, wal_b, tmp_path):
+def test_crash_commits_table_a_not_b_then_resume(
+    ray_session, small_wal, wal_b, tmp_path, crash_at
+):
     """A tick that commits table A but crashes in table B leaves A committed
     and B at its previous tick; the rerun no-ops A and completes B."""
     lake = MultiTableLake(
@@ -217,13 +219,13 @@ def test_crash_commits_table_a_not_b_then_resume(ray_session, small_wal, wal_b, 
             TableSpec(name="b", wal_dir=wal_b.wal_dir, num_buckets=4),
         ],
     )
-    lake.engine("b").fail_after_buckets = 0  # crash before B's first publish
-    with pytest.raises(RuntimeError, match="injected crash"):
-        lake.tick()
+    # crash before B's first bucket-manifest publish
+    with crash_at("manifest.bucket", under=lake.table_dir("b")):
+        with pytest.raises(RuntimeError, match="injected crash"):
+            lake.tick()
     assert LakeLineage(lake.table_dir("a")).last_tick()["tick"] == 0
     assert LakeLineage(lake.table_dir("b")).last_tick() is None
 
-    lake.engine("b").fail_after_buckets = None
     r = lake.tick()
     assert r["a"] is None, "table A must be a watermark no-op on the rerun"
     assert r["b"] is not None and r["b"].tick == 0

@@ -25,6 +25,8 @@ import pytest
 from etl_ray.engine import ReplayEngine, partitioning, ticklog
 from etl_ray.engine.export import final_state
 
+from conftest import inline_task_refs  # noqa: E402
+
 
 class Crash(RuntimeError):
     pass
@@ -34,11 +36,7 @@ class Crash(RuntimeError):
 def inline_tasks(monkeypatch, ray_session):
     """Run the log's task fan-outs in this process, where the injected
     crash reaches them."""
-
-    def task_refs(fn, chunks, *args):
-        return [ray_session.put(fn(c, *args)) for c in chunks]
-
-    monkeypatch.setattr(partitioning, "task_refs", task_refs)
+    monkeypatch.setattr(partitioning, "task_refs", inline_task_refs)
 
 
 @contextlib.contextmanager
@@ -100,13 +98,17 @@ def test_write_crash_and_redo(feed_lake, tmp_path):
     before = {log.dir: _read(lake, log) for log in (ticklog.AGGLOG, ticklog.FEED)}
 
     # a torn agg-log write of the next tick: invisible, and the redo wipes
-    # the tick's parts (the whole and the torn one) and the tmp file
+    # the tick's parts (the whole and the torn one) and the tmp file; a
+    # failed rename takes its tmp file along (``lineage.publish``), a
+    # killed writer leaves it behind
     d = os.path.join(lake, ticklog.AGGLOG.dir)
     ticklog.write(lake, ticklog.AGGLOG, tick, "whole", rows, pa.repeat("k", 3))
     with _crash_at(d, 1), pytest.raises(Crash):
         ticklog.write(lake, ticklog.AGGLOG, tick, "torn", rows, pa.repeat("k", 3))
     pd.testing.assert_frame_equal(_read(lake, ticklog.AGGLOG), before[ticklog.AGGLOG.dir])
-    assert any(n.endswith(".tmp") for n in os.listdir(d))
+    assert not any(n.endswith(".tmp") for n in os.listdir(d))
+    with open(os.path.join(d, f"t{tick:06d}-torn.parquet.1.tmp"), "wb") as f:
+        f.write(b"PAR1")  # the killed writer's torn tmp file
     ticklog.begin_tick(lake, ticklog.AGGLOG, tick)
     left = [n for n in os.listdir(d) if n.startswith(f"t{tick:06d}-") or n.endswith(".tmp")]
     assert not left, left
